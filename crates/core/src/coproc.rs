@@ -43,9 +43,13 @@ pub struct StmCoprocessor {
     mem: SxsMemory,
     /// Cycle at which the current fill completes (fill-before-read barrier).
     fill_done: u64,
-    /// Column-major snapshot for the ongoing read phase + read cursor.
-    drain: Option<Vec<(u8, u8, u32)>>,
-    cursor: usize,
+    /// Elements the current read phase has drained so far, and the
+    /// column-major position (`col * s + row`) the next `v_ldcc` resumes
+    /// from.
+    read: usize,
+    read_from: usize,
+    /// Buffer-transfer sizes of the instruction being issued (reused).
+    groups: Groups,
     /// Entries written in the current block session (for stats).
     session_entries: u64,
     /// Open trace span for the current block session, when recording.
@@ -62,8 +66,9 @@ impl StmCoprocessor {
             mem: SxsMemory::new(cfg.s),
             cfg,
             fill_done: 0,
-            drain: None,
-            cursor: 0,
+            read: 0,
+            read_from: 0,
+            groups: Groups::default(),
             session_entries: 0,
             session_span: None,
             stats: StmStats::default(),
@@ -85,8 +90,8 @@ impl StmCoprocessor {
     pub fn icm(&mut self, e: &mut Engine) {
         self.close_session(e);
         self.mem.clear();
-        self.drain = None;
-        self.cursor = 0;
+        self.read = 0;
+        self.read_from = 0;
         self.fill_done = 0;
         self.stats.sessions += 1;
         self.session_entries = 0;
@@ -144,49 +149,51 @@ impl StmCoprocessor {
             e.cfg().section_size,
             "STM/engine section size mismatch"
         );
-        let rows: Vec<u8> = pos.data.iter().map(|&p| unpack_pos(p).0).collect();
-        for (k, &p) in pos.data.iter().enumerate() {
+        let (s, b, l) = (self.cfg.s, self.cfg.b, self.cfg.l);
+        self.groups.clear();
+        for (&p, &value) in pos.data.iter().zip(&payload.data) {
             let (r, c) = unpack_pos(p);
-            if self.cfg.s < 256 && ((r as usize) >= self.cfg.s || (c as usize) >= self.cfg.s) {
+            if s < 256 && ((r as usize) >= s || (c as usize) >= s) {
                 return Err(format!(
-                    "v_stcr position ({r},{c}) outside the {s0}x{s0} block",
-                    s0 = self.cfg.s
+                    "v_stcr position ({r},{c}) outside the {s}x{s} block"
                 ));
             }
-            self.mem.insert(r, c, payload.data[k]);
+            self.mem.insert(r, c, value);
+            self.groups.push(r, b, l);
         }
-        self.drain = None; // memory changed: invalidate any old snapshot
-        let groups = group_sizes(&rows, self.cfg.b, self.cfg.l);
+        if self.read > 0 {
+            // Writing into a partly drained memory: the read phase goes on
+            // after the first `read` elements of the new drain order.
+            self.read_from = self
+                .mem
+                .column_major_from(0)
+                .nth(self.read - 1)
+                .map_or(s * s, |(c, r, _)| c as usize * s + r as usize + 1);
+        }
         let input = e.chained_ready2(payload, pos);
         let done = e.run_batched(
             "v_stcr",
             Fu::Stm,
             0,
             PHASE_PIPELINE_CYCLES,
-            &groups,
+            &self.groups.sizes,
             Some(&input),
         );
+        let batches = self.groups.sizes.len() as u64;
         self.fill_done = self.fill_done.max(done.last().copied().unwrap_or(0));
-        self.stats.write_batches += groups.len() as u64;
+        self.stats.write_batches += batches;
         self.stats.entries += payload.len() as u64;
         self.session_entries += payload.len() as u64;
         if let Some(s) = &mut self.session_span {
-            s.write_batches += groups.len() as u64;
+            s.write_batches += batches;
             s.last_done = s.last_done.max(done.last().copied().unwrap_or(0));
         }
         Ok(())
     }
 
     /// Elements still pending for the read phase of the current block.
-    pub fn remaining(&mut self) -> usize {
-        self.snapshot_len() - self.cursor
-    }
-
-    fn snapshot_len(&mut self) -> usize {
-        if self.drain.is_none() {
-            self.drain = Some(self.mem.drain_column_major());
-        }
-        self.drain.as_ref().unwrap().len()
+    pub fn remaining(&self) -> usize {
+        self.mem.count() - self.read
     }
 
     /// `v_ldcc`: loads up to `vl` elements column-wise from the `s x s`
@@ -202,20 +209,32 @@ impl StmCoprocessor {
         );
         // Fill-before-read: stall issue until the last write landed.
         e.stall_until(self.fill_done);
-        let total = self.snapshot_len();
-        let n = vl.min(total - self.cursor);
-        let slice = &self.drain.as_ref().unwrap()[self.cursor..self.cursor + n];
-        self.cursor += n;
-        // `drain_column_major` yields (old_col, old_row, payload); the old
-        // column is the line being read and the new row coordinate.
-        let cols: Vec<u8> = slice.iter().map(|&(c, _, _)| c).collect();
-        let payload: Vec<u32> = slice.iter().map(|&(_, _, p)| p).collect();
-        let pos: Vec<u32> = slice.iter().map(|&(c, r, _)| pack_pos(c, r)).collect();
-        let groups = group_sizes(&cols, self.cfg.b, self.cfg.l);
-        let done = e.run_batched("v_ldcc", Fu::Stm, 0, PHASE_PIPELINE_CYCLES, &groups, None);
-        self.stats.read_batches += groups.len() as u64;
+        let n = vl.min(self.remaining());
+        let (s, b, l) = (self.cfg.s, self.cfg.b, self.cfg.l);
+        let mut payload = Vec::with_capacity(n);
+        let mut pos = Vec::with_capacity(n);
+        self.groups.clear();
+        // The drain yields (old_col, old_row, payload); the old column is
+        // the line being read and the new row coordinate.
+        for (c, r, p) in self.mem.column_major_from(self.read_from).take(n) {
+            payload.push(p);
+            pos.push(pack_pos(c, r));
+            self.groups.push(c, b, l);
+            self.read_from = c as usize * s + r as usize + 1;
+        }
+        self.read += n;
+        let done = e.run_batched(
+            "v_ldcc",
+            Fu::Stm,
+            0,
+            PHASE_PIPELINE_CYCLES,
+            &self.groups.sizes,
+            None,
+        );
+        let batches = self.groups.sizes.len() as u64;
+        self.stats.read_batches += batches;
         if let Some(s) = &mut self.session_span {
-            s.read_batches += groups.len() as u64;
+            s.read_batches += batches;
             s.last_done = s.last_done.max(done.last().copied().unwrap_or(0));
         }
         (
@@ -231,23 +250,31 @@ impl StmCoprocessor {
     }
 }
 
-/// Splits a non-decreasing line sequence into buffer transfers: each group
-/// takes up to `b` in-order elements within an `l`-line window anchored at
-/// the group's first element (same greedy rule as
-/// [`crate::unit::count_batches`]).
-pub fn group_sizes(lines: &[u8], b: u64, l: usize) -> Vec<usize> {
-    let mut groups = Vec::new();
-    let mut i = 0usize;
-    while i < lines.len() {
-        let first = lines[i] as usize;
-        let mut taken = 0usize;
-        while i < lines.len() && (taken as u64) < b && (lines[i] as usize) < first + l {
-            i += 1;
-            taken += 1;
-        }
-        groups.push(taken);
+/// An instruction's buffer transfers, formed while it moves its elements:
+/// fed the line of each element in turn, a group takes up to `b` in-order
+/// elements within an `l`-line window anchored at the group's first
+/// element (same greedy rule as [`crate::unit::count_batches`]).
+#[derive(Debug, Clone, Default)]
+struct Groups {
+    sizes: Vec<usize>,
+    /// First line of the open (last) group.
+    first: usize,
+}
+
+impl Groups {
+    fn clear(&mut self) {
+        self.sizes.clear();
     }
-    groups
+
+    fn push(&mut self, line: u8, b: u64, l: usize) {
+        match self.sizes.last_mut() {
+            Some(taken) if (*taken as u64) < b && (line as usize) < self.first + l => *taken += 1,
+            _ => {
+                self.sizes.push(1);
+                self.first = line as usize;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -268,12 +295,18 @@ mod tests {
     }
 
     #[test]
-    fn group_sizes_match_count_batches() {
+    fn groups_match_count_batches() {
         let lines = [0u8, 0, 1, 3, 3, 3, 3, 3, 7];
         for (b, l) in [(1u64, 1usize), (4, 1), (4, 4), (2, 8), (8, 2)] {
-            let g = group_sizes(&lines, b, l);
-            assert_eq!(g.len() as u64, crate::unit::count_batches(&lines, b, l));
-            assert_eq!(g.iter().sum::<usize>(), lines.len());
+            let mut g = Groups::default();
+            for &line in &lines {
+                g.push(line, b, l);
+            }
+            assert_eq!(
+                g.sizes.len() as u64,
+                crate::unit::count_batches(&lines, b, l)
+            );
+            assert_eq!(g.sizes.iter().sum::<usize>(), lines.len());
         }
     }
 
@@ -386,6 +419,53 @@ mod tests {
         let pos = vreg(vec![pack_pos(9, 0)]); // s = 8: row 9 is outside
         let err = stm.v_stcr(&mut e, &payload, &pos).unwrap_err();
         assert!(err.contains("(9,0)"), "{err}");
+    }
+
+    #[test]
+    fn dense_256_block_transposes() {
+        let mut cfg = VpConfig::paper();
+        cfg.section_size = 256;
+        let mut e = Engine::new(cfg, Memory::new());
+        let mut stm = StmCoprocessor::new(StmConfig { s: 256, b: 4, l: 4 });
+        stm.icm(&mut e);
+        for r in 0..256u32 {
+            let payload = vreg((0..256).map(|c| r << 8 | c).collect());
+            let pos = vreg((0..256).map(|c| pack_pos(r as u8, c as u8)).collect());
+            stm.v_stcr(&mut e, &payload, &pos).unwrap();
+        }
+        assert_eq!(stm.remaining(), 256 * 256);
+        let (mut vals, mut tpos) = (Vec::new(), Vec::new());
+        while stm.remaining() > 0 {
+            let (v, p) = stm.v_ldcc(&mut e, 256);
+            vals.extend(v.data);
+            tpos.extend(p.data);
+        }
+        // Row-major order of the transposed block; each value names its
+        // source position (old row << 8 | old col).
+        for (k, (&v, &p)) in vals.iter().zip(&tpos).enumerate() {
+            let (nr, nc) = ((k >> 8) as u32, (k & 0xff) as u32);
+            assert_eq!(p, pack_pos(nr as u8, nc as u8));
+            assert_eq!(v, nc << 8 | nr);
+        }
+        assert_eq!(vals.len(), 256 * 256);
+        let st = stm.stats();
+        // 256 elements per line at B = 4: 64 transfers per line and phase.
+        assert_eq!((st.write_batches, st.read_batches), (256 * 64, 256 * 64));
+    }
+
+    #[test]
+    fn write_after_partial_read_resumes_by_count() {
+        let (mut e, mut stm) = setup(4, 4);
+        stm.icm(&mut e);
+        let pos = vreg(vec![pack_pos(0, 2), pack_pos(0, 4)]);
+        stm.v_stcr(&mut e, &vreg(vec![20, 40]), &pos).unwrap();
+        assert_eq!(stm.v_ldcc(&mut e, 1).0.data, vec![20]);
+        // A later write lands in front of the read position: the read
+        // phase skips as many elements as it already delivered.
+        let pos = vreg(vec![pack_pos(0, 1), pack_pos(0, 6)]);
+        stm.v_stcr(&mut e, &vreg(vec![10, 60]), &pos).unwrap();
+        assert_eq!(stm.remaining(), 3);
+        assert_eq!(stm.v_ldcc(&mut e, 8).0.data, vec![20, 40, 60]);
     }
 
     #[test]

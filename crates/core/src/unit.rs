@@ -173,9 +173,8 @@ impl StmUnit {
 }
 
 /// Computes a block's [`BlockTiming`] directly from its entry positions
-/// (row-major order), without driving the `s x s` memory — `O(z log z)`
-/// instead of `O(s²)`, for the Fig. 10 parameter sweeps over large
-/// matrices. Equivalent to [`StmUnit::transpose_block`]'s timing (tested).
+/// (row-major order), without driving the `s x s` memory — `O(z log z)`,
+/// for the Fig. 10 parameter sweeps over large matrices. Equivalent to [`StmUnit::transpose_block`]'s timing (tested).
 pub fn block_timing(positions: &[(u8, u8)], cfg: &StmConfig) -> BlockTiming {
     debug_assert!(
         positions.windows(2).all(|w| w[0] < w[1]),

@@ -19,7 +19,10 @@
 //! SIMD-dispatched.
 
 use crate::{HostError, HostIsa};
-use stm_hism::image::{pack_pos, unpack_pos, HismImage, RootDesc, WORDS_PER_ENTRY};
+use stm_hism::image::{
+    fnv_word, pack_pos, unpack_pos, HismImage, IntegrityHeader, RootDesc, SectionSums,
+    INTEGRITY_VERSION, WORDS_PER_ENTRY,
+};
 use stm_sparse::Value;
 
 const WPE: usize = WORDS_PER_ENTRY as usize;
@@ -105,9 +108,10 @@ fn check_block(
 }
 
 /// Host HiSM transposition. Scalar on every ISA: the per-blockarray
-/// permutation is a sort plus a cursor rewrite, with nothing element-wise
-/// to vectorize. `section_size` must match the image's `s` (the same
-/// configuration contract the simulated kernel enforces).
+/// permutation is a counting scatter (or a sort) plus a cursor rewrite,
+/// with nothing element-wise to vectorize. `section_size` must match the
+/// image's `s` (the same configuration contract the simulated kernel
+/// enforces).
 pub fn transpose_hism(image: &HismImage, section_size: usize) -> Result<HismImage, HostError> {
     if image.root.s as usize != section_size {
         return Err(HostError::Config(format!(
@@ -119,15 +123,18 @@ pub fn transpose_hism(image: &HismImage, section_size: usize) -> Result<HismImag
     let s = image.root.s as usize;
     let mut words = image.words.clone();
     let mut budget = words.len() / 2 + 1;
+    let mut scratch = TransposeScratch::new(s, words.len());
     transpose_block(
         &mut words,
         image.root.addr,
         image.root.len as usize,
         image.root.levels - 1,
         s,
+        &mut scratch,
         &mut budget,
     )?;
-    if crate::diverge_requested("transpose_hism") {
+    let diverged = crate::diverge_requested("transpose_hism");
+    if diverged {
         diverge(&mut words, &image.root);
     }
     let mut out = HismImage {
@@ -141,9 +148,71 @@ pub fn transpose_hism(image: &HismImage, section_size: usize) -> Result<HismImag
         integrity: None,
     };
     // Transposition rewrites position words, so the input's sums no
-    // longer apply: seal the output fresh over the transposed words.
-    out.seal_integrity();
+    // longer apply. The write pass summed every word it wrote, which are
+    // exactly the words a seal walks — unless blockarrays overlapped
+    // (only a corrupt image does that) or the divergence hook rewrote a
+    // word afterwards; then seal by walking the output.
+    if scratch.overlap || diverged {
+        out.seal_integrity();
+    } else {
+        out.integrity = Some(IntegrityHeader {
+            version: INTEGRITY_VERSION,
+            sums: scratch.sums,
+        });
+        debug_assert_eq!(out.integrity, out.compute_integrity().ok());
+    }
     Ok(out)
+}
+
+/// Per-run staging for [`transpose_block`], reused by every blockarray.
+struct TransposeScratch {
+    /// Drain-order keys of the blockarray being permuted.
+    keys: Vec<u64>,
+    /// Per-column cursors of the counting scatter (`s + 1` slots).
+    counts: Vec<usize>,
+    /// The blockarray's entry words and lengths vector before rewriting.
+    entries: Vec<u32>,
+    lens: Vec<u32>,
+    /// One bit per image word: set once a blockarray's footprint has been
+    /// rewritten, so a second claim on a word reveals overlapping
+    /// blockarrays.
+    claimed: Vec<u64>,
+    overlap: bool,
+    /// Section sums over every word the write pass produced.
+    sums: SectionSums,
+}
+
+impl TransposeScratch {
+    fn new(s: usize, words: usize) -> Self {
+        TransposeScratch {
+            keys: Vec::new(),
+            counts: vec![0; s + 1],
+            entries: Vec::new(),
+            lens: Vec::new(),
+            claimed: vec![0; words.div_ceil(64)],
+            overlap: false,
+            sums: SectionSums::default(),
+        }
+    }
+
+    /// Marks words `start..start + len` claimed; notes an overlap when
+    /// any of them already was.
+    fn claim(&mut self, start: usize, len: usize) {
+        let mut i = start;
+        let end = start + len;
+        while i < end {
+            let bits = (end - i).min(64 - i % 64);
+            let mask = if bits == 64 {
+                !0
+            } else {
+                ((1u64 << bits) - 1) << (i % 64)
+            };
+            let word = &mut self.claimed[i / 64];
+            self.overlap |= *word & mask != 0;
+            *word |= mask;
+            i += bits;
+        }
+    }
 }
 
 /// One blockarray of the in-place transposition (Fig. 6's
@@ -154,6 +223,7 @@ fn transpose_block(
     len: usize,
     level: u32,
     s: usize,
+    scratch: &mut TransposeScratch,
     budget: &mut usize,
 ) -> Result<(), HostError> {
     if len == 0 {
@@ -166,15 +236,23 @@ fn transpose_block(
     };
     check_block(words.len(), addr, len, footprint, budget)?;
     let base = addr as usize;
+    scratch.claim(base, footprint);
 
     // The STM memory keyed by position: entries re-emerge sorted
     // row-major by their swapped (row, col). Out-of-block positions and
     // collisions are exactly what the coprocessor's v_stcr rejects.
     // Each element packs `(c, r, k)` into one integer — bits 40.. are the
-    // swapped coordinates, the low 32 the source index — so the sort
-    // compares plain u64s instead of branchy 16-byte tuples (the sort is
-    // the kernel's hot spot; this is ~5x faster and order-identical).
-    let mut order: Vec<u64> = Vec::with_capacity(len);
+    // swapped coordinates, the low 32 the source index — so ordering
+    // compares plain u64s instead of 16-byte tuples.
+    let keys = &mut scratch.keys;
+    keys.clear();
+    keys.reserve(len);
+    // Whether the positions strictly increase in (row, col) order — the
+    // scatter's precondition — and in (col, row) order, i.e. already
+    // drain-ordered (a diagonal block, say). Strictness rules out
+    // collisions in both cases.
+    let (mut row_major, mut drained) = (true, true);
+    let mut prev: Option<(u8, u8)> = None;
     for k in 0..len {
         let (r, c) = unpack_pos(words[base + WPE * k + 1]);
         if s < 256 && ((r as usize) >= s || (c as usize) >= s) {
@@ -182,38 +260,90 @@ fn transpose_block(
                 "v_stcr position ({r},{c}) outside the {s}x{s} block"
             )));
         }
-        order.push(((c as u64) << 40) | ((r as u64) << 32) | k as u64);
+        if let Some((pr, pc)) = prev {
+            row_major &= (pr, pc) < (r, c);
+            drained &= (pc, pr) < (c, r);
+        }
+        prev = Some((r, c));
+        keys.push(((c as u64) << 40) | ((r as u64) << 32) | k as u64);
     }
-    order.sort_unstable();
-    if let Some(w) = order.windows(2).find(|w| (w[0] >> 32) == (w[1] >> 32)) {
-        return Err(HostError::Corrupt(format!(
-            "duplicate position ({},{}) in blockarray at word {addr}",
-            (w[0] >> 32) & 0xff,
-            w[0] >> 40
-        )));
-    }
-
-    let entries: Vec<u32> = words[base..base + WPE * len].to_vec();
-    if level > 0 {
-        // Lengths pass first (it needs the pre-transposition positions),
-        // permuted by the same drain order as the entries.
-        let lens: Vec<u32> = words[base + WPE * len..base + WPE * len + len].to_vec();
-        for (j, &key) in order.iter().enumerate() {
-            words[base + WPE * len + j] = lens[(key & 0xffff_ffff) as usize];
+    let use_scatter = !drained && row_major && len >= s;
+    if !drained && !use_scatter {
+        // Small or out-of-order blockarrays: a plain sort, O(z log z)
+        // instead of the scatter's O(s).
+        keys.sort_unstable();
+        if let Some(w) = keys.windows(2).find(|w| (w[0] >> 32) == (w[1] >> 32)) {
+            return Err(HostError::Corrupt(format!(
+                "duplicate position ({},{}) in blockarray at word {addr}",
+                (w[0] >> 32) & 0xff,
+                w[0] >> 40
+            )));
         }
     }
-    for (j, &key) in order.iter().enumerate() {
-        let (nr, nc) = ((key >> 40) as u8, ((key >> 32) & 0xff) as u8);
-        words[base + WPE * j] = entries[WPE * ((key & 0xffff_ffff) as usize)];
-        words[base + WPE * j + 1] = pack_pos(nr, nc);
+
+    // The write pass reads the entries (and, above the leaves, the
+    // lengths vector, whose pre-transposition order pairs it with the
+    // entries) from copies, so slots can be written in any order.
+    let TransposeScratch {
+        keys,
+        counts,
+        entries,
+        lens,
+        sums,
+        ..
+    } = scratch;
+    entries.clear();
+    entries.extend_from_slice(&words[base..base + WPE * len]);
+    let lens_base = base + WPE * len;
+    if level > 0 {
+        lens.clear();
+        lens.extend_from_slice(&words[lens_base..lens_base + len]);
+    }
+    // Writes source entry `key` to output slot `j`, summing what it wrote.
+    let mut put = |j: usize, key: u64| {
+        let k = (key & 0xffff_ffff) as usize;
+        let payload = entries[WPE * k];
+        let pos = pack_pos((key >> 40) as u8, (key >> 32) as u8);
+        words[base + WPE * j] = payload;
+        words[base + WPE * j + 1] = pos;
+        sums.positions ^= fnv_word(pos);
+        if level > 0 {
+            sums.pointers ^= fnv_word(payload);
+            words[lens_base + j] = lens[k];
+            sums.lengths ^= fnv_word(lens[k]);
+        } else {
+            sums.values ^= fnv_word(payload);
+        }
+    };
+    if use_scatter {
+        // The STM's own method (paper §III): a stable counting scatter
+        // into the s column buckets. Row-major input reaches each bucket
+        // in increasing row order, so every entry lands at its drain slot;
+        // a strictly increasing input also rules out collisions.
+        counts.fill(0);
+        for &key in keys.iter() {
+            counts[(key >> 40) as usize + 1] += 1;
+        }
+        for c in 1..counts.len() {
+            counts[c] += counts[c - 1];
+        }
+        for &key in keys.iter() {
+            let slot = &mut counts[(key >> 40) as usize];
+            put(*slot, key);
+            *slot += 1;
+        }
+    } else {
+        for (j, &key) in keys.iter().enumerate() {
+            put(j, key);
+        }
     }
 
     if level > 0 {
         // Recurse through the *rewritten* pointer/length pairs.
         for k in 0..len {
             let ptr = words[base + WPE * k];
-            let clen = words[base + WPE * len + k] as usize;
-            transpose_block(words, ptr, clen, level - 1, s, budget)?;
+            let clen = words[lens_base + k] as usize;
+            transpose_block(words, ptr, clen, level - 1, s, scratch, budget)?;
         }
     }
     Ok(())
@@ -421,6 +551,39 @@ mod tests {
             let expected = HismImage::encode(&href::transpose(&build::from_coo(&coo, s).unwrap()));
             assert_eq!(out.words, expected.words);
             assert_eq!(out.root, expected.root);
+        }
+    }
+
+    #[test]
+    fn out_of_order_blockarrays_still_drain_column_major() {
+        // A dense leaf (z ≥ s) with two entries swapped is no longer
+        // row-major, so it skips the counting scatter; the drain order,
+        // and so the output, must not depend on the input order.
+        let coo = gen::blocks::block_dense(8, 8, 1, 0.9, 4);
+        let mut img = image_of(&coo, 8);
+        assert!(img.root.levels == 1 && img.root.len >= 8);
+        let a = img.root.addr as usize;
+        img.words.swap(a, a + WPE);
+        img.words.swap(a + 1, a + WPE + 1);
+        let out = transpose_hism(&img, 8).unwrap();
+        let expected = HismImage::encode(&href::transpose(&build::from_coo(&coo, 8).unwrap()));
+        assert_eq!(out.words, expected.words);
+        assert_eq!(out.integrity, expected.integrity);
+    }
+
+    #[test]
+    fn overlapping_blockarrays_are_sealed_by_walking_the_output() {
+        // Point the root's second child at the first one's blockarray:
+        // the transposition visits it twice, so the write pass's sums
+        // would not describe the output; the seal must still match it.
+        let coo = gen::random::uniform(50, 50, 300, 17);
+        let mut img = image_of(&coo, 8);
+        let (a, n) = (img.root.addr as usize, img.root.len as usize);
+        assert!(img.root.levels == 2 && n >= 2);
+        img.words[a + WPE] = img.words[a];
+        img.words[a + WPE * n + 1] = img.words[a + WPE * n];
+        if let Ok(out) = transpose_hism(&img, 8) {
+            assert_eq!(out.integrity, out.compute_integrity().ok());
         }
     }
 
