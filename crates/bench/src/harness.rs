@@ -48,7 +48,8 @@ pub struct RunConfig {
     pub verify: bool,
     /// Timing model charging the cycles (paper machine by default).
     pub timing: TimingKind,
-    /// Worker threads for [`run_set`]; `None` = machine parallelism.
+    /// Matrices in flight in [`run_set`] (each runs its legs on threads
+    /// of its own); `None` = machine parallelism.
     pub jobs: Option<usize>,
     /// Extra attempts after a failure before the matrix is reported as
     /// [`RunStatus::Failed`]. Kernels are deterministic, so this only
@@ -422,19 +423,41 @@ pub fn run_kernel(
     run_kernel_inner(cfg, kernel, entry, None).result
 }
 
+/// Runs a matrix's HiSM, CRS and (optional) format legs side by side.
+/// The legs share nothing (each builds its own input, engine and
+/// recorder), so the CRS and format legs run on scoped threads of their
+/// own beside the HiSM leg; a panic on a leg thread is re-raised here.
+fn run_legs(
+    cfg: &RunConfig,
+    entry: &SuiteEntry,
+    fault: Option<&FaultSpec>,
+    format_kernel: Option<&'static str>,
+) -> (KernelRun, KernelRun, Option<KernelRun>) {
+    std::thread::scope(|scope| {
+        let leg =
+            |kernel: &'static str| scope.spawn(move || run_kernel_inner(cfg, kernel, entry, fault));
+        let crs = leg("transpose_crs");
+        let format = format_kernel.map(leg);
+        let hism = run_kernel_inner(cfg, "transpose_hism", entry, fault);
+        let join = |h: std::thread::ScopedJoinHandle<'_, KernelRun>| {
+            h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+        };
+        (hism, join(crs), format.map(join))
+    })
+}
+
 fn run_matrix_inner(
     cfg: &RunConfig,
     entry: &SuiteEntry,
     fault: Option<&FaultSpec>,
 ) -> MatrixResult {
-    let hism = run_kernel_inner(cfg, "transpose_hism", entry, fault);
-    let crs = run_kernel_inner(cfg, "transpose_crs", entry, fault);
     let resolved = cfg
         .format
         .map(|sel| (sel, resolve_format(sel, &entry.metrics)));
-    let format_run = resolved
+    let format_kernel = resolved
         .as_ref()
-        .map(|(_, (kind, _))| run_kernel_inner(cfg, kind.transpose_kernel(), entry, fault));
+        .map(|(_, (kind, _))| kind.transpose_kernel());
+    let (hism, crs, format_run) = run_legs(cfg, entry, fault, format_kernel);
     let status = match (&hism.result, &crs.result) {
         (Err(f), _) | (_, Err(f)) => RunStatus::Failed(f.clone()),
         _ => match format_run.as_ref().map(|r| &r.result) {
@@ -450,12 +473,12 @@ fn run_matrix_inner(
     let mut traces = Vec::new();
     if let Some(dir) = &cfg.trace {
         let mut legs = vec![("transpose_hism", &hism), ("transpose_crs", &crs)];
-        if let (Some((_, (kind, _))), Some(run)) = (&resolved, &format_run) {
+        if let (Some(kernel), Some(run)) = (format_kernel, &format_run) {
             // `--format csr` re-runs transpose_crs; exporting it twice
             // would overwrite the CRS leg's trace with an identical copy
             // and double its roll-up row.
-            if kind.transpose_kernel() != "transpose_crs" {
-                legs.push((kind.transpose_kernel(), run));
+            if kernel != "transpose_crs" {
+                legs.push((kernel, run));
             }
         }
         for (kernel, run) in legs {
@@ -483,7 +506,9 @@ fn run_matrix_inner(
     }
 }
 
-/// Runs both transposition kernels on one suite entry.
+/// Runs both transposition kernels (plus the [`RunConfig::format`] leg,
+/// when set) on one suite entry, the legs side by side. The result equals
+/// sequential [`run_kernel`] calls.
 pub fn run_matrix(cfg: &RunConfig, entry: &SuiteEntry) -> MatrixResult {
     run_matrix_inner(cfg, entry, None)
 }
@@ -672,6 +697,108 @@ mod tests {
             ))
             .exists());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The distinct matrices of the quick experiment sets.
+    fn quick_entries() -> Vec<SuiteEntry> {
+        let sets = stm_dsab::experiment_sets(&stm_dsab::quick_catalogue(), 6);
+        let mut seen = std::collections::HashSet::new();
+        sets.all()
+            .filter(|e| seen.insert(e.name.clone()))
+            .map(|e| entry(&e.name, e.coo.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_legs_equal_sequential_kernel_runs() {
+        let dir = std::env::temp_dir().join("stm_harness_concurrent_legs_test");
+        for format in [None, FormatSel::parse("csr"), FormatSel::parse("sell")] {
+            let cfg = RunConfig {
+                format,
+                trace: Some(dir.clone()),
+                jobs: Some(1),
+                ..RunConfig::default()
+            };
+            for e in quick_entries() {
+                let format_kernel =
+                    format.map(|sel| resolve_format(sel, &e.metrics).0.transpose_kernel());
+                let r = run_matrix(&cfg, &e);
+                assert!(r.status.is_ok(), "{}: {:?}", e.name, r.status);
+                let (hism, crs, format_run) = run_legs(&cfg, &e, None, format_kernel);
+                let mut legs = vec![
+                    ("transpose_hism", hism, r.hism.as_ref()),
+                    ("transpose_crs", crs, r.crs.as_ref()),
+                ];
+                if let (Some(k), Some(run)) = (format_kernel, format_run) {
+                    let leg = r.format.as_ref().expect("format leg present");
+                    legs.push((k, run, leg.report.as_ref()));
+                }
+                let mut rollups = Vec::new();
+                for (i, (kernel, run, reported)) in legs.into_iter().enumerate() {
+                    let seq = run_kernel_inner(&cfg, kernel, &e, None);
+                    let (got, want) = (run.result.unwrap(), seq.result.unwrap());
+                    let what = format!("{} {kernel} ({format:?})", e.name);
+                    assert_eq!(got.output_digest, want.output_digest, "{what}");
+                    // Cycles, engine and STM stats and stall breakdowns.
+                    let want_report = format!("{:?}", want.report);
+                    assert_eq!(format!("{:?}", got.report), want_report, "{what}");
+                    assert_eq!(format!("{:?}", reported.unwrap()), want_report, "{what}");
+                    let trace = seq.trace.expect("traced");
+                    assert_eq!(run.trace.unwrap().to_jsonl(), trace.to_jsonl(), "{what}");
+                    // `--format csr` re-runs the CRS leg and is rolled up once.
+                    if i < 2 || kernel != "transpose_crs" {
+                        rollups.push(TraceRollup::of(&e.name, kernel, &trace, seq.attempts));
+                    }
+                }
+                assert_eq!(
+                    format!("{:?}", r.traces),
+                    format!("{rollups:?}"),
+                    "{}",
+                    e.name
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_injected_fault_fails_the_kernel_a_sequential_run_fails() {
+        let e = entry("uniform", gen::random::uniform(200, 200, 1500, 3));
+        let mut hism_failures = 0;
+        for format in [None, FormatSel::parse("sell")] {
+            for class in FaultClass::ALL
+                .into_iter()
+                .chain([FaultClass::MidRunBitFlip])
+            {
+                let fault = FaultSpec {
+                    index: 0,
+                    class,
+                    seed: 7,
+                };
+                let cfg = RunConfig {
+                    fault: Some(fault),
+                    format,
+                    jobs: Some(1),
+                    ..RunConfig::default()
+                };
+                let r = run_set(&cfg, std::slice::from_ref(&e)).remove(0);
+                let format_kernel =
+                    format.map(|sel| resolve_format(sel, &e.metrics).0.transpose_kernel());
+                let first = ["transpose_hism", "transpose_crs"]
+                    .into_iter()
+                    .chain(format_kernel)
+                    .find_map(|k| run_kernel_inner(&cfg, k, &e, Some(&fault)).result.err());
+                match (first, &r.status) {
+                    (Some(want), RunStatus::Failed(got)) => {
+                        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{class:?}");
+                        hism_failures += usize::from(got.kernel == "transpose_hism");
+                    }
+                    (None, RunStatus::Ok) => {}
+                    (want, got) => panic!("{class:?}: sequential {want:?}, concurrent {got:?}"),
+                }
+            }
+        }
+        assert!(hism_failures > 0, "no fault class failed the HiSM leg");
     }
 
     #[test]

@@ -413,14 +413,47 @@ impl Kernel for TransposeHism {
         let img = out
             .as_hism()
             .ok_or_else(|| KernelError::Mismatch("transpose_hism produces Hism outputs".into()))?;
-        let got = build::to_coo(&img.decode()?);
-        if got == coo.transpose_canonical() {
-            Ok(())
-        } else {
-            Err(KernelError::Mismatch(
-                "decoded HiSM transpose differs from host oracle".into(),
-            ))
+        let got = img.decode()?;
+        // The oracle is stm-sparse's Pissanetsky transpose, which shares
+        // no code with either HiSM leg. Every decoded entry must claim a
+        // distinct oracle entry with identical value bits; with equal
+        // counts that makes the match a bijection, so duplicates and
+        // explicit zeros in the output are rejected, not summed away.
+        let want = Csr::from_coo(coo).transpose_pissanetsky();
+        let mismatch = |what: String| {
+            Err(KernelError::Mismatch(format!(
+                "decoded HiSM transpose differs from host oracle: {what}"
+            )))
+        };
+        if got.shape() != want.shape() || got.nnz() != want.nnz() {
+            return mismatch(format!(
+                "{:?} with {} entries, expected {:?} with {}",
+                got.shape(),
+                got.nnz(),
+                want.shape(),
+                want.nnz()
+            ));
         }
+        // `got.nnz()` counts the decoded leaf entries `iter` walks.
+        let mut claimed = vec![0u64; want.nnz().div_ceil(64)];
+        for (r, c, v) in got.iter() {
+            let slot = (r < want.rows())
+                .then(|| {
+                    let (cols, vals) = want.row(r);
+                    let k = cols.binary_search(&c).ok()?;
+                    (vals[k].to_bits() == v.to_bits()).then(|| want.row_ptr()[r] + k)
+                })
+                .flatten();
+            let Some(slot) = slot else {
+                return mismatch(format!("entry ({r}, {c}) = {v} is not in the oracle"));
+            };
+            let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+            if claimed[word] & bit != 0 {
+                return mismatch(format!("entry ({r}, {c}) appears twice"));
+            }
+            claimed[word] |= bit;
+        }
+        Ok(())
     }
 
     fn inject_fault(&mut self, class: FaultClass, seed: u64) -> Result<FaultRecord, KernelError> {
@@ -1349,6 +1382,88 @@ mod tests {
                 assert!(got.report.cycles > 0, "{name} host leg charged no cycles");
             }
         }
+    }
+
+    /// One leaf entry: in-block row, column and value.
+    type Leaf = (u8, u8, f32);
+
+    /// A sealed one-level output image holding `entries` as given, in
+    /// layout order — duplicates and explicit zeros included.
+    fn leaf_image(rows: u32, cols: u32, entries: &[Leaf]) -> KernelOutput {
+        let words = entries
+            .iter()
+            .flat_map(|&(r, c, v)| [v.to_bits(), stm_hism::image::pack_pos(r, c)])
+            .collect();
+        let mut img = HismImage {
+            words,
+            root: stm_hism::RootDesc {
+                addr: 0,
+                len: entries.len() as u32,
+                levels: 1,
+                rows,
+                cols,
+                s: 4,
+            },
+            pointer_sites: Vec::new(),
+            integrity: None,
+        };
+        img.seal_integrity();
+        KernelOutput::Hism(img)
+    }
+
+    #[test]
+    fn hism_verify_is_an_exact_bijection() {
+        // Aᵀ of this 3x4 matrix holds (0,0)=1, (1,2)=-2 and (2,1)=3.
+        let coo = Coo::from_triplets(3, 4, vec![(1, 2, 3.0), (0, 0, 1.0), (2, 1, -2.0)]).unwrap();
+        let k = create("transpose_hism").unwrap();
+        let exact = [(0, 0, 1.0), (1, 2, -2.0), (2, 1, 3.0)];
+        k.verify(&coo, &leaf_image(4, 3, &exact)).unwrap();
+        // Layout order is free: the STM permutes blockarrays in place.
+        k.verify(&coo, &leaf_image(4, 3, &[exact[2], exact[0], exact[1]]))
+            .unwrap();
+        let rejected: [(&str, u32, u32, &[Leaf]); 6] = [
+            // Two entries at one position summing to the right value:
+            // canonicalizing the output would fold them into a match.
+            (
+                "split duplicate",
+                4,
+                3,
+                &[(0, 0, 1.0), (1, 2, -2.0), (2, 1, 1.0), (2, 1, 2.0)],
+            ),
+            // An explicit zero would be dropped the same way.
+            (
+                "explicit zero",
+                4,
+                3,
+                &[(0, 0, 1.0), (1, 1, 0.0), (1, 2, -2.0), (2, 1, 3.0)],
+            ),
+            // Right count, but one entry twice and another missing.
+            (
+                "repeated entry",
+                4,
+                3,
+                &[(0, 0, 1.0), (2, 1, 3.0), (2, 1, 3.0)],
+            ),
+            (
+                "wrong value bits",
+                4,
+                3,
+                &[(0, 0, 1.0), (1, 2, -2.0), (2, 1, -3.0)],
+            ),
+            ("missing entry", 4, 3, &[(0, 0, 1.0), (2, 1, 3.0)]),
+            ("wrong shape", 3, 4, &exact),
+        ];
+        for (case, rows, cols, entries) in rejected {
+            match k.verify(&coo, &leaf_image(rows, cols, entries)) {
+                Err(KernelError::Mismatch(_)) => {}
+                other => panic!("{case}: expected a mismatch, got {other:?}"),
+            }
+        }
+        // -0.0 and +0.0 differ in bits; the oracle never holds a zero.
+        let signed = Coo::from_triplets(1, 1, vec![(0, 0, 1.0)]).unwrap();
+        assert!(k
+            .verify(&signed, &leaf_image(1, 1, &[(0, 0, -1.0)]))
+            .is_err());
     }
 
     #[test]

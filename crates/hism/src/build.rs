@@ -1,6 +1,7 @@
 //! Building HiSM matrices from COO and flattening them back.
 
 use crate::matrix::{BlockData, HismBlock, HismMatrix, LeafEntry, NodeEntry};
+use stm_sparse::coo::Triplet;
 use stm_sparse::{Coo, FormatError};
 
 /// Number of hierarchy levels for an `rows x cols` matrix at section size
@@ -21,10 +22,11 @@ pub fn levels_for(rows: usize, cols: usize, s: usize) -> usize {
 /// Builds a HiSM matrix from a COO matrix with section size `s`
 /// (2 ..= 256, since in-block positions are stored in 8 bits).
 ///
-/// The input is canonicalized first (duplicates summed, zeros dropped).
-/// Children are emitted into the arena before their parents (post-order),
-/// so the root is always the last block — the same order the memory-image
-/// serializer uses.
+/// The input is canonicalized first (duplicates summed, zeros dropped;
+/// already-canonical input is borrowed, not copied). Children are emitted
+/// into the arena before their parents (post-order), so the root is
+/// always the last block — the same order the memory-image serializer
+/// uses.
 ///
 /// ```
 /// use stm_sparse::Coo;
@@ -40,98 +42,129 @@ pub fn from_coo(coo: &Coo, s: usize) -> Result<HismMatrix, FormatError> {
             "section size {s} outside the supported 2..=256 range"
         )));
     }
-    let mut canon = coo.clone();
-    canon.canonicalize();
+    let canon = coo.canonical();
     // Entries outside the declared shape would silently truncate when the
     // in-block coordinates are narrowed to 8 bits below — reject them here
     // with the typed bounds error instead.
     canon.validate(false)?;
     let (rows, cols) = canon.shape();
     let levels = levels_for(rows, cols, s);
-    let mut blocks: Vec<HismBlock> = Vec::new();
-    let entries = canon.entries();
-    let root = build_block(entries, levels - 1, (0, 0), s, &mut blocks);
-    let nnz = canon.nnz();
+    // The one working copy of the triplets: every level permutes
+    // sub-slices of it in place.
+    let mut entries = canon.entries().to_vec();
+    let mut b = Builder {
+        s,
+        arena: Vec::new(),
+        scratch: Vec::new(),
+        counts: vec![0; s + 1],
+    };
+    let root = b.block(&mut entries, levels - 1, (0, 0));
     let m = HismMatrix {
         s,
         rows,
         cols,
         levels,
-        blocks,
+        blocks: b.arena,
         root,
-        nnz,
+        nnz: entries.len(),
     };
     debug_assert_eq!(m.validate(), Ok(()));
     Ok(m)
 }
 
-/// Recursively builds the block at `level` covering the `s^(level+1)` -wide
-/// square at `origin`, from row-major-sorted triplets. Returns the arena
-/// index. An empty triplet slice still creates the (empty) block when it is
-/// the root, so that empty matrices are representable.
-fn build_block(
-    entries: &[(usize, usize, f32)],
-    level: usize,
-    origin: (usize, usize),
+/// Recursive builder state: the block arena plus the scatter buffers
+/// shared by every level (a level finishes its scatter before it
+/// recurses, so one set suffices).
+struct Builder {
     s: usize,
-    arena: &mut Vec<HismBlock>,
-) -> usize {
-    if level == 0 {
-        let mut leaf: Vec<LeafEntry> = entries
-            .iter()
-            .map(|&(r, c, v)| LeafEntry {
-                row: (r - origin.0) as u8,
-                col: (c - origin.1) as u8,
-                value: v,
-            })
-            .collect();
-        leaf.sort_by_key(|e| (e.row, e.col));
-        arena.push(HismBlock {
-            level: 0,
-            data: BlockData::Leaf(leaf),
-        });
-        return arena.len() - 1;
-    }
-    let step = s.pow(level as u32);
-    // Group triplets by their in-block coordinate at this level: tag each
-    // with its key, sort by key (O(z log z)), and split into runs —
-    // avoids a per-entry linear scan over the occupied-block list.
-    // Triplets tagged with their in-block coordinate key.
-    type Tagged = ((u8, u8), (usize, usize, f32));
-    let mut tagged: Vec<Tagged> = entries
-        .iter()
-        .map(|&(r, c, v)| {
-            (
-                (((r - origin.0) / step) as u8, ((c - origin.1) / step) as u8),
-                (r, c, v),
-            )
-        })
-        .collect();
-    tagged.sort_by_key(|&(key, (r, c, _))| (key, r, c));
-    let mut node: Vec<NodeEntry> = Vec::new();
-    let mut i = 0usize;
-    while i < tagged.len() {
-        let key = tagged[i].0;
-        let mut j = i;
-        while j < tagged.len() && tagged[j].0 == key {
-            j += 1;
+    arena: Vec<HismBlock>,
+    scratch: Vec<Triplet>,
+    counts: Vec<usize>,
+}
+
+impl Builder {
+    /// Builds the block at `level` covering the `s^(level+1)`-wide square
+    /// at `origin` from row-major-sorted triplets, permuting them in place.
+    /// Returns the arena index. An empty slice still creates the (empty)
+    /// block when it is the root, so that empty matrices are representable.
+    ///
+    /// The block rows of a row-major slice are contiguous runs. Each run is
+    /// stably reordered by block column, which leaves every child's
+    /// triplets contiguous and still row-major, so children recurse on
+    /// sub-slices and leaves need no sort. Children are visited in
+    /// (block row, block column) order, which fixes the arena layout.
+    fn block(&mut self, entries: &mut [Triplet], level: usize, origin: (usize, usize)) -> usize {
+        if level == 0 {
+            let leaf: Vec<LeafEntry> = entries
+                .iter()
+                .map(|&(r, c, v)| LeafEntry {
+                    row: (r - origin.0) as u8,
+                    col: (c - origin.1) as u8,
+                    value: v,
+                })
+                .collect();
+            debug_assert!(leaf
+                .windows(2)
+                .all(|w| (w[0].row, w[0].col) < (w[1].row, w[1].col)));
+            return self.push(0, BlockData::Leaf(leaf));
         }
-        let bucket: Vec<(usize, usize, f32)> = tagged[i..j].iter().map(|&(_, e)| e).collect();
-        let (br, bc) = key;
-        let child_origin = (origin.0 + br as usize * step, origin.1 + bc as usize * step);
-        let child = build_block(&bucket, level - 1, child_origin, s, arena);
-        node.push(NodeEntry {
-            row: br,
-            col: bc,
-            child,
-        });
-        i = j;
+        let step = self.s.pow(level as u32);
+        let block_row = |e: &Triplet| (e.0 - origin.0) / step;
+        let block_col = |e: &Triplet| (e.1 - origin.1) / step;
+        let mut node: Vec<NodeEntry> = Vec::new();
+        let mut i = 0usize;
+        while i < entries.len() {
+            let br = block_row(&entries[i]);
+            let run_len = entries[i..].partition_point(|e| block_row(e) == br);
+            let run = &mut entries[i..i + run_len];
+            self.scatter_by(run, block_col);
+            let mut j = 0usize;
+            while j < run.len() {
+                let bc = block_col(&run[j]);
+                let len = run[j..].partition_point(|e| block_col(e) == bc);
+                let child_origin = (origin.0 + br * step, origin.1 + bc * step);
+                let child = self.block(&mut run[j..j + len], level - 1, child_origin);
+                node.push(NodeEntry {
+                    row: br as u8,
+                    col: bc as u8,
+                    child,
+                });
+                j += len;
+            }
+            i += run_len;
+        }
+        self.push(level, BlockData::Node(node))
     }
-    arena.push(HismBlock {
-        level,
-        data: BlockData::Node(node),
-    });
-    arena.len() - 1
+
+    /// Stably reorders `run` by `key` (a block column, `< s`): a counting
+    /// scatter through the shared scratch when the run holds at least `s`
+    /// triplets, a stable sort below that.
+    fn scatter_by(&mut self, run: &mut [Triplet], key: impl Fn(&Triplet) -> usize) {
+        if run.len() < self.s {
+            run.sort_by_key(|e| key(e));
+            return;
+        }
+        let counts = &mut self.counts;
+        counts.fill(0);
+        for e in run.iter() {
+            counts[key(e) + 1] += 1;
+        }
+        for k in 1..counts.len() {
+            counts[k] += counts[k - 1];
+        }
+        self.scratch.clear();
+        self.scratch.extend_from_slice(run);
+        for &e in &self.scratch {
+            let slot = &mut counts[key(&e)];
+            run[*slot] = e;
+            *slot += 1;
+        }
+    }
+
+    fn push(&mut self, level: usize, data: BlockData) -> usize {
+        self.arena.push(HismBlock { level, data });
+        self.arena.len() - 1
+    }
 }
 
 /// Flattens a HiSM matrix back to canonical COO.

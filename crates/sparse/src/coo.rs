@@ -4,6 +4,7 @@
 //! the test suites are all phrased as "sort the transposed triplets".
 
 use crate::{FormatError, Value};
+use std::borrow::Cow;
 
 /// A single non-zero entry: `(row, col, value)`.
 pub type Triplet = (usize, usize, Value);
@@ -122,6 +123,19 @@ impl Coo {
         self.entries = out;
     }
 
+    /// The canonical form of this matrix: borrowed when the triplet list
+    /// already is canonical, otherwise a canonicalized copy. Lets readers
+    /// that need canonical order skip the clone on the common path.
+    pub fn canonical(&self) -> Cow<'_, Coo> {
+        if self.is_canonical() {
+            Cow::Borrowed(self)
+        } else {
+            let mut c = self.clone();
+            c.canonicalize();
+            Cow::Owned(c)
+        }
+    }
+
     /// Returns `true` if the triplet list is canonical (strictly increasing
     /// row-major coordinates, no explicit zeros).
     pub fn is_canonical(&self) -> bool {
@@ -207,15 +221,11 @@ impl crate::SparseFormat for Coo {
     }
 
     fn from_coo(coo: &Coo) -> Result<Self, FormatError> {
-        let mut c = coo.clone();
-        c.canonicalize();
-        Ok(c)
+        Ok(coo.canonical().into_owned())
     }
 
     fn to_coo(&self) -> Coo {
-        let mut c = self.clone();
-        c.canonicalize();
-        c
+        self.canonical().into_owned()
     }
 
     fn transpose(&self) -> Result<Self, FormatError> {
@@ -280,6 +290,30 @@ mod tests {
         m.canonicalize();
         assert_eq!(m.entries(), &[(0, 0, 3.0)]);
         assert!(m.is_canonical());
+    }
+
+    #[test]
+    fn canonical_borrows_canonical_input() {
+        let mut m = sample();
+        m.canonicalize();
+        assert!(matches!(m.canonical(), Cow::Borrowed(b) if std::ptr::eq(b, &m)));
+        assert!(matches!(Coo::new(3, 3).canonical(), Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn canonical_canonicalizes_everything_else() {
+        let unsorted = sample();
+        let dup = Coo::from_triplets(2, 2, vec![(0, 1, 1.0), (0, 1, 2.0)]).unwrap();
+        let zero = Coo::from_triplets(2, 2, vec![(0, 0, 1.0), (1, 1, 0.0)]).unwrap();
+        let neg_zero = Coo::from_triplets(2, 2, vec![(1, 0, -0.0)]).unwrap();
+        for m in [unsorted, dup, zero, neg_zero] {
+            let c = m.canonical();
+            assert!(matches!(c, Cow::Owned(_)), "{m:?}");
+            let mut want = m.clone();
+            want.canonicalize();
+            assert_eq!(*c, want);
+            assert!(c.is_canonical());
+        }
     }
 
     #[test]

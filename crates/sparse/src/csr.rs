@@ -73,8 +73,7 @@ impl Csr {
     /// first). The pointer/index/value arrays are produced by the shared
     /// [`crate::format::compress_sorted`] helper (outer = row).
     pub fn from_coo(coo: &Coo) -> Self {
-        let mut c = coo.clone();
-        c.canonicalize();
+        let c = coo.canonical();
         let (rows, cols) = c.shape();
         let (row_ptr, col_idx, values) = crate::format::compress_sorted(rows, c.iter().copied());
         Csr {

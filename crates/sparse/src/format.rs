@@ -93,15 +93,7 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// (not value equality), so `-0.0` and `+0.0` digest differently —
 /// the same strictness the kernel-output digests use.
 pub fn canonical_digest(coo: &Coo) -> u64 {
-    let canon;
-    let c = if coo.is_canonical() {
-        coo
-    } else {
-        let mut m = coo.clone();
-        m.canonicalize();
-        canon = m;
-        &canon
-    };
+    let c = coo.canonical();
     let mut h = FNV_OFFSET;
     h = fnv1a(h, &(c.rows() as u64).to_le_bytes());
     h = fnv1a(h, &(c.cols() as u64).to_le_bytes());

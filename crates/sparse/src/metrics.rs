@@ -68,8 +68,7 @@ impl MatrixMetrics {
     /// Computes all metrics for a COO matrix. Duplicate coordinates
     /// are counted once (the matrix is canonicalized first).
     pub fn compute(coo: &Coo) -> Self {
-        let mut canon = coo.clone();
-        canon.canonicalize();
+        let canon = coo.canonical();
         let nnz = canon.nnz();
         let locality = locality(&canon);
         let (rows, cols) = canon.shape();

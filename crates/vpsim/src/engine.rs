@@ -12,6 +12,7 @@ use crate::mem::Memory;
 use crate::stats::{EngineStats, StallBreakdown, StallCauses};
 use crate::timing::{TimingKind, TimingModel};
 use crate::trace::{FuBusy, Trace, TraceEvent};
+use std::borrow::Cow;
 use stm_obs::{Category, Lane, Recorder};
 
 /// Typed abort payload: the engine exceeded its configured cycle budget
@@ -41,8 +42,7 @@ impl std::fmt::Display for DeadlineExceeded {
     }
 }
 
-/// Why the in-order front end was not issuing during an interval (the
-/// engine-wide stall timeline consumed by per-port gap attribution).
+/// Why the in-order front end was not issuing during an interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StallKind {
     /// Waiting for a busy functional-unit port to free.
@@ -54,7 +54,7 @@ enum StallKind {
 }
 
 /// Per-port stall accounting state: the running bucket totals plus the
-/// gap-attribution cursor into the engine-wide stall timeline.
+/// port's occupancy edge.
 #[derive(Debug, Clone, Copy, Default)]
 struct PortAcct {
     busy: u64,
@@ -64,57 +64,40 @@ struct PortAcct {
     scalar_wait: u64,
     /// End of this port's latest occupancy interval.
     last_end: u64,
-    /// First stall interval that may still overlap a future gap.
-    cursor: usize,
 }
 
 impl PortAcct {
-    /// Attributes the idle gap `[self.last_end, gap_end)` to the stall
-    /// intervals overlapping it. Intervals are sorted and disjoint (the
-    /// issue clock is monotone), so a cursor walks them once per port;
-    /// it never advances past an interval that could extend into a
-    /// later gap. Gap time no interval covers is left for the `idle`
-    /// bucket (computed as the remainder in [`Engine::stall_breakdown`]).
-    fn attribute_gap(&mut self, intervals: &[(u64, u64, StallKind)], gap_end: u64) {
-        let gap_start = self.last_end;
-        while self.cursor < intervals.len() && intervals[self.cursor].1 <= gap_start {
-            self.cursor += 1;
-        }
-        let mut i = self.cursor;
-        while i < intervals.len() && intervals[i].0 < gap_end {
-            let (s, e, kind) = intervals[i];
-            let lo = s.max(gap_start);
-            let hi = e.min(gap_end);
-            if hi > lo {
-                let d = hi - lo;
-                match kind {
-                    StallKind::Port => self.port_wait += d,
-                    StallKind::Stm => self.stm_wait += d,
-                    StallKind::Scalar => self.scalar_wait += d,
-                }
-            }
-            i += 1;
+    /// Charges the part of the front-end stall `[start, end)` that falls
+    /// in this port's idle gap, i.e. after its `last_end`. Stalls are
+    /// charged as they happen: a stall ends at or before the next issue
+    /// on any port, and `last_end` moves only when this port retires, so
+    /// every stall lies wholly before the port's next gap closes. Gap
+    /// time no stall covers is left for the `idle` bucket (computed as
+    /// the remainder in [`Engine::stall_breakdown`]).
+    fn charge(&mut self, start: u64, end: u64, kind: StallKind) {
+        let d = end.saturating_sub(start.max(self.last_end));
+        match kind {
+            StallKind::Port => self.port_wait += d,
+            StallKind::Stm => self.stm_wait += d,
+            StallKind::Scalar => self.scalar_wait += d,
         }
     }
 
     /// Folds the account into a [`StallCauses`] row over a run of
-    /// `total` cycles, attributing the tail gap `[last_end, total)` and
-    /// leaving the uncovered remainder as `idle`.
-    fn causes(&self, intervals: &[(u64, u64, StallKind)], total: u64) -> StallCauses {
-        let mut acct = *self;
-        acct.attribute_gap(intervals, total);
+    /// `total` cycles, leaving the uncovered remainder as `idle`.
+    fn causes(&self, total: u64) -> StallCauses {
         let attributed =
-            acct.busy + acct.chain_wait + acct.port_wait + acct.stm_wait + acct.scalar_wait;
+            self.busy + self.chain_wait + self.port_wait + self.stm_wait + self.scalar_wait;
         debug_assert!(
             attributed <= total,
             "stall accounting over-attributed: {attributed} > {total}"
         );
         StallCauses {
-            busy: acct.busy,
-            chain_wait: acct.chain_wait,
-            port_wait: acct.port_wait,
-            stm_wait: acct.stm_wait,
-            scalar_wait: acct.scalar_wait,
+            busy: self.busy,
+            chain_wait: self.chain_wait,
+            port_wait: self.port_wait,
+            stm_wait: self.stm_wait,
+            scalar_wait: self.scalar_wait,
             idle: total.saturating_sub(attributed),
         }
     }
@@ -215,9 +198,9 @@ pub struct Engine {
     horizon: u64,
     stats: EngineStats,
     busy_acct: FuBusy,
-    /// Front-end stall timeline: sorted disjoint intervals during which
-    /// the issue clock was held back, tagged with the cause.
-    stall_intervals: Vec<(u64, u64, StallKind)>,
+    /// End of the latest front-end stall (stalls arrive in order and
+    /// never overlap; checked in debug builds).
+    stall_end: u64,
     /// Per-memory-port stall accounts (parallel to `mem_busy`).
     mem_acct: Vec<PortAcct>,
     /// Stall accounts of the ALU and STM ports.
@@ -255,7 +238,7 @@ impl Engine {
             horizon: 0,
             stats: EngineStats::default(),
             busy_acct: FuBusy::default(),
-            stall_intervals: Vec::new(),
+            stall_end: 0,
             mem_acct: vec![PortAcct::default(); ports],
             fu_acct: [PortAcct::default(); 2],
             trace: None,
@@ -306,13 +289,9 @@ impl Engine {
     pub fn stall_breakdown(&self) -> StallBreakdown {
         let total = self.cycles();
         StallBreakdown {
-            mem: self
-                .mem_acct
-                .iter()
-                .map(|a| a.causes(&self.stall_intervals, total))
-                .collect(),
-            alu: self.fu_acct[0].causes(&self.stall_intervals, total),
-            stm: self.fu_acct[1].causes(&self.stall_intervals, total),
+            mem: self.mem_acct.iter().map(|a| a.causes(total)).collect(),
+            alu: self.fu_acct[0].causes(total),
+            stm: self.fu_acct[1].causes(total),
             cycles: total,
         }
     }
@@ -363,17 +342,17 @@ impl Engine {
         self.mem.fault()
     }
 
-    /// Appends `[start, end)` tagged `kind` to the front-end stall
-    /// timeline. The issue clock is monotone and every interval ends at
-    /// (or before) the post-advance clock, so the timeline stays sorted
-    /// and disjoint by construction.
+    /// Charges the front-end stall `[start, end)` tagged `kind` to every
+    /// port's idle gap (see [`PortAcct::charge`]). The issue clock is
+    /// monotone and every stall ends at (or before) the post-advance
+    /// clock, so stalls arrive sorted and disjoint by construction.
     fn note_stall(&mut self, start: u64, end: u64, kind: StallKind) {
         if end > start {
-            debug_assert!(self
-                .stall_intervals
-                .last()
-                .is_none_or(|&(_, e, _)| e <= start));
-            self.stall_intervals.push((start, end, kind));
+            debug_assert!(self.stall_end <= start, "stalls out of order");
+            self.stall_end = end;
+            for acct in self.mem_acct.iter_mut().chain(&mut self.fu_acct) {
+                acct.charge(start, end, kind);
+            }
         }
     }
 
@@ -523,9 +502,6 @@ impl Engine {
                 Fu::Alu => &mut self.fu_acct[0],
                 Fu::Stm => &mut self.fu_acct[1],
             };
-            // Attribute the idle gap since this port's previous retire
-            // *before* moving its occupancy edge.
-            acct.attribute_gap(&self.stall_intervals, issue);
             let occupancy = last + 1 - issue.min(last);
             let pure = unconstrained_last
                 .map(|ml| ml + 1 - issue.min(ml))
@@ -569,7 +545,7 @@ impl Engine {
     /// Per-element availability of a source operand under the chaining
     /// setting (public for coprocessor crates such as the STM).
     pub fn chained_ready(&self, reg: &VReg) -> Vec<u64> {
-        self.chain(reg)
+        self.chain(reg).into_owned()
     }
 
     /// Element-wise max of two operands' availability (two-source chain).
@@ -619,18 +595,18 @@ impl Engine {
     /// Per-element availability of a source operand under the chaining
     /// setting: with chaining each element forwards individually; without,
     /// the consumer sees every element at the producer's completion.
-    fn chain(&self, reg: &VReg) -> Vec<u64> {
+    fn chain<'a>(&self, reg: &'a VReg) -> Cow<'a, [u64]> {
         if self.cfg.chaining {
-            reg.ready.clone()
+            Cow::Borrowed(&reg.ready)
         } else {
-            vec![reg.last_ready(); reg.len()]
+            Cow::Owned(vec![reg.last_ready(); reg.len()])
         }
     }
 
     fn chain2(&self, a: &VReg, b: &VReg) -> Vec<u64> {
         a.assert_same_len(b);
         let (ra, rb) = (self.chain(a), self.chain(b));
-        ra.iter().zip(&rb).map(|(x, y)| *x.max(y)).collect()
+        ra.iter().zip(rb.iter()).map(|(x, y)| *x.max(y)).collect()
     }
 
     /// Generic stream execution on a functional unit — also the hook the
@@ -687,13 +663,8 @@ impl Engine {
         let done = self
             .timing
             .stream(issue, startup, rate, latency, n, input_ready);
-        let pure_last = input_ready.map(|_| {
-            self.timing
-                .stream(issue, startup, rate, latency, n, None)
-                .last()
-                .copied()
-                .unwrap_or(issue)
-        });
+        let pure_last =
+            input_ready.map(|_| self.timing.stream_last(issue, startup, rate, latency, n));
         self.retire(op, fu, port, issue, &done, pure_last);
         self.account(class, elems);
         done

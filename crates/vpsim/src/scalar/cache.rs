@@ -41,6 +41,11 @@ pub struct Cache {
     cfg: CacheConfig,
     /// `sets[set][way] = (tag, last_use_stamp)`; `u64::MAX` tag = invalid.
     sets: Vec<Vec<(u64, u64)>>,
+    /// `log2(line_bytes)`: the line size is a power of two.
+    line_shift: u32,
+    /// `log2(sets)` when the set count is a power of two (the default
+    /// geometry), so the set index and tag are a mask and a shift.
+    set_shift: Option<u32>,
     stamp: u64,
     hits: u64,
     misses: u64,
@@ -51,10 +56,13 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.line_bytes >= 4 && cfg.line_bytes.is_power_of_two());
         assert!(cfg.assoc >= 1);
-        let sets = vec![vec![(u64::MAX, 0); cfg.assoc]; cfg.num_sets()];
+        let n = cfg.num_sets();
+        let sets = vec![vec![(u64::MAX, 0); cfg.assoc]; n];
         Cache {
             cfg,
             sets,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_shift: n.is_power_of_two().then(|| n.trailing_zeros()),
             stamp: 0,
             hits: 0,
             misses: 0,
@@ -65,10 +73,14 @@ impl Cache {
     /// makes them equivalent for this model) and returns the latency.
     pub fn access(&mut self, word_addr: u32) -> u64 {
         self.stamp += 1;
-        let byte_addr = word_addr as u64 * 4;
-        let line = byte_addr / self.cfg.line_bytes as u64;
-        let set = (line % self.sets.len() as u64) as usize;
-        let tag = line / self.sets.len() as u64;
+        let line = (word_addr as u64 * 4) >> self.line_shift;
+        let (set, tag) = match self.set_shift {
+            Some(sh) => ((line & ((1 << sh) - 1)) as usize, line >> sh),
+            None => {
+                let n = self.sets.len() as u64;
+                ((line % n) as usize, line / n)
+            }
+        };
         let ways = &mut self.sets[set];
         if let Some(w) = ways.iter_mut().find(|(t, _)| *t == tag) {
             w.1 = self.stamp;
@@ -155,6 +167,26 @@ mod tests {
         c.access(16); // set 0 (line 2 of 2 sets → 2 % 2 = 0)
         assert_eq!(c.access(0), 1);
         assert_eq!(c.access(16), 1);
+    }
+
+    #[test]
+    fn odd_set_counts_index_by_division() {
+        // 3 sets x 1 way: lines 0, 3 and 6 share set 0.
+        let cfg = CacheConfig {
+            size_bytes: 96,
+            line_bytes: 32,
+            assoc: 1,
+            hit_latency: 1,
+            miss_penalty: 10,
+        };
+        let mut c = Cache::new(cfg);
+        c.access(0); // line 0 → set 0
+        c.access(8); // line 1 → set 1
+        c.access(16); // line 2 → set 2
+        assert_eq!(c.access(0), 1);
+        c.access(24); // line 3 → set 0 → evicts line 0
+        assert_eq!(c.access(8), 1);
+        assert_eq!(c.access(0), 11);
     }
 
     #[test]

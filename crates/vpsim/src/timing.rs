@@ -54,6 +54,16 @@ pub trait TimingModel: std::fmt::Debug + Sync {
         input_ready: Option<&[u64]>,
     ) -> Vec<u64>;
 
+    /// Completion time of the last element of an unchained stream
+    /// (`issue` for an empty one): the last element of
+    /// `stream(.., None)`, which is what the default derives it from.
+    fn stream_last(&self, issue: u64, startup: u64, rate: u64, latency: u64, n: usize) -> u64 {
+        self.stream(issue, startup, rate, latency, n, None)
+            .last()
+            .copied()
+            .unwrap_or(issue)
+    }
+
     /// Per-element completion times of a batched instruction: one whole
     /// group accepted per cycle (e.g. one STM buffer transfer), each group
     /// no earlier than its elements' readiness, every element completing
@@ -95,6 +105,15 @@ impl TimingModel for PaperTiming {
         input_ready: Option<&[u64]>,
     ) -> Vec<u64> {
         stream_through(issue, startup, rate, latency, n, input_ready)
+    }
+
+    fn stream_last(&self, issue: u64, startup: u64, rate: u64, latency: u64, n: usize) -> u64 {
+        // Unchained elements are accepted `rate` per cycle from
+        // `issue + startup` without gaps.
+        match n {
+            0 => issue,
+            n => issue + startup + (n as u64 - 1) / rate + latency,
+        }
     }
 
     fn batched(
@@ -219,6 +238,20 @@ mod tests {
             PaperTiming.stream(3, 20, 4, 2, 16, Some(&ready)),
             stream_through(3, 20, 4, 2, 16, Some(&ready))
         );
+    }
+
+    #[test]
+    fn paper_stream_last_matches_stream() {
+        for (issue, startup, rate, latency) in [(0, 20, 4, 0), (7, 0, 1, 3), (3, 5, 2, 9)] {
+            for n in [0usize, 1, 2, 3, 4, 5, 63, 64, 65] {
+                let want = PaperTiming.stream(issue, startup, rate, latency, n, None);
+                assert_eq!(
+                    PaperTiming.stream_last(issue, startup, rate, latency, n),
+                    want.last().copied().unwrap_or(issue),
+                    "issue {issue} startup {startup} rate {rate} latency {latency} n {n}"
+                );
+            }
+        }
     }
 
     #[test]
