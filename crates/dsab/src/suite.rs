@@ -422,30 +422,47 @@ pub fn build_by_name(catalogue: &[MatrixSpec], name: &str) -> Option<SuiteEntry>
 /// three metrics for every entry, sort by each criterion, and pick
 /// `per_set` log-spaced entries per criterion (paper: 10).
 ///
-/// Matrices are built twice (once for metrics, once for the returned
-/// sets) to keep peak memory at one matrix instead of 132.
+/// The metrics pass builds one matrix at a time and drops it, so peak
+/// memory there is one matrix, not 132. Each distinct pick is then built
+/// once and moved into its first entry; a matrix picked by more than one
+/// criterion is cloned for its later entries.
 pub fn experiment_sets(catalogue: &[MatrixSpec], per_set: usize) -> ExperimentSets {
     let metrics: Vec<MatrixMetrics> = catalogue
         .iter()
         .map(|spec| MatrixMetrics::compute(&spec.build()))
         .collect();
 
-    let pick = |criterion: Criterion| -> Vec<SuiteEntry> {
+    // Where each catalogue index was first placed: (set, position).
+    let mut first: Vec<Option<(usize, usize)>> = vec![None; catalogue.len()];
+    let mut sets: [Vec<SuiteEntry>; 3] = Default::default();
+    let criteria = [
+        Criterion::Locality,
+        Criterion::AvgNnzPerRow,
+        Criterion::Size,
+    ];
+    for (set, criterion) in criteria.into_iter().enumerate() {
         let values: Vec<f64> = metrics.iter().map(|m| criterion.value(m)).collect();
-        log_spaced_picks(&values, per_set)
-            .into_iter()
-            .map(|i| SuiteEntry {
+        for i in log_spaced_picks(&values, per_set) {
+            let coo = match first[i] {
+                Some((s, pos)) => sets[s][pos].coo.clone(),
+                None => {
+                    first[i] = Some((set, sets[set].len()));
+                    catalogue[i].build()
+                }
+            };
+            sets[set].push(SuiteEntry {
                 name: catalogue[i].name.clone(),
-                coo: catalogue[i].build(),
+                coo,
                 metrics: metrics[i],
-            })
-            .collect()
-    };
+            });
+        }
+    }
 
+    let [by_locality, by_anz, by_size] = sets;
     ExperimentSets {
-        by_locality: pick(Criterion::Locality),
-        by_anz: pick(Criterion::AvgNnzPerRow),
-        by_size: pick(Criterion::Size),
+        by_locality,
+        by_anz,
+        by_size,
     }
 }
 

@@ -110,17 +110,59 @@ impl Coo {
     /// Sorts row-major, sums duplicates, and drops explicit zeros produced
     /// by the summation. After this call the triplet list is *canonical*:
     /// strictly increasing in `(row, col)`.
+    ///
+    /// Runs in O(nnz + rows + cols), choosing the cheapest stable order
+    /// from one pass over the input: canonical input returns at once,
+    /// other input takes row-run sorts or stable counting scatters.
+    /// Duplicates keep insertion order and are summed left to right, so
+    /// the result is bit-identical to a stable sort followed by a merge.
     pub fn canonicalize(&mut self) {
-        self.sort_row_major();
-        let mut out: Vec<Triplet> = Vec::with_capacity(self.entries.len());
-        for &(r, c, v) in &self.entries {
-            match out.last_mut() {
-                Some(last) if last.0 == r && last.1 == c => last.2 += v,
-                _ => out.push((r, c, v)),
-            }
+        let order = Order::of(&self.entries);
+        if order.strict && order.nonzero {
+            return;
         }
-        out.retain(|&(_, _, v)| v != 0.0);
-        self.entries = out;
+        if !order.strict {
+            self.sort_canonical(order);
+            self.entries.dedup_by(|later, kept| {
+                let same = (later.0, later.1) == (kept.0, kept.1);
+                if same {
+                    kept.2 += later.2;
+                }
+                same
+            });
+        }
+        self.entries.retain(|&(_, _, v)| v != 0.0);
+    }
+
+    /// Stable row-major sort, by the cheapest route `order` allows:
+    ///
+    /// * rows already grouped in order (stencil generators push the
+    ///   diagonal first): sort only the row runs that are out of order;
+    /// * index space much larger than the list, or past the 32-bit slot
+    ///   index: comparison sort, so a huge declared shape never sizes a
+    ///   counting array;
+    /// * short rows, or input already sorted by column (the transpose of
+    ///   canonical input): one counting scatter by row, then sort the
+    ///   rows that are out of order;
+    /// * otherwise Pissanetsky's two counting scatters, by column and
+    ///   then by row.
+    fn sort_canonical(&mut self, order: Order) {
+        let n = self.entries.len();
+        if order.rows_grouped {
+            for run in self.entries.chunk_by_mut(|a, b| a.0 == b.0) {
+                sort_run_by_key(run, |e| e.1);
+            }
+        } else if self.rows.max(self.cols) > (SPARSE_SHAPE_FACTOR * n).min(u32::MAX as usize) {
+            self.sort_row_major();
+        } else if order.cols_sorted || n <= SHORT_ROW_NNZ * self.rows {
+            let mut by_row = Buckets::new(self.rows, self.entries.iter().copied());
+            by_row.sort_each();
+            by_row.write_to(&mut self.entries);
+        } else {
+            let by_col = Buckets::new(self.cols, self.entries.iter().map(|&(r, c, v)| (c, r, v)));
+            let by_row = Buckets::new(self.rows, by_col.iter().map(|(c, r, v)| (r, c, v)));
+            by_row.write_to(&mut self.entries);
+        }
     }
 
     /// The canonical form of this matrix: borrowed when the triplet list
@@ -139,10 +181,8 @@ impl Coo {
     /// Returns `true` if the triplet list is canonical (strictly increasing
     /// row-major coordinates, no explicit zeros).
     pub fn is_canonical(&self) -> bool {
-        self.entries
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1))
-            && self.entries.iter().all(|&(_, _, v)| v != 0.0)
+        let order = Order::of(&self.entries);
+        order.strict && order.nonzero
     }
 
     /// Returns the transpose: an `cols x rows` matrix with every entry's
@@ -202,6 +242,111 @@ impl Coo {
             y[r] += v * x[c];
         }
         Ok(y)
+    }
+}
+
+/// [`Coo::canonicalize`] sorts by comparison when the larger dimension
+/// exceeds this many times the entry count (or 2³²).
+const SPARSE_SHAPE_FACTOR: usize = 4;
+
+/// Rows averaging at most this many entries are sorted one by one after
+/// a single row scatter instead of by a second (column) scatter.
+const SHORT_ROW_NNZ: usize = 4;
+
+/// What one pass over a triplet list learns about its order.
+#[derive(Debug, Clone, Copy)]
+struct Order {
+    /// Strictly increasing `(row, col)`.
+    strict: bool,
+    /// No explicit zero value.
+    nonzero: bool,
+    /// Rows non-decreasing (each row's entries are contiguous and in row
+    /// order).
+    rows_grouped: bool,
+    /// Columns non-decreasing.
+    cols_sorted: bool,
+}
+
+impl Order {
+    fn of(entries: &[Triplet]) -> Order {
+        let mut o = Order {
+            strict: true,
+            nonzero: entries.first().is_none_or(|e| e.2 != 0.0),
+            rows_grouped: true,
+            cols_sorted: true,
+        };
+        for w in entries.windows(2) {
+            let (a, b) = (&w[0], &w[1]);
+            o.strict &= (a.0, a.1) < (b.0, b.1);
+            o.nonzero &= b.2 != 0.0;
+            o.rows_grouped &= a.0 <= b.0;
+            o.cols_sorted &= a.1 <= b.1;
+        }
+        o
+    }
+}
+
+/// A stable counting bucketing of triplets by one coordinate: bucket
+/// `k` holds the `(other coordinate, value)` slots of the triplets whose
+/// bucket coordinate is `k`, in input order. Slots are a third the size of
+/// a triplet, so the scattered writes touch a third of the memory.
+struct Buckets {
+    /// `start[k]..start[k + 1]` indexes bucket `k`'s slots.
+    start: Vec<usize>,
+    slots: Vec<(u32, Value)>,
+}
+
+impl Buckets {
+    /// Buckets `items`, each `(bucket coordinate, other coordinate,
+    /// value)` with the bucket coordinate below `buckets` and the other
+    /// coordinate below 2³².
+    fn new(buckets: usize, items: impl Iterator<Item = Triplet> + Clone) -> Buckets {
+        let mut start = vec![0usize; buckets + 1];
+        for (k, _, _) in items.clone() {
+            start[k + 1] += 1;
+        }
+        for k in 1..start.len() {
+            start[k] += start[k - 1];
+        }
+        let mut next = start.clone();
+        let mut slots = vec![(0, 0.0); start[buckets]];
+        for (k, other, v) in items {
+            let slot = &mut next[k];
+            slots[*slot] = (other as u32, v);
+            *slot += 1;
+        }
+        Buckets { start, slots }
+    }
+
+    /// `(bucket coordinate, other coordinate, value)` in bucket order.
+    fn iter(&self) -> impl Iterator<Item = Triplet> + Clone + '_ {
+        self.start.windows(2).enumerate().flat_map(move |(k, w)| {
+            self.slots[w[0]..w[1]]
+                .iter()
+                .map(move |&(other, v)| (k, other as usize, v))
+        })
+    }
+
+    /// Stable-sorts each bucket by the other coordinate.
+    fn sort_each(&mut self) {
+        for w in self.start.windows(2) {
+            sort_run_by_key(&mut self.slots[w[0]..w[1]], |s| s.0);
+        }
+    }
+
+    /// Overwrites `entries` (of the same length) with the bucketed
+    /// triplets, bucket coordinate first.
+    fn write_to(&self, entries: &mut [Triplet]) {
+        for (e, t) in entries.iter_mut().zip(self.iter()) {
+            *e = t;
+        }
+    }
+}
+
+/// Stable-sorts `run` by `key` unless it already is in order.
+fn sort_run_by_key<T, K: Ord>(run: &mut [T], key: impl Fn(&T) -> K) {
+    if !run.is_sorted_by_key(&key) {
+        run.sort_by_key(key);
     }
 }
 
@@ -362,5 +507,134 @@ mod tests {
         assert_eq!(m.nnz(), 0);
         assert!(m.is_canonical());
         assert_eq!(m.transpose_canonical().nnz(), 0);
+    }
+
+    /// The sort-then-merge canonical form every faster path must match
+    /// bit for bit: stable sort by `(row, col)`, sum duplicates left to
+    /// right, drop zeros.
+    fn reference_canonical(entries: &[Triplet]) -> Vec<Triplet> {
+        let mut sorted = entries.to_vec();
+        sorted.sort_by_key(|a| (a.0, a.1));
+        let mut out: Vec<Triplet> = Vec::with_capacity(sorted.len());
+        for &(r, c, v) in &sorted {
+            match out.last_mut() {
+                Some(last) if last.0 == r && last.1 == c => last.2 += v,
+                _ => out.push((r, c, v)),
+            }
+        }
+        out.retain(|&(_, _, v)| v != 0.0);
+        out
+    }
+
+    fn bits(entries: &[Triplet]) -> Vec<(usize, usize, u32)> {
+        entries
+            .iter()
+            .map(|&(r, c, v)| (r, c, v.to_bits()))
+            .collect()
+    }
+
+    /// Random triplets over a few distinct positions (so most collide),
+    /// with values whose sums depend on order (1e8 + 1 − 1e8), cancel to
+    /// ±0, or are NaN.
+    fn random_triplets(rows: usize, cols: usize, nnz: usize, seed: u64) -> Vec<Triplet> {
+        const VALUES: [Value; 9] = [1e8, 1.0, -1e8, -1.0, 0.0, -0.0, 0.5, f32::NAN, -3.25];
+        let mut rng = crate::rng::StdRng::seed_from_u64(seed);
+        let positions: Vec<(usize, usize)> = (0..nnz / 3 + 1)
+            .map(|_| (rng.gen_range(0..rows), rng.gen_range(0..cols)))
+            .collect();
+        (0..nnz)
+            .map(|_| {
+                let (r, c) = positions[rng.gen_range(0..positions.len())];
+                (r, c, VALUES[rng.gen_range(0..VALUES.len())])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn canonicalize_matches_sort_then_merge_on_every_path() {
+        // Shapes pick the path for unordered input: sparse index space
+        // (comparison sort), short rows (row scatter), long rows (column
+        // then row scatter).
+        let shapes = [
+            (10_000, 20, 200),
+            (20, 10_000, 200),
+            (400, 300, 200),
+            (1000, 1000, 3000),
+            (3, 5, 200),
+            (64, 64, 1000),
+            (1, 1, 50),
+        ];
+        for (seed, &(rows, cols, nnz)) in shapes.iter().enumerate() {
+            let shuffled = random_triplets(rows, cols, nnz, seed as u64);
+            let mut row_grouped = shuffled.clone();
+            row_grouped.sort_by_key(|e| e.0);
+            let mut col_sorted = shuffled.clone();
+            col_sorted.sort_by_key(|e| e.1);
+            let mut row_major = shuffled.clone();
+            row_major.sort_by_key(|e| (e.0, e.1));
+            let canonical = reference_canonical(&shuffled);
+            for (order, entries) in [
+                ("shuffled", shuffled),
+                ("row-grouped", row_grouped),
+                ("column-sorted", col_sorted),
+                ("row-major", row_major),
+                ("canonical", canonical),
+            ] {
+                let want = reference_canonical(&entries);
+                let mut m = Coo::from_triplets(rows, cols, entries).unwrap();
+                m.canonicalize();
+                assert_eq!(
+                    bits(m.entries()),
+                    bits(&want),
+                    "{rows}x{cols}, {nnz} entries, {order}"
+                );
+                let t = m.transpose();
+                assert_eq!(
+                    bits(m.transpose_canonical().entries()),
+                    bits(&reference_canonical(t.entries())),
+                    "transpose of {rows}x{cols}, {order}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn huge_declared_shape_sizes_no_counting_array() {
+        // A Matrix Market header or a service frame can declare any
+        // shape; counting arrays that large would exhaust memory.
+        let huge = 1 << 40;
+        let entries = vec![(7, 1, 1.0), (0, huge - 1, 2.0), (7, 0, 3.0), (7, 1, 4.0)];
+        let want = reference_canonical(&entries);
+        let mut m = Coo::from_triplets(huge, huge, entries).unwrap();
+        m.canonicalize();
+        assert_eq!(bits(m.entries()), bits(&want));
+        assert_eq!(m.transpose_canonical().nnz(), 3);
+    }
+
+    #[test]
+    fn canonicalize_keeps_insertion_order_of_duplicates() {
+        // 1e8 + 1 − 1e8 is 0 in f32 but 1e8 − 1e8 + 1 is 1: the sum is
+        // only reproducible if duplicates stay in insertion order.
+        for (cols, entries) in [
+            (4, vec![(1, 2, 1e8), (0, 3, 1.0), (1, 2, 1.0), (1, 2, -1e8)]),
+            (4, vec![(1, 2, 1e8), (1, 2, -1e8), (0, 3, 1.0), (1, 2, 1.0)]),
+        ] {
+            let want = reference_canonical(&entries);
+            let mut m = Coo::from_triplets(2, cols, entries).unwrap();
+            m.canonicalize();
+            assert_eq!(bits(m.entries()), bits(&want));
+        }
+    }
+
+    #[test]
+    fn canonicalize_drops_cancelled_sums_of_either_sign() {
+        let mut m = Coo::from_triplets(
+            2,
+            2,
+            vec![(1, 1, -0.0), (0, 0, 1.0), (0, 0, -1.0), (1, 1, -0.0)],
+        )
+        .unwrap();
+        m.canonicalize();
+        assert!(m.entries().is_empty(), "{:?}", m.entries());
     }
 }

@@ -89,7 +89,7 @@ mod tests {
     #[test]
     fn power_law_has_skewed_rows() {
         let m = power_law(512, 512, 8.0, 1.5, 9);
-        let h = crate::metrics::row_nnz_histogram(&m);
+        let h = crate::format::row_lengths(&m);
         let max = *h.iter().max().unwrap();
         let nonzero_rows = h.iter().filter(|&&c| c > 0).count();
         let mean = m.nnz() as f64 / nonzero_rows as f64;
@@ -99,7 +99,7 @@ mod tests {
     #[test]
     fn power_law_every_row_occupied() {
         let m = power_law(100, 100, 4.0, 1.0, 3);
-        let h = crate::metrics::row_nnz_histogram(&m);
+        let h = crate::format::row_lengths(&m);
         assert!(h.iter().all(|&c| c >= 1));
     }
 

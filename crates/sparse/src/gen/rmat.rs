@@ -66,17 +66,15 @@ pub fn rmat(scale: u32, nnz: usize, probs: RmatProbs, seed: u64) -> Coo {
         for _ in 0..scale {
             row <<= 1;
             col <<= 1;
+            // Quadrant q: 0 top-left, 1 top-right, 2 bottom-left,
+            // 3 bottom-right; its high bit picks the row half, its low
+            // bit the column half.
             let t: f64 = r.gen_f64();
-            if t < probs.a {
-                // top-left: nothing to add
-            } else if t < probs.a + probs.b {
-                col |= 1;
-            } else if t < probs.a + probs.b + probs.c {
-                row |= 1;
-            } else {
-                row |= 1;
-                col |= 1;
-            }
+            let q = usize::from(t >= probs.a)
+                + usize::from(t >= probs.a + probs.b)
+                + usize::from(t >= probs.a + probs.b + probs.c);
+            row |= q >> 1;
+            col |= q & 1;
         }
         coo.push(row, col, nz_value(&mut r));
     }

@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn grid2d_interior_rows_have_five_entries() {
         let m = grid2d_5pt(5, 5);
-        let counts = crate::metrics::row_nnz_histogram(&m);
+        let counts = crate::format::row_lengths(&m);
         assert_eq!(counts[12], 5); // center of the 5x5 grid
         assert_eq!(counts[0], 3); // corner
     }
@@ -191,7 +191,7 @@ mod tests {
     #[test]
     fn grid3d_interior_rows_have_seven_entries() {
         let m = grid3d_7pt(3, 3, 3);
-        let counts = crate::metrics::row_nnz_histogram(&m);
+        let counts = crate::format::row_lengths(&m);
         assert_eq!(counts[13], 7); // center of the 3x3x3 grid
     }
 
@@ -208,7 +208,7 @@ mod tests {
     fn arrowhead_has_dense_hub() {
         let m = arrowhead(50);
         assert_eq!(m.nnz(), 50 + 2 * 49);
-        let h = crate::metrics::row_nnz_histogram(&m);
+        let h = crate::format::row_lengths(&m);
         assert_eq!(h[0], 50); // the hub row
         assert_eq!(h[1], 2); // diagonal + column entry
     }

@@ -13,7 +13,6 @@
 //!   High ANZ favours the row-oriented CRS algorithm.
 
 use crate::Coo;
-use std::collections::HashMap;
 
 /// Block dimension the locality metric is defined over (fixed to 32 by the
 /// D-SAB definition, independent of the machine's section size).
@@ -107,26 +106,67 @@ pub fn locality(coo: &Coo) -> f64 {
 
 /// Locality with a custom block dimension (used by the ablation benches to
 /// relate the metric to the machine's section size).
+///
+/// O(nnz + (rows + cols) / block): row-sorted input (every canonical
+/// matrix) is swept once, one block row at a time, with a stamp per block
+/// column; any other input is first bucketed by block row.
 pub fn locality_with_block(coo: &Coo, block: usize) -> f64 {
     assert!(block > 0, "block dimension must be positive");
-    let mut counts: HashMap<(usize, usize), usize> = HashMap::new();
-    for &(r, c, _) in coo.iter() {
-        *counts.entry((r / block, c / block)).or_insert(0) += 1;
-    }
-    if counts.is_empty() {
+    let entries = coo.entries();
+    if entries.is_empty() {
         return 0.0;
     }
-    let total: usize = counts.values().sum();
-    total as f64 / (counts.len() as f64 * block as f64)
+    let block_cols = coo.cols().div_ceil(block);
+    let blocks = if entries.is_sorted_by_key(|e| e.0) {
+        count_blocks(
+            entries.chunk_by(|a, b| a.0 / block == b.0 / block),
+            |e| e.1 / block,
+            block_cols,
+        )
+    } else {
+        let block_rows = coo.rows().div_ceil(block);
+        let mut start = vec![0usize; block_rows + 1];
+        for &(r, _, _) in entries {
+            start[r / block + 1] += 1;
+        }
+        for k in 1..start.len() {
+            start[k] += start[k - 1];
+        }
+        let mut next = start.clone();
+        let mut bcols = vec![0usize; entries.len()];
+        for &(r, c, _) in entries {
+            let slot = &mut next[r / block];
+            bcols[*slot] = c / block;
+            *slot += 1;
+        }
+        count_blocks(
+            start.windows(2).map(|w| &bcols[w[0]..w[1]]),
+            |&bc| bc,
+            block_cols,
+        )
+    };
+    entries.len() as f64 / (blocks as f64 * block as f64)
 }
 
-/// Histogram of non-zeros per row — used by the suite report example.
-pub fn row_nnz_histogram(coo: &Coo) -> Vec<usize> {
-    let mut h = vec![0usize; coo.rows()];
-    for &(r, _, _) in coo.iter() {
-        h[r] += 1;
+/// Distinct block columns summed over `block_rows`, each the entries of
+/// one block row; `stamp[bc]` marks the last block row that counted `bc`.
+fn count_blocks<'a, T: 'a>(
+    block_rows: impl Iterator<Item = &'a [T]>,
+    block_col: impl Fn(&T) -> usize,
+    block_cols: usize,
+) -> usize {
+    let mut stamp = vec![0usize; block_cols];
+    let mut blocks = 0;
+    for (k, run) in block_rows.enumerate() {
+        for e in run {
+            let s = &mut stamp[block_col(e)];
+            if *s != k + 1 {
+                *s = k + 1;
+                blocks += 1;
+            }
+        }
     }
-    h
+    blocks
 }
 
 #[cfg(test)]
@@ -250,9 +290,44 @@ mod tests {
         assert_eq!(m.max_row_nnz, 1);
     }
 
+    /// The locality metric as defined: a map from block to count.
+    fn reference_locality(coo: &Coo, block: usize) -> f64 {
+        let mut counts: std::collections::HashMap<(usize, usize), usize> = Default::default();
+        for &(r, c, _) in coo.iter() {
+            *counts.entry((r / block, c / block)).or_insert(0) += 1;
+        }
+        if counts.is_empty() {
+            return 0.0;
+        }
+        let total: usize = counts.values().sum();
+        total as f64 / (counts.len() as f64 * block as f64)
+    }
+
     #[test]
-    fn row_histogram_counts() {
-        let coo = Coo::from_triplets(3, 3, vec![(0, 0, 1.0), (0, 1, 1.0), (2, 2, 1.0)]).unwrap();
-        assert_eq!(row_nnz_histogram(&coo), vec![2, 0, 1]);
+    fn locality_matches_block_map_on_any_order_and_shape() {
+        let mut rng = crate::rng::StdRng::seed_from_u64(5);
+        for (rows, cols, nnz) in [
+            (100, 37, 400),
+            (37, 100, 400),
+            (33, 31, 900),
+            (1000, 70, 2000),
+        ] {
+            let entries: Vec<_> = (0..nnz)
+                .map(|_| (rng.gen_range(0..rows), rng.gen_range(0..cols), 1.0))
+                .collect();
+            let unsorted = Coo::from_triplets(rows, cols, entries).unwrap();
+            let mut sorted = unsorted.clone();
+            sorted.canonicalize();
+            for m in [&unsorted, &sorted] {
+                for block in [1, 7, 32, 64, 2048] {
+                    assert_eq!(
+                        locality_with_block(m, block).to_bits(),
+                        reference_locality(m, block).to_bits(),
+                        "{rows}x{cols}, block {block}, sorted {}",
+                        m.is_canonical()
+                    );
+                }
+            }
+        }
     }
 }
