@@ -111,13 +111,17 @@ impl Coo {
     /// by the summation. After this call the triplet list is *canonical*:
     /// strictly increasing in `(row, col)`.
     ///
-    /// Runs in O(nnz + rows + cols), choosing the cheapest stable order
-    /// from one pass over the input: canonical input returns at once,
-    /// other input takes row-run sorts or stable counting scatters.
-    /// Duplicates keep insertion order and are summed left to right, so
-    /// the result is bit-identical to a stable sort followed by a merge.
+    /// Chooses the cheapest stable order from one pass over the input:
+    /// canonical input returns at once, other input is grouped by row
+    /// (already, or by a counting scatter) and then each row that is out
+    /// of column order is sorted. That is O(nnz + rows) plus O(r log r)
+    /// for each out-of-order row of r entries. Input with an entry
+    /// outside the shape, or a shape far larger than the entry count,
+    /// takes a comparison sort instead (O(nnz log nnz)). Duplicates keep
+    /// insertion order and are summed left to right, so the result is
+    /// bit-identical to a stable sort followed by a merge.
     pub fn canonicalize(&mut self) {
-        let order = Order::of(&self.entries);
+        let order = Order::of(&self.entries, self.rows, self.cols);
         if order.strict && order.nonzero {
             return;
         }
@@ -138,30 +142,27 @@ impl Coo {
     ///
     /// * rows already grouped in order (stencil generators push the
     ///   diagonal first): sort only the row runs that are out of order;
-    /// * index space much larger than the list, or past the 32-bit slot
-    ///   index: comparison sort, so a huge declared shape never sizes a
-    ///   counting array;
-    /// * short rows, or input already sorted by column (the transpose of
-    ///   canonical input): one counting scatter by row, then sort the
-    ///   rows that are out of order;
-    /// * otherwise Pissanetsky's two counting scatters, by column and
-    ///   then by row.
+    /// * an entry outside the shape, or an index space much larger than
+    ///   the list or past the 32-bit slot index: comparison sort, so no
+    ///   counting array is indexed out of range or sized by a huge
+    ///   declared shape;
+    /// * otherwise one stable counting scatter by row, then the same
+    ///   per-row sorts. Input already sorted by column (the transpose of
+    ///   canonical input) leaves every row in order.
     fn sort_canonical(&mut self, order: Order) {
         let n = self.entries.len();
         if order.rows_grouped {
             for run in self.entries.chunk_by_mut(|a, b| a.0 == b.0) {
-                sort_run_by_key(run, |e| e.1);
+                if !run.is_sorted_by_key(|e| e.1) {
+                    run.sort_by_key(|e| e.1);
+                }
             }
-        } else if self.rows.max(self.cols) > (SPARSE_SHAPE_FACTOR * n).min(u32::MAX as usize) {
+        } else if !order.in_shape
+            || self.rows.max(self.cols) > (SPARSE_SHAPE_FACTOR * n).min(u32::MAX as usize)
+        {
             self.sort_row_major();
-        } else if order.cols_sorted || n <= SHORT_ROW_NNZ * self.rows {
-            let mut by_row = Buckets::new(self.rows, self.entries.iter().copied());
-            by_row.sort_each();
-            by_row.write_to(&mut self.entries);
         } else {
-            let by_col = Buckets::new(self.cols, self.entries.iter().map(|&(r, c, v)| (c, r, v)));
-            let by_row = Buckets::new(self.rows, by_col.iter().map(|(c, r, v)| (r, c, v)));
-            by_row.write_to(&mut self.entries);
+            scatter_sort_by_row(&mut self.entries, self.rows);
         }
     }
 
@@ -181,7 +182,7 @@ impl Coo {
     /// Returns `true` if the triplet list is canonical (strictly increasing
     /// row-major coordinates, no explicit zeros).
     pub fn is_canonical(&self) -> bool {
-        let order = Order::of(&self.entries);
+        let order = Order::of(&self.entries, self.rows, self.cols);
         order.strict && order.nonzero
     }
 
@@ -249,10 +250,6 @@ impl Coo {
 /// exceeds this many times the entry count (or 2³²).
 const SPARSE_SHAPE_FACTOR: usize = 4;
 
-/// Rows averaging at most this many entries are sorted one by one after
-/// a single row scatter instead of by a second (column) scatter.
-const SHORT_ROW_NNZ: usize = 4;
-
 /// What one pass over a triplet list learns about its order.
 #[derive(Debug, Clone, Copy)]
 struct Order {
@@ -260,93 +257,60 @@ struct Order {
     strict: bool,
     /// No explicit zero value.
     nonzero: bool,
+    /// Every coordinate inside the declared shape.
+    in_shape: bool,
     /// Rows non-decreasing (each row's entries are contiguous and in row
     /// order).
     rows_grouped: bool,
-    /// Columns non-decreasing.
-    cols_sorted: bool,
 }
 
 impl Order {
-    fn of(entries: &[Triplet]) -> Order {
+    fn of(entries: &[Triplet], rows: usize, cols: usize) -> Order {
         let mut o = Order {
             strict: true,
             nonzero: entries.first().is_none_or(|e| e.2 != 0.0),
+            in_shape: entries.first().is_none_or(|e| e.0 < rows && e.1 < cols),
             rows_grouped: true,
-            cols_sorted: true,
         };
         for w in entries.windows(2) {
             let (a, b) = (&w[0], &w[1]);
             o.strict &= (a.0, a.1) < (b.0, b.1);
             o.nonzero &= b.2 != 0.0;
+            o.in_shape &= b.0 < rows && b.1 < cols;
             o.rows_grouped &= a.0 <= b.0;
-            o.cols_sorted &= a.1 <= b.1;
         }
         o
     }
 }
 
-/// A stable counting bucketing of triplets by one coordinate: bucket
-/// `k` holds the `(other coordinate, value)` slots of the triplets whose
-/// bucket coordinate is `k`, in input order. Slots are a third the size of
-/// a triplet, so the scattered writes touch a third of the memory.
-struct Buckets {
-    /// `start[k]..start[k + 1]` indexes bucket `k`'s slots.
-    start: Vec<usize>,
-    slots: Vec<(u32, Value)>,
-}
-
-impl Buckets {
-    /// Buckets `items`, each `(bucket coordinate, other coordinate,
-    /// value)` with the bucket coordinate below `buckets` and the other
-    /// coordinate below 2³².
-    fn new(buckets: usize, items: impl Iterator<Item = Triplet> + Clone) -> Buckets {
-        let mut start = vec![0usize; buckets + 1];
-        for (k, _, _) in items.clone() {
-            start[k + 1] += 1;
-        }
-        for k in 1..start.len() {
-            start[k] += start[k - 1];
-        }
-        let mut next = start.clone();
-        let mut slots = vec![(0, 0.0); start[buckets]];
-        for (k, other, v) in items {
-            let slot = &mut next[k];
-            slots[*slot] = (other as u32, v);
-            *slot += 1;
-        }
-        Buckets { start, slots }
+/// Stable row-major sort of `entries` (rows below `rows`, columns below
+/// 2³²): a counting scatter by row into `(column, value)` slots, a third
+/// the size of a triplet so the scattered writes touch a third of the
+/// memory, then a stable sort of each row that is out of column order and
+/// a sequential write-back.
+fn scatter_sort_by_row(entries: &mut [Triplet], rows: usize) {
+    let mut start = vec![0usize; rows + 1];
+    for &(r, _, _) in entries.iter() {
+        start[r + 1] += 1;
     }
-
-    /// `(bucket coordinate, other coordinate, value)` in bucket order.
-    fn iter(&self) -> impl Iterator<Item = Triplet> + Clone + '_ {
-        self.start.windows(2).enumerate().flat_map(move |(k, w)| {
-            self.slots[w[0]..w[1]]
-                .iter()
-                .map(move |&(other, v)| (k, other as usize, v))
-        })
+    for r in 1..start.len() {
+        start[r] += start[r - 1];
     }
-
-    /// Stable-sorts each bucket by the other coordinate.
-    fn sort_each(&mut self) {
-        for w in self.start.windows(2) {
-            sort_run_by_key(&mut self.slots[w[0]..w[1]], |s| s.0);
+    let mut next = start.clone();
+    let mut slots = vec![(0u32, 0.0); entries.len()];
+    for &(r, c, v) in entries.iter() {
+        slots[next[r]] = (c as u32, v);
+        next[r] += 1;
+    }
+    let mut out = entries.iter_mut();
+    for (r, w) in start.windows(2).enumerate() {
+        let row = &mut slots[w[0]..w[1]];
+        if !row.is_sorted_by_key(|s| s.0) {
+            row.sort_by_key(|s| s.0);
         }
-    }
-
-    /// Overwrites `entries` (of the same length) with the bucketed
-    /// triplets, bucket coordinate first.
-    fn write_to(&self, entries: &mut [Triplet]) {
-        for (e, t) in entries.iter_mut().zip(self.iter()) {
-            *e = t;
+        for (&(c, v), e) in row.iter().zip(&mut out) {
+            *e = (r, c as usize, v);
         }
-    }
-}
-
-/// Stable-sorts `run` by `key` unless it already is in order.
-fn sort_run_by_key<T, K: Ord>(run: &mut [T], key: impl Fn(&T) -> K) {
-    if !run.is_sorted_by_key(&key) {
-        run.sort_by_key(key);
     }
 }
 
@@ -552,9 +516,9 @@ mod tests {
 
     #[test]
     fn canonicalize_matches_sort_then_merge_on_every_path() {
-        // Shapes pick the path for unordered input: sparse index space
-        // (comparison sort), short rows (row scatter), long rows (column
-        // then row scatter).
+        // Shapes pick the path for unordered input: a sparse index space
+        // takes the comparison sort, the rest the row scatter (with short
+        // rows or long ones).
         let shapes = [
             (10_000, 20, 200),
             (20, 10_000, 200),
@@ -609,6 +573,27 @@ mod tests {
         m.canonicalize();
         assert_eq!(bits(m.entries()), bits(&want));
         assert_eq!(m.transpose_canonical().nnz(), 3);
+    }
+
+    #[test]
+    fn out_of_shape_entries_take_the_comparison_sort() {
+        // `push` checks bounds only in debug builds and decoders can
+        // hand back coordinates past the declared shape; such input
+        // still canonicalizes as sort-then-merge would, never indexing a
+        // counting array out of range.
+        let entries = random_triplets(9, 9, 60, 11);
+        let mut col_sorted = entries.clone();
+        col_sorted.sort_by_key(|e| e.1);
+        for entries in [entries, col_sorted] {
+            let want = reference_canonical(&entries);
+            let mut m = Coo {
+                rows: 4,
+                cols: 4,
+                entries,
+            };
+            m.canonicalize();
+            assert_eq!(bits(m.entries()), bits(&want));
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //!   High ANZ favours the row-oriented CRS algorithm.
 
 use crate::Coo;
+use std::borrow::Cow;
 
 /// Block dimension the locality metric is defined over (fixed to 32 by the
 /// D-SAB definition, independent of the machine's section size).
@@ -104,69 +105,37 @@ pub fn locality(coo: &Coo) -> f64 {
     locality_with_block(coo, LOCALITY_BLOCK)
 }
 
-/// Locality with a custom block dimension (used by the ablation benches to
-/// relate the metric to the machine's section size).
+/// Locality with a custom block dimension.
 ///
-/// O(nnz + (rows + cols) / block): row-sorted input (every canonical
-/// matrix) is swept once, one block row at a time, with a stamp per block
-/// column; any other input is first bucketed by block row.
+/// Row-sorted input (every canonical matrix) is swept once, one block row
+/// at a time, with a stamp per block column; other input is first copied
+/// and stably sorted by row.
 pub fn locality_with_block(coo: &Coo, block: usize) -> f64 {
     assert!(block > 0, "block dimension must be positive");
-    let entries = coo.entries();
+    let mut entries = Cow::Borrowed(coo.entries());
     if entries.is_empty() {
         return 0.0;
     }
-    let block_cols = coo.cols().div_ceil(block);
-    let blocks = if entries.is_sorted_by_key(|e| e.0) {
-        count_blocks(
-            entries.chunk_by(|a, b| a.0 / block == b.0 / block),
-            |e| e.1 / block,
-            block_cols,
-        )
-    } else {
-        let block_rows = coo.rows().div_ceil(block);
-        let mut start = vec![0usize; block_rows + 1];
-        for &(r, _, _) in entries {
-            start[r / block + 1] += 1;
-        }
-        for k in 1..start.len() {
-            start[k] += start[k - 1];
-        }
-        let mut next = start.clone();
-        let mut bcols = vec![0usize; entries.len()];
-        for &(r, c, _) in entries {
-            let slot = &mut next[r / block];
-            bcols[*slot] = c / block;
-            *slot += 1;
-        }
-        count_blocks(
-            start.windows(2).map(|w| &bcols[w[0]..w[1]]),
-            |&bc| bc,
-            block_cols,
-        )
-    };
-    entries.len() as f64 / (blocks as f64 * block as f64)
-}
-
-/// Distinct block columns summed over `block_rows`, each the entries of
-/// one block row; `stamp[bc]` marks the last block row that counted `bc`.
-fn count_blocks<'a, T: 'a>(
-    block_rows: impl Iterator<Item = &'a [T]>,
-    block_col: impl Fn(&T) -> usize,
-    block_cols: usize,
-) -> usize {
-    let mut stamp = vec![0usize; block_cols];
-    let mut blocks = 0;
-    for (k, run) in block_rows.enumerate() {
-        for e in run {
-            let s = &mut stamp[block_col(e)];
+    if !entries.is_sorted_by_key(|e| e.0) {
+        entries.to_mut().sort_by_key(|e| e.0);
+    }
+    // `stamp[bc]` is one more than the index of the last block-row run
+    // that counted block column `bc`.
+    let mut stamp = vec![0usize; coo.cols().div_ceil(block)];
+    let mut blocks = 0usize;
+    for (k, run) in entries
+        .chunk_by(|a, b| a.0 / block == b.0 / block)
+        .enumerate()
+    {
+        for &(_, c, _) in run {
+            let s = &mut stamp[c / block];
             if *s != k + 1 {
                 *s = k + 1;
                 blocks += 1;
             }
         }
     }
-    blocks
+    entries.len() as f64 / (blocks as f64 * block as f64)
 }
 
 #[cfg(test)]
