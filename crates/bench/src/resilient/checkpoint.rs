@@ -46,6 +46,7 @@ use std::io::Write;
 use std::path::Path;
 use stm_obs::journal;
 use stm_obs::json::Json;
+use stm_sparse::hash::Fnv1a;
 
 /// Schema tag of the checkpoint header line.
 pub const SCHEMA: &str = "stm-soak-checkpoint/v2";
@@ -330,14 +331,12 @@ impl EntryRecord {
 /// FNV-1a over every entry's canonical line (newline-terminated), in
 /// order — the soak report digest.
 pub fn digest(entries: &[EntryRecord]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for e in entries {
-        for b in e.canonical_line().bytes().chain(std::iter::once(b'\n')) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.bytes(e.canonical_line().as_bytes());
+        h.byte(b'\n');
     }
-    h
+    h.finish()
 }
 
 /// A loaded checkpoint: the configuration fingerprint it was written

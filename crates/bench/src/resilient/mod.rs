@@ -54,6 +54,7 @@ use stm_core::kernels::registry::{self, KernelError, KernelFailure, KernelReport
 use stm_dsab::SuiteEntry;
 use stm_hism::FaultClass;
 use stm_obs::{Category, Lane, Recorder, TraceData};
+use stm_sparse::hash::{Fnv1a, FNV_OFFSET};
 use stm_sparse::rng::StdRng;
 
 /// The primary kernels the soak pipeline exercises per matrix — the
@@ -204,13 +205,11 @@ impl Default for SoakConfig {
     }
 }
 
+/// FNV-1a of `bytes`, resuming from state `h`.
 fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::with_state(h);
+    h.bytes(bytes);
+    h.finish()
 }
 
 impl SoakConfig {
@@ -220,8 +219,7 @@ impl SoakConfig {
     /// Deliberately excludes `run.jobs` — a checkpoint may be resumed
     /// with a different worker count.
     pub fn fingerprint(&self, set: &[SuiteEntry]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        h = fnv1a(h, b"soak/v1");
+        let mut h = fnv1a(FNV_OFFSET, b"soak/v1");
         for e in set {
             h = fnv1a(h, e.name.as_bytes());
             h = fnv1a(h, b"|");

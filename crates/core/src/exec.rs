@@ -31,6 +31,7 @@ use crate::unit::StmConfig;
 use std::fmt;
 use stm_hism::{FaultClass, FaultRecord, HismImage, ImageError};
 use stm_obs::{Recorder, SpanCtx};
+use stm_sparse::hash::Fnv1a;
 use stm_sparse::{Coo, Csr, Dense, FormatError, Value};
 use stm_vpsim::{MemFault, TimingKind, VpConfig};
 
@@ -332,8 +333,8 @@ impl KernelOutput {
 
     /// Format-*independent* digest of the output: the canonical-COO
     /// digest of the matrix the output encodes
-    /// ([`stm_sparse::format::canonical_digest`]), or an FNV-1a digest
-    /// over the value bits for a vector result.
+    /// ([`stm_sparse::format::canonical_digest`]), or the encoding
+    /// digest for a vector result.
     ///
     /// Where [`KernelOutput::digest`] distinguishes encodings (a HiSM
     /// image and a CSR matrix holding the same Aᵀ digest differently),
@@ -361,15 +362,7 @@ impl KernelOutput {
                 }
                 Some(canonical_digest(&coo))
             }
-            KernelOutput::Vector(y) => {
-                let mut h = Fnv1a::new();
-                h.byte(3);
-                h.u64(y.len() as u64);
-                for &v in y {
-                    h.u32(v.to_bits());
-                }
-                Some(h.finish())
-            }
+            KernelOutput::Vector(_) => Some(self.digest()),
         }
     }
 
@@ -495,50 +488,9 @@ pub fn spmv_input(cols: usize) -> Vec<Value> {
     (0..cols).map(|i| ((i % 9) as f32) - 4.0).collect()
 }
 
-/// 64-bit FNV-1a.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv1a(Self::OFFSET)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ b as u64).wrapping_mul(Self::PRIME);
-    }
-
-    fn u32(&mut self, w: u32) {
-        for b in w.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    fn u64(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // FNV-1a("") = offset basis; FNV-1a("a") = 0xaf63dc4c8601ec8c.
-        assert_eq!(Fnv1a::new().finish(), 0xcbf2_9ce4_8422_2325);
-        let mut h = Fnv1a::new();
-        h.byte(b'a');
-        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
-    }
 
     #[test]
     fn digest_distinguishes_variants_and_values() {

@@ -387,8 +387,7 @@ impl Kernel for TransposeHism {
             // The blockarray permutation is index shuffling with no FP
             // arithmetic, so the host leg always runs scalar.
             let t0 = Instant::now();
-            let nnz = host::hism::image_nnz(image).map_err(host_err)?;
-            let out = host::hism::transpose_hism(image, ctx.stm.s).map_err(host_err)?;
+            let (out, nnz) = host::hism::transpose_hism(image, ctx.stm.s).map_err(host_err)?;
             let shape = (image.root.rows as usize, image.root.cols as usize, nnz);
             let report = host_report(
                 ctx,
@@ -787,8 +786,7 @@ impl Kernel for SpmvHism {
         let image = self.image.as_ref().ok_or(KernelError::NotPrepared)?;
         if let Some(isa) = ctx.backend.resolve() {
             let t0 = Instant::now();
-            let nnz = host::hism::image_nnz(image).map_err(host_err)?;
-            let y = host::hism::spmv_hism(image, &self.x, ctx.vp.section_size, isa)
+            let (y, nnz) = host::hism::spmv_hism(image, &self.x, ctx.vp.section_size, isa)
                 .map_err(host_err)?;
             let shape = (image.root.rows as usize, image.root.cols as usize, nnz);
             let report = host_report(ctx, "host.spmv_hism", isa, shape, t0.elapsed());

@@ -21,6 +21,7 @@
 
 use crate::error::ImageError;
 use crate::matrix::{BlockData, HismBlock, HismMatrix, LeafEntry, NodeEntry};
+use stm_sparse::hash::fnv1a_u32;
 use stm_sparse::Value;
 
 /// Words per blockarray entry in the image (`[payload, pos]`).
@@ -69,44 +70,12 @@ pub const INTEGRITY_VERSION: u32 = 1;
 /// marker`), so a stray word vector is never misread as a header.
 pub const INTEGRITY_MAGIC: u32 = 0x4849_5349; // "HISI"
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over one word's little-endian bytes. Section checksums XOR
-/// these per-word hashes together, so they are order-independent — the
-/// simulated STM permutes blockarrays in place, and a permuted-but-intact
-/// image must still verify. Public so a producer that writes every word
-/// of an image anyway can accumulate its [`SectionSums`] on the way.
-///
-/// The first byte's step comes from a table, and two trailing zero bytes
-/// (every position word, most lengths and pointers) fold into one
-/// multiplication by `P³`: XOR with a zero byte is the identity.
-pub fn fnv_word(w: u32) -> u64 {
-    let [b0, b1, b2, b3] = w.to_le_bytes();
-    let h = FNV_FIRST[b0 as usize] ^ b1 as u64;
-    if w >> 16 == 0 {
-        return h.wrapping_mul(FNV_PRIME_CUBED);
-    }
-    let h = (h.wrapping_mul(FNV_PRIME) ^ b2 as u64).wrapping_mul(FNV_PRIME);
-    (h ^ b3 as u64).wrapping_mul(FNV_PRIME)
-}
-
-const FNV_PRIME_CUBED: u64 = FNV_PRIME.wrapping_mul(FNV_PRIME).wrapping_mul(FNV_PRIME);
-
-/// FNV-1a after one byte `b`, from the offset basis: `(OFFSET ^ b) · P`.
-const FNV_FIRST: [u64; 256] = {
-    let mut t = [0u64; 256];
-    let mut b = 0;
-    while b < 256 {
-        t[b] = (FNV_OFFSET ^ b as u64).wrapping_mul(FNV_PRIME);
-        b += 1;
-    }
-    t
-};
-
 /// Order-independent FNV-1a checksums over the four word classes of a
 /// HiSM image: leaf values, child pointers, position words, and lengths
-/// vectors.
+/// vectors. Each XORs the per-word hashes ([`fnv1a_u32`]) of its class,
+/// so a permuted-but-intact image — the simulated STM permutes
+/// blockarrays in place — still verifies, and a producer that writes
+/// every word anyway can accumulate the sums on the way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SectionSums {
     /// XOR of per-word hashes over leaf payload (value-bit) words.
@@ -380,8 +349,8 @@ impl HismImage {
             for k in 0..len as usize {
                 let v = self.word(base + 2 * k)?;
                 let p = self.word(base + 2 * k + 1)?;
-                out.sums.values ^= fnv_word(v);
-                out.sums.positions ^= fnv_word(p);
+                out.sums.values ^= fnv1a_u32(v);
+                out.sums.positions ^= fnv1a_u32(p);
                 if out.collect_values {
                     let (r, c) = unpack_pos(p);
                     out.value_sites.push(ValueSite {
@@ -398,9 +367,9 @@ impl HismImage {
                 let child_addr = self.word(base + 2 * k)?;
                 let p = self.word(base + 2 * k + 1)?;
                 let child_len = self.word(lens_base + k)?;
-                out.sums.pointers ^= fnv_word(child_addr);
-                out.sums.positions ^= fnv_word(p);
-                out.sums.lengths ^= fnv_word(child_len);
+                out.sums.pointers ^= fnv1a_u32(child_addr);
+                out.sums.positions ^= fnv1a_u32(p);
+                out.sums.lengths ^= fnv1a_u32(child_len);
                 let (r, c) = unpack_pos(p);
                 let child_off = (
                     off.0.saturating_add((r as u64).saturating_mul(scale)),
@@ -551,25 +520,6 @@ mod tests {
     use super::*;
     use crate::build;
     use stm_sparse::{gen, Coo};
-
-    #[test]
-    fn fnv_word_is_bytewise_fnv1a() {
-        let reference = |w: u32| {
-            w.to_le_bytes()
-                .iter()
-                .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
-        };
-        let mut x = 0x9e37_79b9u32;
-        let edges = [0, 1, 0xff, 0x100, 0xffff, 0x1_0000, 0xff_ffff, u32::MAX];
-        for w in edges.into_iter().chain((0..4096).map(|_| {
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-            x >> (x % 24)
-        })) {
-            assert_eq!(fnv_word(w), reference(w), "word {w:#x}");
-        }
-    }
 
     #[test]
     fn pos_packing_round_trip() {

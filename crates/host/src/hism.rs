@@ -8,74 +8,36 @@
 //! and bounds checks standing in for the simulator's guarded memory.
 //! Every defect is a typed [`HostError`], never a panic.
 //!
-//! The transposition is in place: each blockarray's `[payload, pos]`
-//! pairs are re-sorted row-major by their *swapped* coordinates — the
-//! order the s×s STM memory drains in — with the lengths vector of
-//! non-leaf blockarrays permuted identically, then children are visited
-//! through the rewritten pointer words. The SpMV accumulates leaf
+//! The transposition is in place and uses the STM's own method: each
+//! blockarray's entries are set into an s×s bit plane at their
+//! positions, and a column-major drain of the set bits writes them back
+//! at their *swapped* coordinates — row-major order of the transposed
+//! block — with the lengths vector of non-leaf blockarrays permuted
+//! identically; children are then visited through the rewritten pointer
+//! words. The SpMV accumulates leaf
 //! products into `y` strictly in hierarchy-walk order, left to right
 //! within each strip, exactly like the simulator's sequential
 //! scatter-accumulate; only the element-wise gather-multiply is
 //! SIMD-dispatched.
 
 use crate::{HostError, HostIsa};
+use std::cell::Cell;
 use stm_hism::image::{
-    fnv_word, pack_pos, unpack_pos, HismImage, IntegrityHeader, RootDesc, SectionSums,
-    INTEGRITY_VERSION, WORDS_PER_ENTRY,
+    pack_pos, unpack_pos, HismImage, IntegrityHeader, RootDesc, SectionSums, INTEGRITY_VERSION,
+    WORDS_PER_ENTRY,
 };
+use stm_sparse::hash::fnv1a_u32;
 use stm_sparse::Value;
 
 const WPE: usize = WORDS_PER_ENTRY as usize;
 
-/// Leaf entries of an image = the matrix nnz. A budgeted, bounds-checked
-/// walk mirroring the simulator's `image_nnz` validation: corrupt
-/// hierarchies yield typed errors instead of panics or unbounded
-/// recursion. Both kernels run it up front so structural faults surface
-/// before any arithmetic.
-pub fn image_nnz(image: &HismImage) -> Result<usize, HostError> {
-    fn word(image: &HismImage, addr: usize) -> Result<u32, HostError> {
-        image.words.get(addr).copied().ok_or_else(|| {
-            HostError::Corrupt(format!(
-                "image access at word {addr} outside the {}-word image",
-                image.words.len()
-            ))
-        })
+/// The root blockarray's walk parameters `(addr, len, level)`; an
+/// image claiming zero levels is corrupt.
+fn root_walk(image: &HismImage) -> Result<(u32, usize, u32), HostError> {
+    match image.root.levels.checked_sub(1) {
+        Some(level) => Ok((image.root.addr, image.root.len as usize, level)),
+        None => Err(HostError::Corrupt("image with zero levels".into())),
     }
-    fn walk(
-        image: &HismImage,
-        addr: u32,
-        len: usize,
-        level: u32,
-        budget: &mut usize,
-    ) -> Result<usize, HostError> {
-        if *budget < len {
-            return Err(HostError::Corrupt(format!(
-                "runaway blockarray of {len} entries at word {addr}"
-            )));
-        }
-        *budget -= len;
-        if level == 0 {
-            return Ok(len);
-        }
-        let mut total = 0;
-        for k in 0..len {
-            let ptr = word(image, addr as usize + WPE * k)?;
-            let clen = word(image, addr as usize + WPE * len + k)?;
-            total += walk(image, ptr, clen as usize, level - 1, budget)?;
-        }
-        Ok(total)
-    }
-    if image.root.levels == 0 {
-        return Err(HostError::Corrupt("image with zero levels".into()));
-    }
-    let mut budget = image.words.len() / 2 + 1;
-    walk(
-        image,
-        image.root.addr,
-        image.root.len as usize,
-        image.root.levels - 1,
-        &mut budget,
-    )
 }
 
 /// Guards shared by both walks, in the simulator's order: entry budget
@@ -107,32 +69,54 @@ fn check_block(
     Ok(())
 }
 
-/// Host HiSM transposition. Scalar on every ISA: the per-blockarray
-/// permutation is a counting scatter (or a sort) plus a cursor rewrite,
-/// with nothing element-wise to vectorize. `section_size` must match the
+/// Host HiSM transposition. Returns the transposed image and the matrix
+/// nnz (the leaf entries its budgeted walk visited). Scalar on every
+/// ISA: the per-blockarray permutation is bit-plane bookkeeping with
+/// nothing element-wise to vectorize. `section_size` must match the
 /// image's `s` (the same configuration contract the simulated kernel
 /// enforces).
-pub fn transpose_hism(image: &HismImage, section_size: usize) -> Result<HismImage, HostError> {
+pub fn transpose_hism(
+    image: &HismImage,
+    section_size: usize,
+) -> Result<(HismImage, usize), HostError> {
     if image.root.s as usize != section_size {
         return Err(HostError::Config(format!(
             "image section size {} != configured section size {section_size}",
             image.root.s
         )));
     }
-    image_nnz(image)?;
-    let s = image.root.s as usize;
-    let mut words = image.words.clone();
-    let mut budget = words.len() / 2 + 1;
-    let mut scratch = TransposeScratch::new(s, words.len());
-    transpose_block(
-        &mut words,
-        image.root.addr,
-        image.root.len as usize,
-        image.root.levels - 1,
-        s,
-        &mut scratch,
-        &mut budget,
-    )?;
+    if !(2..=256).contains(&section_size) {
+        return Err(HostError::Config(format!(
+            "section size {section_size} outside the supported 2..=256 range"
+        )));
+    }
+    let (addr, len, level) = root_walk(image)?;
+    // Every word a blockarray claims is written by the walk; the rest are
+    // copied from the input after it, so the output costs one pass.
+    let mut words = vec![0; image.words.len()];
+    // A plane left behind by an earlier call on this thread is reused:
+    // its source table costs more to allocate than a small matrix costs
+    // to transpose. A call that panics never returns its plane.
+    let plane = PLANE
+        .with(Cell::take)
+        .filter(|p| p.s == section_size)
+        .unwrap_or_else(|| BitPlane::new(section_size));
+    let mut t = Transposer {
+        input: &image.words,
+        plane,
+        claimed: vec![0; words.len().div_ceil(64)],
+        overlap: false,
+        sums: SectionSums::default(),
+        budget: words.len() / 2 + 1,
+        nnz: 0,
+    };
+    let walked = t.block(&mut words, addr, len, level);
+    debug_assert!(t.plane.touched.iter().all(|&w| w == 0));
+    if walked.is_ok() {
+        t.copy_unclaimed(&mut words);
+    }
+    PLANE.with(|p| p.set(Some(t.plane)));
+    walked?;
     let diverged = crate::diverge_requested("transpose_hism");
     if diverged {
         diverge(&mut words, &image.root);
@@ -152,27 +136,118 @@ pub fn transpose_hism(image: &HismImage, section_size: usize) -> Result<HismImag
     // exactly the words a seal walks — unless blockarrays overlapped
     // (only a corrupt image does that) or the divergence hook rewrote a
     // word afterwards; then seal by walking the output.
-    if scratch.overlap || diverged {
+    if t.overlap || diverged {
         out.seal_integrity();
     } else {
         out.integrity = Some(IntegrityHeader {
             version: INTEGRITY_VERSION,
-            sums: scratch.sums,
+            sums: t.sums,
         });
         debug_assert_eq!(out.integrity, out.compute_integrity().ok());
     }
-    Ok(out)
+    Ok((out, t.nnz))
 }
 
-/// Per-run staging for [`transpose_block`], reused by every blockarray.
-struct TransposeScratch {
-    /// Drain-order keys of the blockarray being permuted.
-    keys: Vec<u64>,
-    /// Per-column cursors of the counting scatter (`s + 1` slots).
-    counts: Vec<usize>,
-    /// The blockarray's entry words and lengths vector before rewriting.
-    entries: Vec<u32>,
-    lens: Vec<u32>,
+thread_local! {
+    /// The calling thread's idle [`BitPlane`], if any.
+    static PLANE: Cell<Option<BitPlane>> = const { Cell::new(None) };
+}
+
+/// The host's s×s STM memory (paper §III), holding one blockarray at a
+/// time: an indicator bit per in-block position, stored column by column
+/// (one `u64` per 64 rows), the source entry of every set position, and
+/// one bit per touched column so the drain visits — and clears — only
+/// those columns. Deliberately separate from the simulator's own
+/// indicator plane: the host leg judges the simulator in the vote.
+struct BitPlane {
+    s: usize,
+    /// log2 of a column's stride in the plane: the smallest of 6, 7 or 8
+    /// with `s <= 1 << col_shift`, so position `(r, c)` has the index
+    /// `p = c << col_shift | r` and every column starts a new `u64`.
+    col_shift: u32,
+    /// Indicator bits, bit `p % 64` of word `p / 64`.
+    bits: Vec<u64>,
+    /// Touched columns, bit `c % 64` of word `c / 64`.
+    touched: [u64; 4],
+    /// Source entry index at every position; read only where the
+    /// indicator bit is set.
+    src: Vec<u32>,
+}
+
+impl BitPlane {
+    fn new(s: usize) -> Self {
+        let col_shift = s.next_power_of_two().trailing_zeros().max(6);
+        BitPlane {
+            s,
+            col_shift,
+            bits: vec![0; (s << col_shift) / 64],
+            touched: [0; 4],
+            src: vec![0; s << col_shift],
+        }
+    }
+
+    /// Stores every `[payload, pos]` entry of a blockarray at its
+    /// position, remembering its index. Fails with the first position
+    /// outside the block or already taken, leaving the plane empty.
+    fn fill(&mut self, entries: &[u32]) -> Result<(), u32> {
+        // The first 64 columns' touched bits stay in a register while
+        // filling: kept in memory, each entry would wait on the previous
+        // entry's store.
+        let mut low = 0u64;
+        for (k, entry) in entries.chunks_exact(WPE).enumerate() {
+            let (r, c) = unpack_pos(entry[1]);
+            let (r, c) = (r as usize, c as usize);
+            let p = c << self.col_shift | r;
+            let bit = 1u64 << (p % 64);
+            if r >= self.s || c >= self.s || self.bits[p / 64] & bit != 0 {
+                self.touched[0] |= low;
+                self.drain(|_, _, _| {});
+                return Err(entry[1]);
+            }
+            self.bits[p / 64] |= bit;
+            self.src[p] = k as u32;
+            if c < 64 {
+                low |= 1 << c;
+            } else {
+                self.touched[c / 64] |= 1 << (c % 64);
+            }
+        }
+        self.touched[0] |= low;
+        Ok(())
+    }
+
+    /// Visits every stored entry as `(r, c, k)` in the STM's drain order
+    /// — column by column, rows ascending — leaving the plane empty.
+    #[inline]
+    fn drain(&mut self, mut visit: impl FnMut(usize, usize, u32)) {
+        let col_words = 1 << (self.col_shift - 6);
+        let rows_mask = (1 << self.col_shift) - 1;
+        for t in 0..self.s.div_ceil(64) {
+            let mut cols = std::mem::take(&mut self.touched[t]);
+            while cols != 0 {
+                let c = 64 * t + cols.trailing_zeros() as usize;
+                cols &= cols - 1;
+                let first = c * col_words;
+                for w in first..first + col_words {
+                    let mut rows = std::mem::take(&mut self.bits[w]);
+                    while rows != 0 {
+                        let p = 64 * w + rows.trailing_zeros() as usize;
+                        rows &= rows - 1;
+                        visit(p & rows_mask, c, self.src[p]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One run of the in-place transposition: the untouched input image,
+/// the bit plane, and what the walk has checked and summed so far.
+struct Transposer<'a> {
+    /// The input image's words, read wherever no blockarray has claimed
+    /// the output's yet.
+    input: &'a [u32],
+    plane: BitPlane,
     /// One bit per image word: set once a blockarray's footprint has been
     /// rewritten, so a second claim on a word reveals overlapping
     /// blockarrays.
@@ -180,173 +255,160 @@ struct TransposeScratch {
     overlap: bool,
     /// Section sums over every word the write pass produced.
     sums: SectionSums,
+    /// Entries the walk may still visit: `words/2 + 1`, the simulator's
+    /// guard against runaway length words.
+    budget: usize,
+    /// Leaf entries visited: the matrix nnz.
+    nnz: usize,
 }
 
-impl TransposeScratch {
-    fn new(s: usize, words: usize) -> Self {
-        TransposeScratch {
-            keys: Vec::new(),
-            counts: vec![0; s + 1],
-            entries: Vec::new(),
-            lens: Vec::new(),
-            claimed: vec![0; words.div_ceil(64)],
-            overlap: false,
-            sums: SectionSums::default(),
+impl Transposer<'_> {
+    /// Whether word `i` is claimed.
+    fn claimed(&self, i: usize) -> bool {
+        self.claimed[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    /// Claims image words `start..start + len` for the blockarray being
+    /// rewritten. Returns them as they stood before when an earlier
+    /// blockarray had claimed, and so rewritten, some of them — only a
+    /// corrupt image overlaps; otherwise they still hold the input's.
+    fn claim(&mut self, words: &[u32], start: usize, len: usize) -> Option<Vec<u32>> {
+        let overlapped = claim_masks(start, len).any(|(w, m)| self.claimed[w] & m != 0);
+        let before = overlapped.then(|| {
+            (start..start + len)
+                .map(|i| {
+                    if self.claimed(i) {
+                        words[i]
+                    } else {
+                        self.input[i]
+                    }
+                })
+                .collect()
+        });
+        for (w, m) in claim_masks(start, len) {
+            self.claimed[w] |= m;
+        }
+        self.overlap |= overlapped;
+        before
+    }
+
+    /// Gives every word no blockarray claimed its input value.
+    fn copy_unclaimed(&self, words: &mut [u32]) {
+        for (w, &claimed) in self.claimed.iter().enumerate() {
+            if claimed != !0 {
+                for i in 64 * w..(64 * w + 64).min(words.len()) {
+                    if claimed >> (i % 64) & 1 == 0 {
+                        words[i] = self.input[i];
+                    }
+                }
+            }
         }
     }
 
-    /// Marks words `start..start + len` claimed; notes an overlap when
-    /// any of them already was.
-    fn claim(&mut self, start: usize, len: usize) {
-        let mut i = start;
-        let end = start + len;
-        while i < end {
-            let bits = (end - i).min(64 - i % 64);
-            let mask = if bits == 64 {
-                !0
-            } else {
-                ((1u64 << bits) - 1) << (i % 64)
-            };
-            let word = &mut self.claimed[i / 64];
-            self.overlap |= *word & mask != 0;
-            *word |= mask;
-            i += bits;
+    /// One blockarray (Fig. 6's `transpose_block`, minus the cycle
+    /// accounting): every entry goes into the bit plane at its position,
+    /// and the column-major drain writes them back at their swapped
+    /// positions — row-major order of Aᵀ's block. Children are then
+    /// visited through the rewritten pointer/length pairs.
+    fn block(
+        &mut self,
+        words: &mut [u32],
+        addr: u32,
+        len: usize,
+        level: u32,
+    ) -> Result<(), HostError> {
+        if len == 0 {
+            return Ok(());
         }
-    }
-}
-
-/// One blockarray of the in-place transposition (Fig. 6's
-/// `transpose_block`, minus the cycle accounting).
-fn transpose_block(
-    words: &mut [u32],
-    addr: u32,
-    len: usize,
-    level: u32,
-    s: usize,
-    scratch: &mut TransposeScratch,
-    budget: &mut usize,
-) -> Result<(), HostError> {
-    if len == 0 {
-        return Ok(());
-    }
-    let footprint = if level > 0 {
-        (WPE + 1) * len
-    } else {
-        WPE * len
-    };
-    check_block(words.len(), addr, len, footprint, budget)?;
-    let base = addr as usize;
-    scratch.claim(base, footprint);
-
-    // The STM memory keyed by position: entries re-emerge sorted
-    // row-major by their swapped (row, col). Out-of-block positions and
-    // collisions are exactly what the coprocessor's v_stcr rejects.
-    // Each element packs `(c, r, k)` into one integer — bits 40.. are the
-    // swapped coordinates, the low 32 the source index — so ordering
-    // compares plain u64s instead of 16-byte tuples.
-    let keys = &mut scratch.keys;
-    keys.clear();
-    keys.reserve(len);
-    // Whether the positions strictly increase in (row, col) order — the
-    // scatter's precondition — and in (col, row) order, i.e. already
-    // drain-ordered (a diagonal block, say). Strictness rules out
-    // collisions in both cases.
-    let (mut row_major, mut drained) = (true, true);
-    let mut prev: Option<(u8, u8)> = None;
-    for k in 0..len {
-        let (r, c) = unpack_pos(words[base + WPE * k + 1]);
-        if s < 256 && ((r as usize) >= s || (c as usize) >= s) {
-            return Err(HostError::Corrupt(format!(
-                "v_stcr position ({r},{c}) outside the {s}x{s} block"
-            )));
-        }
-        if let Some((pr, pc)) = prev {
-            row_major &= (pr, pc) < (r, c);
-            drained &= (pc, pr) < (c, r);
-        }
-        prev = Some((r, c));
-        keys.push(((c as u64) << 40) | ((r as u64) << 32) | k as u64);
-    }
-    let use_scatter = !drained && row_major && len >= s;
-    if !drained && !use_scatter {
-        // Small or out-of-order blockarrays: a plain sort, O(z log z)
-        // instead of the scatter's O(s).
-        keys.sort_unstable();
-        if let Some(w) = keys.windows(2).find(|w| (w[0] >> 32) == (w[1] >> 32)) {
-            return Err(HostError::Corrupt(format!(
-                "duplicate position ({},{}) in blockarray at word {addr}",
-                (w[0] >> 32) & 0xff,
-                w[0] >> 40
-            )));
-        }
-    }
-
-    // The write pass reads the entries (and, above the leaves, the
-    // lengths vector, whose pre-transposition order pairs it with the
-    // entries) from copies, so slots can be written in any order.
-    let TransposeScratch {
-        keys,
-        counts,
-        entries,
-        lens,
-        sums,
-        ..
-    } = scratch;
-    entries.clear();
-    entries.extend_from_slice(&words[base..base + WPE * len]);
-    let lens_base = base + WPE * len;
-    if level > 0 {
-        lens.clear();
-        lens.extend_from_slice(&words[lens_base..lens_base + len]);
-    }
-    // Writes source entry `key` to output slot `j`, summing what it wrote.
-    let mut put = |j: usize, key: u64| {
-        let k = (key & 0xffff_ffff) as usize;
-        let payload = entries[WPE * k];
-        let pos = pack_pos((key >> 40) as u8, (key >> 32) as u8);
-        words[base + WPE * j] = payload;
-        words[base + WPE * j + 1] = pos;
-        sums.positions ^= fnv_word(pos);
-        if level > 0 {
-            sums.pointers ^= fnv_word(payload);
-            words[lens_base + j] = lens[k];
-            sums.lengths ^= fnv_word(lens[k]);
+        let footprint = if level > 0 {
+            (WPE + 1) * len
         } else {
-            sums.values ^= fnv_word(payload);
-        }
-    };
-    if use_scatter {
-        // The STM's own method (paper §III): a stable counting scatter
-        // into the s column buckets. Row-major input reaches each bucket
-        // in increasing row order, so every entry lands at its drain slot;
-        // a strictly increasing input also rules out collisions.
-        counts.fill(0);
-        for &key in keys.iter() {
-            counts[(key >> 40) as usize + 1] += 1;
-        }
-        for c in 1..counts.len() {
-            counts[c] += counts[c - 1];
-        }
-        for &key in keys.iter() {
-            let slot = &mut counts[(key >> 40) as usize];
-            put(*slot, key);
-            *slot += 1;
-        }
-    } else {
-        for (j, &key) in keys.iter().enumerate() {
-            put(j, key);
-        }
-    }
+            WPE * len
+        };
+        check_block(words.len(), addr, len, footprint, &mut self.budget)?;
+        let base = addr as usize;
+        let lens_at = WPE * len;
+        let before = self.claim(words, base, footprint);
+        let Transposer {
+            input, plane, sums, ..
+        } = self;
+        let src = before.as_deref().unwrap_or(&input[base..base + footprint]);
 
-    if level > 0 {
-        // Recurse through the *rewritten* pointer/length pairs.
+        // Out-of-block positions and collisions are exactly what the
+        // coprocessor's v_stcr rejects.
+        if let Err(pos) = plane.fill(&src[..lens_at]) {
+            return Err(position_fault(pos, plane.s, addr));
+        }
+        // Output slot `j` takes the `j`-th drained entry, transposed. The
+        // sums gather in locals, which stay in registers.
+        let out = &mut words[base..base + footprint];
+        let mut j = 0;
+        let (mut payloads, mut positions, mut lengths) = (0, 0, 0);
+        plane.drain(|r, c, k| {
+            let k = k as usize;
+            let payload = src[WPE * k];
+            let pos = pack_pos(c as u8, r as u8);
+            out[WPE * j] = payload;
+            out[WPE * j + 1] = pos;
+            payloads ^= fnv1a_u32(payload);
+            positions ^= fnv1a_u32(pos);
+            if level > 0 {
+                let clen = src[lens_at + k];
+                out[lens_at + j] = clen;
+                lengths ^= fnv1a_u32(clen);
+            }
+            j += 1;
+        });
+        sums.positions ^= positions;
+        sums.lengths ^= lengths;
+        if level > 0 {
+            sums.pointers ^= payloads;
+        } else {
+            sums.values ^= payloads;
+        }
+
+        if level == 0 {
+            self.nnz += len;
+            return Ok(());
+        }
         for k in 0..len {
             let ptr = words[base + WPE * k];
-            let clen = words[lens_base + k] as usize;
-            transpose_block(words, ptr, clen, level - 1, s, scratch, budget)?;
+            let clen = words[base + lens_at + k] as usize;
+            self.block(words, ptr, clen, level - 1)?;
         }
+        Ok(())
     }
-    Ok(())
+}
+
+/// The `(word, mask)` pairs of the claimed bitset covering image words
+/// `start..start + len`.
+fn claim_masks(start: usize, len: usize) -> impl Iterator<Item = (usize, u64)> {
+    let end = start + len;
+    let words = if len == 0 {
+        0..0
+    } else {
+        start / 64..end.div_ceil(64)
+    };
+    words.map(move |w| {
+        let lo = start.max(64 * w) - 64 * w;
+        let hi = end.min(64 * w + 64) - 64 * w;
+        (w, (!0u64 >> (64 - (hi - lo))) << lo)
+    })
+}
+
+/// The error for a position `v_stcr` rejects: outside the s×s block, or
+/// already taken in the blockarray at `addr`.
+#[cold]
+fn position_fault(pos: u32, s: usize, addr: u32) -> HostError {
+    let (r, c) = unpack_pos(pos);
+    let fault = if (r as usize) < s && (c as usize) < s {
+        "duplicated"
+    } else {
+        "outside the block"
+    };
+    HostError::Corrupt(format!(
+        "v_stcr position ({r},{c}) {fault} in the {s}x{s} blockarray at word {addr}"
+    ))
 }
 
 /// CI self-test divergence: flip the sign bit of the first leaf payload.
@@ -379,12 +441,14 @@ fn diverge(words: &mut [u32], root: &RootDesc) {
 /// hierarchy-walk order (the simulated scatter-accumulate resolves row
 /// collisions left to right), and `y` has the simulator's padded length
 /// `rows.max(1)`. Only the per-strip gather-multiply dispatches to SIMD.
+/// Returns `y` and the matrix nnz (the leaf count of the validating
+/// walk).
 pub fn spmv_hism(
     image: &HismImage,
     x: &[Value],
     section_size: usize,
     isa: HostIsa,
-) -> Result<Vec<Value>, HostError> {
+) -> Result<(Vec<Value>, usize), HostError> {
     if x.len() != image.root.cols as usize {
         return Err(HostError::Config(format!(
             "x length {} != matrix columns {}",
@@ -398,7 +462,7 @@ pub fn spmv_hism(
             "configured section size {section_size} != image section size {s}"
         )));
     }
-    image_nnz(image)?;
+    let (addr, len, level) = root_walk(image)?;
     let padded = (image.root.rows as usize).max(1);
     let mut y = vec![0.0f32; padded];
     let mut budget = image.words.len() / 2 + 1;
@@ -408,11 +472,11 @@ pub fn spmv_hism(
         rows: vec![0; s],
         prod: vec![0.0; s],
     };
-    walk(
+    let nnz = walk(
         &image.words,
-        image.root.addr,
-        image.root.len as usize,
-        image.root.levels - 1,
+        addr,
+        len,
+        level,
         (0, 0),
         x,
         &mut y,
@@ -426,7 +490,7 @@ pub fn spmv_hism(
             *v = f32::from_bits(v.to_bits() ^ 0x8000_0000);
         }
     }
-    Ok(y)
+    Ok((y, nnz))
 }
 
 /// Per-strip staging buffers (one `s`-sized set per run, reused).
@@ -450,9 +514,9 @@ fn walk(
     isa: HostIsa,
     scratch: &mut Scratch,
     budget: &mut usize,
-) -> Result<(), HostError> {
+) -> Result<usize, HostError> {
     if len == 0 {
-        return Ok(());
+        return Ok(0);
     }
     let footprint = if level > 0 {
         (WPE + 1) * len
@@ -501,16 +565,17 @@ fn walk(
             }
             off += vl;
         }
-        return Ok(());
+        return Ok(len);
     }
     let step = s.pow(level);
+    let mut nnz = 0;
     for k in 0..len {
         let ptr = words[base + WPE * k];
         let pos = words[base + WPE * k + 1];
         let clen = words[base + WPE * len + k] as usize;
         let (br, bc) = unpack_pos(pos);
         let child_origin = (origin.0 + br as usize * step, origin.1 + bc as usize * step);
-        walk(
+        nnz += walk(
             words,
             ptr,
             clen,
@@ -524,7 +589,7 @@ fn walk(
             budget,
         )?;
     }
-    Ok(())
+    Ok(nnz)
 }
 
 #[cfg(test)]
@@ -547,44 +612,197 @@ mod tests {
             (Coo::new(8, 8), 8),
         ] {
             let img = image_of(&coo, s);
-            let out = transpose_hism(&img, s).unwrap();
+            let (out, _) = transpose_hism(&img, s).unwrap();
             let expected = HismImage::encode(&href::transpose(&build::from_coo(&coo, s).unwrap()));
             assert_eq!(out.words, expected.words);
             assert_eq!(out.root, expected.root);
         }
     }
 
-    #[test]
-    fn out_of_order_blockarrays_still_drain_column_major() {
-        // A dense leaf (z ≥ s) with two entries swapped is no longer
-        // row-major, so it skips the counting scatter; the drain order,
-        // and so the output, must not depend on the input order.
-        let coo = gen::blocks::block_dense(8, 8, 1, 0.9, 4);
-        let mut img = image_of(&coo, 8);
-        assert!(img.root.levels == 1 && img.root.len >= 8);
-        let a = img.root.addr as usize;
-        img.words.swap(a, a + WPE);
-        img.words.swap(a + 1, a + WPE + 1);
-        let out = transpose_hism(&img, 8).unwrap();
-        let expected = HismImage::encode(&href::transpose(&build::from_coo(&coo, 8).unwrap()));
-        assert_eq!(out.words, expected.words);
-        assert_eq!(out.integrity, expected.integrity);
+    /// The software reference's image of Aᵀ.
+    fn reference(coo: &Coo, s: usize) -> HismImage {
+        HismImage::encode(&href::transpose(&build::from_coo(coo, s).unwrap()))
+    }
+
+    /// A `rows x cols` matrix holding a full s×s block at `(r0, c0)`
+    /// plus a few scattered entries, with distinct values.
+    fn full_block(rows: usize, cols: usize, s: usize, (r0, c0): (usize, usize)) -> Coo {
+        let mut coo = Coo::new(rows, cols);
+        for r in 0..s {
+            for c in 0..s {
+                coo.push(r0 + r, c0 + c, (r * s + c + 1) as f32);
+            }
+        }
+        for k in 0..rows.min(cols) / 3 {
+            let (r, c) = (3 * k, cols - 1 - 3 * k);
+            if !(r0..r0 + s).contains(&r) || !(c0..c0 + s).contains(&c) {
+                coo.push(r, c, -(k as f32) - 0.5);
+            }
+        }
+        coo.canonicalize();
+        coo
     }
 
     #[test]
-    fn overlapping_blockarrays_are_sealed_by_walking_the_output() {
+    fn bit_plane_matches_the_reference_across_section_sizes() {
+        // Non-multiples of 64 (2, 5, 65), multi-word columns (65, 128,
+        // 256), and 256, where u8 coordinates cover the whole block.
+        for s in [2usize, 5, 65, 128, 256] {
+            let n = 3 * s + 7;
+            let cases = [
+                gen::random::uniform(n, n - 3, 4 * n, s as u64),
+                gen::random::power_law(n, n, 6.0, 1.1, s as u64 + 1),
+                gen::structured::diagonal(n),
+                full_block(s, s, s, (0, 0)),
+                full_block(2 * s + 1, 2 * s, s, (s + 1, 0)),
+            ];
+            for coo in cases {
+                let img = image_of(&coo, s);
+                let (out, nnz) = transpose_hism(&img, s).unwrap();
+                let want = reference(&coo, s);
+                assert_eq!(nnz, coo.nnz(), "s={s}");
+                assert_eq!(out.words, want.words, "s={s}");
+                assert_eq!(out.root, want.root, "s={s}");
+                assert_eq!(out.integrity, want.integrity, "s={s}");
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_order_blockarrays_still_drain_column_major() {
+        // Reversing a leaf's entries (a full block, one row-major run,
+        // and a column-major diagonal) must not change the drain order,
+        // and so not the output.
+        for (coo, s) in [
+            (full_block(8, 8, 8, (0, 0)), 8),
+            (full_block(65, 65, 65, (0, 0)), 65),
+            (gen::blocks::block_dense(8, 8, 1, 0.9, 4), 8),
+            (gen::structured::diagonal(48), 64),
+        ] {
+            let mut img = image_of(&coo, s);
+            assert_eq!(img.root.levels, 1);
+            let a = img.root.addr as usize;
+            let n = img.root.len as usize;
+            let mut pairs: Vec<[u32; 2]> = img.words[a..a + WPE * n]
+                .chunks_exact(WPE)
+                .map(|e| [e[0], e[1]])
+                .collect();
+            pairs.reverse();
+            img.words[a..a + WPE * n].copy_from_slice(pairs.concat().as_slice());
+            let (out, _) = transpose_hism(&img, s).unwrap();
+            let want = reference(&coo, s);
+            assert_eq!(out.words, want.words, "s={s}");
+            assert_eq!(out.integrity, want.integrity, "s={s}");
+        }
+    }
+
+    #[test]
+    fn duplicate_and_out_of_block_positions_fail_typed() {
+        for s in [5usize, 64, 256] {
+            let coo = gen::random::uniform(s, s, 3 * s, 9);
+            let img = image_of(&coo, s);
+            assert_eq!(img.root.levels, 1);
+            let a = img.root.addr as usize;
+            // The last entry repeats the first one's position.
+            let mut dup = img.clone();
+            let last = a + WPE * (img.root.len as usize - 1);
+            dup.words[last + 1] = dup.words[a + 1];
+            match transpose_hism(&dup, s) {
+                Err(HostError::Corrupt(m)) => assert!(m.contains("duplicated"), "{m}"),
+                other => panic!("s={s}: duplicate position accepted: {other:?}"),
+            }
+            // A position past the block (only expressible below s = 256).
+            if s < 256 {
+                let mut oob = img.clone();
+                oob.words[last + 1] = pack_pos(0, s as u8);
+                match transpose_hism(&oob, s) {
+                    Err(HostError::Corrupt(m)) => assert!(m.contains("outside"), "{m}"),
+                    other => panic!("s={s}: out-of-block position accepted: {other:?}"),
+                }
+            }
+            // A failed blockarray leaves the thread's plane clean for the
+            // next call.
+            let (out, _) = transpose_hism(&img, s).unwrap();
+            assert_eq!(out.words, reference(&coo, s).words, "s={s}");
+        }
+    }
+
+    /// Transposes `img` the plain way: in place on a copy of its words,
+    /// each blockarray re-read from those words when it is reached and
+    /// stably sorted by swapped position.
+    fn in_place_reference(img: &HismImage) -> Vec<u32> {
+        fn block(words: &mut [u32], addr: usize, len: usize, level: u32) {
+            let lens_at = addr + WPE * len;
+            let mut order: Vec<usize> = (0..len).collect();
+            order.sort_by_key(|&k| {
+                let (r, c) = unpack_pos(words[addr + WPE * k + 1]);
+                (c, r)
+            });
+            let entries = words[addr..lens_at].to_vec();
+            let lens = if level > 0 {
+                words[lens_at..lens_at + len].to_vec()
+            } else {
+                Vec::new()
+            };
+            for (j, &k) in order.iter().enumerate() {
+                let (r, c) = unpack_pos(entries[WPE * k + 1]);
+                words[addr + WPE * j] = entries[WPE * k];
+                words[addr + WPE * j + 1] = pack_pos(c, r);
+                if level > 0 {
+                    words[lens_at + j] = lens[k];
+                }
+            }
+            if level > 0 {
+                for k in 0..len {
+                    let (ptr, clen) = (words[addr + WPE * k], words[lens_at + k]);
+                    block(words, ptr as usize, clen as usize, level - 1);
+                }
+            }
+        }
+        let mut words = img.words.clone();
+        let root = &img.root;
+        block(
+            &mut words,
+            root.addr as usize,
+            root.len as usize,
+            root.levels - 1,
+        );
+        words
+    }
+
+    #[test]
+    fn overlapping_blockarrays_transpose_in_place_and_seal_by_walking() {
         // Point the root's second child at the first one's blockarray:
-        // the transposition visits it twice, so the write pass's sums
-        // would not describe the output; the seal must still match it.
+        // the transposition visits it twice, each time as the first
+        // visit left it, so the write pass's sums would not describe the
+        // output; the seal must still match it.
         let coo = gen::random::uniform(50, 50, 300, 17);
         let mut img = image_of(&coo, 8);
         let (a, n) = (img.root.addr as usize, img.root.len as usize);
         assert!(img.root.levels == 2 && n >= 2);
         img.words[a + WPE] = img.words[a];
         img.words[a + WPE * n + 1] = img.words[a + WPE * n];
-        if let Ok(out) = transpose_hism(&img, 8) {
-            assert_eq!(out.integrity, out.compute_integrity().ok());
-        }
+        let (out, _) = transpose_hism(&img, 8).unwrap();
+        assert_eq!(out.words, in_place_reference(&img));
+        assert_eq!(out.integrity, out.compute_integrity().ok());
+        // A child shifted by one entry into its neighbour overlaps it
+        // partially.
+        let mut img = image_of(&coo, 8);
+        img.words[a + WPE] = img.words[a] + WPE as u32;
+        let (out, _) = transpose_hism(&img, 8).unwrap();
+        assert_eq!(out.words, in_place_reference(&img));
+        assert_eq!(out.integrity, out.compute_integrity().ok());
+    }
+
+    #[test]
+    fn words_outside_every_blockarray_are_kept() {
+        // Words no blockarray claims — a trailing run here — pass through.
+        let coo = gen::random::uniform(50, 50, 300, 17);
+        let mut img = image_of(&coo, 8);
+        img.words.extend([0xdead_beef, 7, 0]);
+        let (out, _) = transpose_hism(&img, 8).unwrap();
+        assert_eq!(out.words, in_place_reference(&img));
+        assert_eq!(&out.words[out.words.len() - 3..], [0xdead_beef, 7, 0]);
     }
 
     #[test]
@@ -596,8 +814,9 @@ mod tests {
         ] {
             let img = image_of(&coo, s);
             let x: Vec<f32> = (0..coo.cols()).map(|i| ((i % 7) as f32) - 3.0).collect();
-            let scalar = spmv_hism(&img, &x, s, HostIsa::Scalar).unwrap();
-            let best = spmv_hism(&img, &x, s, crate::detect_isa()).unwrap();
+            let (scalar, nnz) = spmv_hism(&img, &x, s, HostIsa::Scalar).unwrap();
+            assert_eq!(nnz, coo.nnz());
+            let (best, _) = spmv_hism(&img, &x, s, crate::detect_isa()).unwrap();
             for (a, b) in scalar.iter().zip(&best) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
@@ -653,15 +872,23 @@ mod tests {
     fn double_transposition_restores_the_image() {
         let coo = gen::rmat::rmat(6, 150, gen::rmat::RmatProbs::default(), 3);
         let img = image_of(&coo, 8);
-        let once = transpose_hism(&img, 8).unwrap();
-        let twice = transpose_hism(&once, 8).unwrap();
+        let (once, nnz) = transpose_hism(&img, 8).unwrap();
+        assert_eq!(nnz, coo.nnz());
+        let (twice, _) = transpose_hism(&once, 8).unwrap();
         assert_eq!(twice.words, img.words);
         assert_eq!(twice.root, img.root);
     }
 
     #[test]
-    fn nnz_walk_agrees_with_the_matrix() {
+    fn both_walks_count_the_matrix_nnz() {
         let coo = gen::random::uniform(90, 60, 500, 7);
-        assert_eq!(image_nnz(&image_of(&coo, 8)).unwrap(), coo.nnz());
+        let img = image_of(&coo, 8);
+        assert!(img.root.levels > 1);
+        assert_eq!(transpose_hism(&img, 8).unwrap().1, coo.nnz());
+        let x = vec![1.0; 60];
+        assert_eq!(
+            spmv_hism(&img, &x, 8, HostIsa::Scalar).unwrap().1,
+            coo.nnz()
+        );
     }
 }

@@ -32,6 +32,8 @@ pub mod hism;
 pub mod sell;
 pub mod simd;
 
+use std::sync::OnceLock;
+
 /// Which execution backend a kernel run should use.
 ///
 /// Parsed from `--backend {sim,scalar,simd,auto}` / `STM_BACKEND`.
@@ -157,11 +159,14 @@ impl std::error::Error for HostError {}
 /// `all`), that kernel's scalar host leg deliberately perturbs one output
 /// value. The `simdsmoke` CI job uses this to prove the three-leg digest
 /// gate actually fails on a divergent implementation. Never set outside
-/// CI self-tests.
+/// CI self-tests. The variable is read once per process: every host
+/// kernel asks on every call, and reading the environment takes a lock
+/// and allocates.
 pub fn diverge_requested(kernel: &str) -> bool {
-    match std::env::var("STM_HOST_DIVERGE") {
-        Ok(v) => v == kernel || v == "all" || v == "1",
-        Err(_) => false,
+    static DIVERGE: OnceLock<Option<String>> = OnceLock::new();
+    match DIVERGE.get_or_init(|| std::env::var("STM_HOST_DIVERGE").ok()) {
+        Some(v) => v == kernel || v == "all" || v == "1",
+        None => false,
     }
 }
 

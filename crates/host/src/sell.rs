@@ -5,7 +5,8 @@
 //! ascending order, through the inverse permutation) and scatters with
 //! the Pissanetsky cursor discipline, so its output CSR is byte-identical
 //! to `Csr::transpose_pissanetsky` of the reconstructed matrix — which is
-//! exactly what the host leg computes. The simulated SpMV accumulates
+//! exactly what the host leg computes, in one histogram and one scatter
+//! over the SELL cells. The simulated SpMV accumulates
 //! per-lane partial sums depth by depth over the active-lane prefix of
 //! each chunk; per lane that is ascending-column sequential accumulation
 //! from `+0.0`, the same floating-point order as `Csr::spmv`, and lanes
@@ -93,29 +94,26 @@ pub fn check_sell(v: &SellView<'_>) -> Result<(), HostError> {
     Ok(())
 }
 
-/// The storage cell of sorted position `p`, depth `j`.
-fn cell(v: &SellView<'_>, p: usize, j: usize) -> usize {
-    v.chunk_ptr[p / v.c] + j * v.c + p % v.c
+/// The storage cell of sorted position `p` at depth 0; depth `j` is
+/// `j * C` cells further.
+fn first_cell(v: &SellView<'_>, p: usize) -> usize {
+    v.chunk_ptr[p / v.c] + p % v.c
 }
 
-/// Host SELL transposition: reconstruct the original matrix row-major
-/// through the inverse permutation, then transpose it with the
-/// Pissanetsky cursor discipline. Scalar on every ISA — see
+/// Host SELL transposition: Pissanetsky's algorithm straight from the
+/// SELL cells — a column histogram over the active cells, then the
+/// cursor scatter visiting original rows in ascending order through the
+/// inverse permutation. Byte-identical to `Csr::transpose_pissanetsky`
+/// of the original matrix. Scalar on every ISA — see
 /// [`crate::csr::transpose_csr`].
 pub fn transpose_sell(v: &SellView<'_>) -> Result<Csr, HostError> {
     check_sell(v)?;
-    let mut inv = vec![0usize; v.rows];
-    for (p, &r) in v.perm.iter().enumerate() {
-        inv[r] = p;
-    }
-    let nnz: usize = v.row_len.iter().sum();
-    let mut row_ptr = Vec::with_capacity(v.rows + 1);
-    row_ptr.push(0usize);
-    let mut col_idx = Vec::with_capacity(nnz);
-    let mut values = Vec::with_capacity(nnz);
-    for &p in inv.iter().take(v.rows) {
-        for j in 0..v.row_len[p] {
-            let cell = cell(v, p, j);
+    // Column histogram, checking every active cell's column on the way
+    // (padding cells carry the sentinel `cols`).
+    let mut row_ptr = vec![0usize; v.cols + 1];
+    for (p, &len) in v.row_len.iter().enumerate() {
+        let first = first_cell(v, p);
+        for cell in (first..).step_by(v.c).take(len) {
             let c = v.col_idx[cell];
             if c >= v.cols {
                 return Err(HostError::Corrupt(format!(
@@ -123,13 +121,31 @@ pub fn transpose_sell(v: &SellView<'_>) -> Result<Csr, HostError> {
                     v.cols
                 )));
             }
-            col_idx.push(c);
-            values.push(v.values[cell]);
+            row_ptr[c + 1] += 1;
         }
-        row_ptr.push(col_idx.len());
     }
-    let a = Csr::from_parts_unchecked(v.rows, v.cols, row_ptr, col_idx, values);
-    let mut out = a.transpose_pissanetsky();
+    for c in 0..v.cols {
+        row_ptr[c + 1] += row_ptr[c];
+    }
+    let nnz = row_ptr[v.cols];
+    let mut inv = vec![0usize; v.rows];
+    for (p, &r) in v.perm.iter().enumerate() {
+        inv[r] = p;
+    }
+    // `next[c]` is the next free slot of transposed row `c`.
+    let mut next = row_ptr[..v.cols].to_vec();
+    let mut col_idx = vec![0usize; nnz];
+    let mut values = vec![0.0; nnz];
+    for (r, &p) in inv.iter().enumerate() {
+        let first = first_cell(v, p);
+        for cell in (first..).step_by(v.c).take(v.row_len[p]) {
+            let slot = &mut next[v.col_idx[cell]];
+            col_idx[*slot] = r;
+            values[*slot] = v.values[cell];
+            *slot += 1;
+        }
+    }
+    let mut out = Csr::from_parts_unchecked(v.cols, v.rows, row_ptr, col_idx, values);
     if crate::diverge_requested("transpose_sell") {
         let (rows, cols, rp, ja, mut an) = out.into_parts();
         if let Some(val) = an.first_mut() {
@@ -298,6 +314,7 @@ mod tests {
             };
             // Only corrupt if that cell is actually active; uniform(40,40,220)
             // has nnz > 0, so cell 0 of chunk 0 is active.
+            assert!(matches!(transpose_sell(&bad), Err(HostError::Corrupt(_))));
             assert!(matches!(
                 spmv_sell(&bad, &x, 64, HostIsa::Scalar),
                 Err(HostError::Corrupt(_))

@@ -32,20 +32,7 @@
 use std::path::Path;
 
 use crate::json::Json;
-
-/// FNV-1a offset basis (the hash of zero bytes).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes` — the checksum behind every record seal.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+use stm_sparse::hash::fnv1a;
 
 /// Seals one JSON-object line: appends `"crc":"0x<16 hex>"` (FNV-1a over
 /// the *unsealed* bytes) as the final field, before the closing brace.

@@ -1,6 +1,7 @@
 //! # stm-obs — cycle-level observability for the HiSM/STM simulator
 //!
-//! A first-party, zero-dependency tracing and metrics layer:
+//! A first-party tracing and metrics layer, with no dependency outside
+//! the workspace (record seals use `stm-sparse`'s FNV-1a hasher):
 //!
 //! * [`event`] — the event model: [`Lane`]s (logical timelines),
 //!   [`Category`]s, and cycle-stamped [`TraceEvent`]s;

@@ -39,6 +39,7 @@ use crate::server::StatsSnapshot;
 use std::time::{Duration, Instant};
 use stm_hism::FaultClass;
 use stm_obs::Histogram;
+use stm_sparse::hash::Fnv1a;
 use stm_sparse::rng::StdRng;
 use stm_sparse::{gen, Coo};
 
@@ -343,14 +344,12 @@ fn run_client(
 
 /// FNV-1a over the newline-terminated lines.
 fn fnv_lines(lines: &[(u64, String)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for (_, line) in lines {
-        for b in line.bytes().chain(std::iter::once(b'\n')) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.bytes(line.as_bytes());
+        h.byte(b'\n');
     }
-    h
+    h.finish()
 }
 
 /// Runs the full load campaign: submits the workload matrices, fans out

@@ -24,6 +24,7 @@
 //!   [`SparseFormat::digest`] reduces to, making digests comparable
 //!   *across* formats.
 
+use crate::hash::Fnv1a;
 use crate::{Coo, FormatError, Shape, Value};
 
 /// The common contract of every sparse (and dense) matrix format.
@@ -76,33 +77,21 @@ pub trait SparseFormat: Sized {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// FNV-1a digest of a matrix's canonical COO form: shape, then every
 /// `(row, col, value-bits)` triplet in canonical order. Value *bits*
 /// (not value equality), so `-0.0` and `+0.0` digest differently —
 /// the same strictness the kernel-output digests use.
 pub fn canonical_digest(coo: &Coo) -> u64 {
     let c = coo.canonical();
-    let mut h = FNV_OFFSET;
-    h = fnv1a(h, &(c.rows() as u64).to_le_bytes());
-    h = fnv1a(h, &(c.cols() as u64).to_le_bytes());
+    let mut h = Fnv1a::new();
+    h.u64(c.rows() as u64);
+    h.u64(c.cols() as u64);
     for &(r, col, v) in c.iter() {
-        h = fnv1a(h, &(r as u64).to_le_bytes());
-        h = fnv1a(h, &(col as u64).to_le_bytes());
-        h = fnv1a(h, &v.to_bits().to_le_bytes());
+        h.u64(r as u64);
+        h.u64(col as u64);
+        h.u32(v.to_bits());
     }
-    h
+    h.finish()
 }
 
 /// The shared compressed-format construction kernel: count outer

@@ -17,6 +17,8 @@
 //! * [`mod@format`] — the [`SparseFormat`] trait every format implements,
 //!   plus the shared construction helpers (compressed-pointer build,
 //!   windowed length sort, canonical digest).
+//! * [`hash`] — the streaming FNV-1a hasher behind every digest, seal and
+//!   checksum in the workspace.
 //! * [`mm`] — Matrix Market coordinate-format I/O (the paper's matrices come
 //!   from the Matrix Market collection; real files can be dropped in).
 //! * [`gen`] — seeded synthetic matrix generators used to rebuild the D-SAB
@@ -40,6 +42,7 @@ pub mod dense;
 pub mod error;
 pub mod format;
 pub mod gen;
+pub mod hash;
 pub mod jd;
 pub mod metrics;
 pub mod mm;
