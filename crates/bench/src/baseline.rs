@@ -57,8 +57,8 @@ pub struct Baseline {
     pub suite: String,
     /// Timing model name (`paper` / `ideal`).
     pub timing: String,
-    /// Execution backend the run used (`sim` / `scalar` / `simd` /
-    /// `auto`). Files written before the field existed parse as `sim` —
+    /// Execution backend the run used (`sim` / `scalar`; older files may
+    /// name a retired host backend). Files written before the field existed parse as `sim` —
     /// every pre-backend baseline was a simulator run.
     pub backend: String,
     /// Per-matrix rows in suite order.

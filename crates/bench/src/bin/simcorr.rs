@@ -1,28 +1,30 @@
 //! `simcorr` — the sim-vs-silicon correlation harness.
 //!
 //! Runs every host-capable kernel over the deduplicated quick catalogue
-//! on three legs — the cycle-accurate simulator, the forced-scalar host
-//! backend, and the auto-dispatched SIMD host backend — asserts the
-//! mandatory three-leg digest equality, and writes one CSV row per
+//! on the cycle-accurate simulator and the scalar host backend, asserts
+//! that both canonical output digests equal the `stm-sparse` reference
+//! digest (`resilient::reference`), and writes one CSV row per
 //! (matrix, kernel) correlating simulated cycles against measured host
 //! wall-clock. Row order is deterministic (matrices in catalogue order,
 //! kernels in registry order); the wall-clock columns are measurements
 //! and vary run to run, the cycle and digest columns do not.
 //!
-//! Exit status: `1` on any kernel failure, digest divergence between
-//! legs, or a scalar-host leg that fails to beat the simulator's
+//! Exit status: `1` on any kernel failure, digest divergence among the
+//! three legs, or a scalar-host leg that fails to beat the simulator's
 //! wall-clock by at least 5x on the largest catalogue matrix (the
 //! native tier exists to be fast; losing that property is a
 //! regression). `0` otherwise.
 
 use std::time::Instant;
 use stm_bench::output::{format_table, write_csv};
+use stm_bench::resilient::reference;
 use stm_bench::RunConfig;
 use stm_core::kernels::registry::{self, Backend};
 use stm_dsab::{experiment_sets, quick_catalogue, SuiteEntry};
 
-/// One leg's measurement: the output digest, the simulated cycles the
-/// report charged, and the best-of-`reps` wall-clock for the run stage.
+/// One leg's measurement: the canonical output digest, the simulated
+/// cycles the report charged, and the best-of-`reps` wall-clock for the
+/// run stage.
 struct Leg {
     digest: u64,
     cycles: u64,
@@ -50,7 +52,10 @@ fn run_leg(entry: &SuiteEntry, kernel: &str, backend: Backend, reps: usize) -> R
         let measured = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let wall_ns = report.report.wall_ns.unwrap_or(measured);
         let leg = Leg {
-            digest: report.output_digest,
+            digest: report
+                .output
+                .canonical_digest()
+                .ok_or_else(|| format!("{kernel} ({}): output does not decode", backend.name()))?,
             cycles: report.report.cycles,
             wall_ns,
         };
@@ -79,14 +84,13 @@ fn reps_from_env() -> usize {
         .unwrap_or(3)
 }
 
-const HEADERS: [&str; 10] = [
+const HEADERS: [&str; 9] = [
     "matrix",
     "nnz",
     "kernel",
     "sim_cycles",
     "sim_wall_ns",
     "scalar_wall_ns",
-    "simd_wall_ns",
     "sim/scalar_wall",
     "ns_per_cycle",
     "digests",
@@ -106,13 +110,12 @@ fn main() {
     // The three per-axis sets overlap; dedup by name, catalogue order.
     let mut seen = std::collections::HashSet::new();
     let entries: Vec<&SuiteEntry> = sets.all().filter(|e| seen.insert(e.name.clone())).collect();
-    let simd_isa = Backend::Simd.resolve().expect("simd resolves to an ISA");
     println!(
-        "simcorr: {} matrices x {} kernels, {reps} host reps, simd leg runs {}",
+        "simcorr: {} matrices x {} kernels, {reps} host reps",
         entries.len(),
-        registry::HOST_CAPABLE.len(),
-        simd_isa.name()
+        registry::HOST_CAPABLE.len()
     );
+    let ctx = RunConfig::default().ctx();
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut failures = 0usize;
@@ -125,14 +128,13 @@ fn main() {
     let mut gate_violations = Vec::new();
     for entry in &entries {
         for &kernel in &registry::HOST_CAPABLE {
-            let legs: Result<(Leg, Leg, Leg), String> = (|| {
+            let legs: Result<(Leg, Leg), String> = (|| {
                 Ok((
                     run_leg(entry, kernel, Backend::Sim, 1)?,
                     run_leg(entry, kernel, Backend::Scalar, reps)?,
-                    run_leg(entry, kernel, Backend::Simd, reps)?,
                 ))
             })();
-            let (sim, scalar, simd) = match legs {
+            let (sim, scalar) = match legs {
                 Ok(l) => l,
                 Err(e) => {
                     eprintln!("FAIL {}/{kernel}: {e}", entry.name);
@@ -140,15 +142,15 @@ fn main() {
                     continue;
                 }
             };
-            let equal = sim.digest == scalar.digest && sim.digest == simd.digest;
+            let expected = reference::digest(kernel, &entry.coo, &ctx);
+            let equal = sim.digest == scalar.digest && Some(sim.digest) == expected;
             if !equal {
                 eprintln!(
-                    "DIVERGENCE {}/{kernel}: sim {:016x} scalar {:016x} {} {:016x}",
+                    "DIVERGENCE {}/{kernel}: sim {:016x} scalar {:016x} reference {:016x}",
                     entry.name,
                     sim.digest,
                     scalar.digest,
-                    simd_isa.name(),
-                    simd.digest
+                    expected.unwrap_or(0)
                 );
                 failures += 1;
             }
@@ -166,7 +168,6 @@ fn main() {
                 sim.cycles.to_string(),
                 sim.wall_ns.to_string(),
                 scalar.wall_ns.to_string(),
-                simd.wall_ns.to_string(),
                 format!("{ratio:.2}"),
                 format!("{:.4}", scalar.wall_ns as f64 / sim.cycles.max(1) as f64),
                 if equal {

@@ -16,7 +16,7 @@
 //!   verification: `checksum` re-verifies the HiSM section checksums,
 //!   `dual` re-executes on one alternate backend (escalating to a
 //!   third on disagreement), `vote` runs 2-of-3 across
-//!   sim/scalar/simd and recovers the majority answer;
+//!   sim/scalar/reference and recovers the majority answer;
 //! * `--sdc-rate PCT` / `--sdc-seed N` — silent-data-corruption
 //!   injection: flips one seeded bit in simulated memory mid-run
 //!   (implies oracle `verify=false` so the flip stays *silent*);

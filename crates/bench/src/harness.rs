@@ -74,7 +74,7 @@ pub struct RunConfig {
     pub trace: Option<std::path::PathBuf>,
     /// Execution backend (`--backend` / `STM_BACKEND` in the binaries):
     /// the cycle-accurate simulator by default, or the `stm-host`
-    /// native tier (`scalar` / `simd` / `auto`) for host-capable
+    /// native tier (`scalar`) for host-capable
     /// kernels. Kernels without a host implementation always simulate.
     pub backend: Backend,
 }

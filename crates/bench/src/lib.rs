@@ -141,11 +141,9 @@ pub fn format_from_env() -> Option<stm_dsab::FormatSel> {
 
 /// Parses the execution backend from the CLI args / environment:
 /// `--backend B`, `--backend=B` or `STM_BACKEND=B` with
-/// `B ∈ {sim,scalar,simd,auto}`. `sim` (the default) runs every kernel
-/// on the cycle-accurate simulator; the other values send host-capable
-/// kernels through the `stm-host` native tier (`scalar` forces the
-/// portable implementation, `simd`/`auto` pick the best ISA the CPU
-/// reports, falling back to scalar). An unrecognized value aborts with
+/// `B ∈ {sim,scalar}`. `sim` (the default) runs every kernel on the
+/// cycle-accurate simulator; `scalar` sends host-capable kernels through
+/// the `stm-host` native tier. An unrecognized value aborts with
 /// exit code 2 — a silently dropped backend flag would mislabel a whole
 /// campaign's numbers.
 pub fn backend_from_env() -> stm_core::kernels::registry::Backend {
@@ -168,7 +166,7 @@ pub fn backend_from_env() -> stm_core::kernels::registry::Backend {
     match Backend::parse(&raw) {
         Some(b) => b,
         None => {
-            eprintln!("bad --backend value {raw:?} (want sim|scalar|simd|auto)");
+            eprintln!("bad --backend value {raw:?} (want sim|scalar)");
             std::process::exit(2);
         }
     }
@@ -191,7 +189,7 @@ pub const COMMON_FLAGS: &[(&str, &str)] = &[
     ),
     (
         "--backend B",
-        "execution backend, B in {sim,scalar,simd,auto} (or STM_BACKEND=B)",
+        "execution backend, B in {sim,scalar} (or STM_BACKEND=B)",
     ),
     (
         "--strict",

@@ -100,7 +100,7 @@ impl EntryStatus {
 pub struct VerifyRecord {
     /// The [`super::VerifyMode`] name the slot ran under.
     pub mode: String,
-    /// Verification re-executions performed.
+    /// Verification legs checked.
     pub legs: u64,
     /// Whether the primary's output was convicted.
     pub corrupted: bool,

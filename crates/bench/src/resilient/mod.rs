@@ -35,6 +35,7 @@
 pub mod backoff;
 pub mod breaker;
 pub mod checkpoint;
+pub mod reference;
 
 pub use backoff::RetryPolicy;
 pub use breaker::{Breaker, BreakerConfig, BreakerState, Decision, Outcome, Transition};
@@ -106,12 +107,12 @@ pub enum VerifyMode {
     /// tier — [`VerifyMode::Dual`]/[`VerifyMode::Vote`] exist because of
     /// it.
     Checksum,
-    /// Re-execute on one alternate backend and compare format-independent
-    /// canonical digests; on disagreement escalate to the third backend
-    /// and let the 2-of-3 majority decide.
+    /// Check against one alternate leg by format-independent canonical
+    /// digests; on disagreement escalate to the third leg and let the
+    /// 2-of-3 majority decide.
     Dual,
-    /// Re-execute on both alternate backends up front: 2-of-3 majority
-    /// voting across the simulator / scalar-host / SIMD-host legs.
+    /// Check against both alternate legs up front: 2-of-3 majority
+    /// voting across the simulator / scalar-host / reference legs.
     Vote,
 }
 
@@ -359,23 +360,27 @@ impl SoakReport {
     }
 }
 
-/// The three execution legs digests can be compared across. A primary
-/// that ran on [`registry::Backend::Auto`] is attributed to the SIMD
-/// leg (that is what `Auto` resolves to on every supported host).
-const VERIFY_LEGS: [(&str, registry::Backend); 3] = [
-    ("sim", registry::Backend::Sim),
-    ("scalar", registry::Backend::Scalar),
-    ("simd", registry::Backend::Simd),
+/// The three legs digests are compared across, in Dual's escalation
+/// order: the two executed backends, then the [`reference`] digest
+/// (`None`), which is computed from the input COO and shares no kernel
+/// code with either.
+const VERIFY_LEGS: [(&str, Option<registry::Backend>); 3] = [
+    ("sim", Some(registry::Backend::Sim)),
+    ("scalar", Some(registry::Backend::Scalar)),
+    ("reference", None),
 ];
 
 /// The leg name the configured backend executes as.
 fn backend_leg(b: registry::Backend) -> &'static str {
     match b {
         registry::Backend::Sim => "sim",
-        registry::Backend::Scalar => "scalar",
-        registry::Backend::Simd | registry::Backend::Auto => "simd",
+        registry::Backend::Scalar | registry::Backend::Simd => "scalar",
     }
 }
+
+/// One verification leg's result: the executed leg's report (`None` for
+/// the reference, which yields only a digest) and the canonical digest.
+type LegResult = Option<(Option<KernelReport>, u64)>;
 
 /// Integrity verification of one successful primary attempt.
 ///
@@ -384,15 +389,17 @@ fn backend_leg(b: registry::Backend) -> &'static str {
 ///   at-rest checksums, so their slots record no verification). Cheap,
 ///   but blind to mid-run SDC by design: the seal is computed *after*
 ///   the run, so a flip that lands before sealing is checksummed over.
-/// * [`VerifyMode::Dual`] / [`VerifyMode::Vote`] re-execute the kernel
-///   on alternate backends with **no** fault injection and compare
-///   format-independent canonical digests. Dual runs one alternate and
-///   escalates to the third leg only on disagreement; Vote runs both up
-///   front. Either way the verdict is 2-of-3: a primary confirmed by any
-///   independent leg is clean; a primary outvoted by two agreeing legs
-///   (or one whose output does not even decode) is corrupted, and the
-///   agreeing pair's report is adopted as the recovery. A 1-vs-1 tie —
-///   one leg erred, the other merely disagrees — convicts nobody: no
+/// * [`VerifyMode::Dual`] / [`VerifyMode::Vote`] compare the primary's
+///   format-independent canonical digest against the other two of
+///   [`VERIFY_LEGS`]: the other backend, re-executed with **no** fault
+///   injection, and the reference digest. Dual checks one alternate and
+///   escalates to the third leg only on disagreement (sim → scalar →
+///   reference); Vote checks both up front. Either way the verdict is
+///   2-of-3: a primary confirmed by any independent leg is clean; a
+///   primary outvoted by two agreeing legs (or one whose output does not
+///   even decode) is corrupted, and the report of the executed leg in
+///   the agreeing pair is adopted as the recovery. A 1-vs-1 tie — one
+///   leg erred, the other merely disagrees — convicts nobody: no
 ///   majority, no verdict.
 ///
 /// Returns `None` for [`VerifyMode::Off`], for Checksum on non-HiSM
@@ -432,29 +439,34 @@ fn verify_primary(
                 return None;
             }
             let primary_leg = backend_leg(run.backend);
-            let alternates: Vec<(&'static str, registry::Backend)> = VERIFY_LEGS
+            let alternates: Vec<(&'static str, Option<registry::Backend>)> = VERIFY_LEGS
                 .iter()
                 .copied()
                 .filter(|(name, _)| *name != primary_leg)
                 .collect();
-            let reference = primary.output.canonical_digest();
-            let run_leg = |(name, backend): (&'static str, registry::Backend)| {
-                let mut alt = run.clone();
-                alt.backend = backend;
-                let result = attempt(&alt, kernel, entry, None, &Recorder::disabled())
-                    .ok()
-                    .and_then(|r| r.output.canonical_digest().map(|d| (r, d)));
+            let primary_digest = primary.output.canonical_digest();
+            let run_leg = |(name, backend): (&'static str, Option<registry::Backend>)| {
+                let result: LegResult = match backend {
+                    Some(backend) => {
+                        let mut alt = run.clone();
+                        alt.backend = backend;
+                        attempt(&alt, kernel, entry, None, &Recorder::disabled())
+                            .ok()
+                            .and_then(|r| r.output.canonical_digest().map(|d| (Some(r), d)))
+                    }
+                    None => reference::digest(kernel, &entry.coo, &run.ctx()).map(|d| (None, d)),
+                };
                 (name, result)
             };
             let mut legs: Vec<&'static str> = Vec::new();
-            let mut results: Vec<(&'static str, Option<(KernelReport, u64)>)> = Vec::new();
+            let mut results: Vec<(&'static str, LegResult)> = Vec::new();
             let upfront = if mode == VerifyMode::Vote { 2 } else { 1 };
             for &alt in alternates.iter().take(upfront) {
                 legs.push(alt.0);
                 results.push(run_leg(alt));
             }
-            let confirmed = |results: &[(&'static str, Option<(KernelReport, u64)>)]| {
-                reference.is_some_and(|rf| {
+            let confirmed = |results: &[(&'static str, LegResult)]| {
+                primary_digest.is_some_and(|rf| {
                     results
                         .iter()
                         .any(|(_, r)| matches!(r, Some((_, d)) if *d == rf))
@@ -477,18 +489,17 @@ fn verify_primary(
                 });
             }
             // No independent leg reproduces the primary's digest. A
-            // conviction needs a majority: two executed legs agreeing
+            // conviction needs a majority: the two other legs agreeing
             // with each other, or a primary output that does not decode
-            // at all (provably broken on its own).
-            let executed: Vec<(&'static str, &KernelReport, u64)> = results
-                .iter()
-                .filter_map(|(n, r)| r.as_ref().map(|(rep, d)| (*n, rep, *d)))
-                .collect();
-            let majority = match executed.as_slice() {
-                [(n1, r1, d1), (_, _, d2)] if d1 == d2 => Some((*n1, (*r1).clone())),
+            // at all (provably broken on its own). The reference leg has
+            // no report, so the executed leg of the pair is served.
+            let majority = match results.as_slice() {
+                [(n1, Some((r1, d1))), (n2, Some((r2, d2)))] if d1 == d2 => [(*n1, r1), (*n2, r2)]
+                    .into_iter()
+                    .find_map(|(n, r)| r.clone().map(|r| (n, r))),
                 _ => None,
             };
-            let corrupted = reference.is_none() || majority.is_some();
+            let corrupted = primary_digest.is_none() || majority.is_some();
             Some(VerifyExec {
                 mode,
                 legs,
@@ -503,7 +514,7 @@ fn verify_primary(
 /// Outcome of the integrity verification of one *successful* primary.
 struct VerifyExec {
     mode: VerifyMode,
-    /// Verification legs actually executed (leg name per re-execution).
+    /// Verification legs actually checked, by name.
     legs: Vec<&'static str>,
     /// The verdict: the primary's output is provably wrong (digest
     /// outvoted, or its own artifact checksums failed).
@@ -1059,7 +1070,7 @@ pub struct SlotOutcome {
     /// output: `report`, if present, came from the majority recovery leg
     /// or the fallback — never from the quarantined primary.
     pub corrupted: bool,
-    /// Verification re-executions performed (0 under [`VerifyMode::Off`],
+    /// Verification legs checked (0 under [`VerifyMode::Off`],
     /// for checksum-only verification, and for non-host-capable kernels).
     pub verify_legs: u64,
     /// The quarantined primary digest when `corrupted` (0 otherwise).

@@ -35,7 +35,7 @@ use stm_sparse::hash::Fnv1a;
 use stm_sparse::{Coo, Csr, Dense, FormatError, Value};
 use stm_vpsim::{MemFault, TimingKind, VpConfig};
 
-pub use stm_host::{Backend, HostIsa};
+pub use stm_host::Backend;
 
 /// The machine a kernel executes on: vector-processor parameters, STM
 /// coprocessor parameters and the timing model charging the cycles.
@@ -62,8 +62,8 @@ pub struct ExecCtx {
     /// available to kernels that spawn their own sub-recorders).
     pub span: SpanCtx,
     /// Execution backend: the cycle-accurate simulator (the default) or
-    /// a host-native leg ([`Backend::Scalar`]/[`Backend::Simd`]/
-    /// [`Backend::Auto`]). Host-capable kernels dispatch on it in
+    /// the host-native scalar leg ([`Backend::Scalar`]; [`Backend::Simd`]
+    /// runs the same code). Host-capable kernels dispatch on it in
     /// [`Kernel::run`]; kernels without a host implementation ignore it
     /// and always simulate.
     pub backend: Backend,

@@ -12,8 +12,8 @@
 //! [`KernelError`] rather than a panic or a silently wrong answer.
 
 pub use crate::exec::{
-    spmv_input, Backend, ExecCtx, HostIsa, Kernel, KernelError, KernelFailure, KernelOutput,
-    KernelReport, Stage,
+    spmv_input, Backend, ExecCtx, Kernel, KernelError, KernelFailure, KernelOutput, KernelReport,
+    Stage,
 };
 
 use crate::kernels::coo_transpose::{transpose_coo_obs, CooArrays};
@@ -69,9 +69,9 @@ pub fn fallback_for(name: &str) -> Option<&'static str> {
 }
 
 /// The kernels with a host-native implementation in `stm-host` — the
-/// kernels that have up to three legs (cycle-model, scalar-host,
-/// SIMD-host) with mandatory digest equality. Kernels not listed here
-/// ignore [`ExecCtx::backend`] and always simulate.
+/// kernels whose simulated and host legs must agree digest for digest.
+/// Kernels not listed here ignore [`ExecCtx::backend`] and always
+/// simulate.
 pub const HOST_CAPABLE: [&str; 6] = [
     "transpose_hism",
     "transpose_crs",
@@ -95,25 +95,14 @@ fn host_err(e: host::HostError) -> KernelError {
     }
 }
 
-/// The `host.dispatch.*` counter naming the ISA a host leg ran on.
-fn dispatch_counter(isa: HostIsa) -> &'static str {
-    match isa {
-        HostIsa::Scalar => "host.dispatch.scalar",
-        HostIsa::Avx2 => "host.dispatch.avx2",
-        HostIsa::Neon => "host.dispatch.neon",
-    }
-}
-
 /// Builds the report for a host-native leg: the same nominal linear cost
 /// model `transpose_ref` charges (two passes over the entries plus one
 /// over each dimension, mapped through the timing model) so simulated
-/// cycles stay deterministic and ISA-independent, plus the measured
-/// wall-clock in `wall_ns`. Emits a `Lane::Host` span and the
-/// `host.dispatch.*` counter when tracing is on.
+/// cycles stay deterministic, plus the measured wall-clock in
+/// `wall_ns`. Emits a `Lane::Host` span when tracing is on.
 fn host_report(
     ctx: &ExecCtx,
     span: &'static str,
-    isa: HostIsa,
     shape: (usize, usize, usize),
     wall: std::time::Duration,
 ) -> TransposeReport {
@@ -140,7 +129,6 @@ fn host_report(
             cycles,
             nnz as u64,
         );
-        ctx.obs.add(dispatch_counter(isa), 1);
     }
     record_phases(&ctx.obs, &report.phases);
     report
@@ -383,19 +371,11 @@ impl Kernel for TransposeHism {
 
     fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
         let image = self.image.as_ref().ok_or(KernelError::NotPrepared)?;
-        if ctx.backend.resolve().is_some() {
-            // The blockarray permutation is index shuffling with no FP
-            // arithmetic, so the host leg always runs scalar.
+        if ctx.backend.is_host() {
             let t0 = Instant::now();
             let (out, nnz) = host::hism::transpose_hism(image, ctx.stm.s).map_err(host_err)?;
             let shape = (image.root.rows as usize, image.root.cols as usize, nnz);
-            let report = host_report(
-                ctx,
-                "host.transpose_hism",
-                HostIsa::Scalar,
-                shape,
-                t0.elapsed(),
-            );
+            let report = host_report(ctx, "host.transpose_hism", shape, t0.elapsed());
             return Ok(wrap(self.name(), report, KernelOutput::Hism(out)));
         }
         let (out, report) = transpose_hism_obs(&ctx.vp, ctx.stm, image, ctx.timing, &ctx.obs)?;
@@ -505,18 +485,11 @@ impl Kernel for TransposeCrs {
 
     fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
         let csr = self.csr.as_ref().ok_or(KernelError::NotPrepared)?;
-        if ctx.backend.resolve().is_some() {
-            // Pissanetsky is pure index counting — always a scalar leg.
+        if ctx.backend.is_host() {
             let t0 = Instant::now();
             let out = host::csr::transpose_csr(csr).map_err(host_err)?;
             let shape = (csr.rows(), csr.cols(), csr.nnz());
-            let report = host_report(
-                ctx,
-                "host.transpose_crs",
-                HostIsa::Scalar,
-                shape,
-                t0.elapsed(),
-            );
+            let report = host_report(ctx, "host.transpose_crs", shape, t0.elapsed());
             return Ok(wrap(self.name(), report, KernelOutput::Csr(out)));
         }
         let (out, report) = transpose_crs_obs(&ctx.vp, csr, ctx.timing, &ctx.obs)?;
@@ -784,12 +757,12 @@ impl Kernel for SpmvHism {
 
     fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
         let image = self.image.as_ref().ok_or(KernelError::NotPrepared)?;
-        if let Some(isa) = ctx.backend.resolve() {
+        if ctx.backend.is_host() {
             let t0 = Instant::now();
-            let (y, nnz) = host::hism::spmv_hism(image, &self.x, ctx.vp.section_size, isa)
-                .map_err(host_err)?;
+            let (y, nnz) =
+                host::hism::spmv_hism(image, &self.x, ctx.vp.section_size).map_err(host_err)?;
             let shape = (image.root.rows as usize, image.root.cols as usize, nnz);
-            let report = host_report(ctx, "host.spmv_hism", isa, shape, t0.elapsed());
+            let report = host_report(ctx, "host.spmv_hism", shape, t0.elapsed());
             return Ok(wrap(self.name(), report, KernelOutput::Vector(y)));
         }
         let (y, report) = spmv_hism_obs(&ctx.vp, image, &self.x, ctx.timing, &ctx.obs)?;
@@ -845,12 +818,11 @@ impl Kernel for SpmvCrs {
 
     fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
         let csr = self.csr.as_ref().ok_or(KernelError::NotPrepared)?;
-        if let Some(isa) = ctx.backend.resolve() {
+        if ctx.backend.is_host() {
             let t0 = Instant::now();
-            let y =
-                host::csr::spmv_csr(csr, &self.x, ctx.vp.section_size, isa).map_err(host_err)?;
+            let y = host::csr::spmv_csr(csr, &self.x, ctx.vp.section_size).map_err(host_err)?;
             let shape = (csr.rows(), csr.cols(), csr.nnz());
-            let report = host_report(ctx, "host.spmv_crs", isa, shape, t0.elapsed());
+            let report = host_report(ctx, "host.spmv_crs", shape, t0.elapsed());
             return Ok(wrap(self.name(), report, KernelOutput::Vector(y)));
         }
         let (y, report) = spmv_crs_obs(&ctx.vp, csr, &self.x, ctx.timing, &ctx.obs)?;
@@ -1244,18 +1216,11 @@ impl Kernel for TransposeSell {
 
     fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
         let sa = self.sa.as_ref().ok_or(KernelError::NotPrepared)?;
-        if ctx.backend.resolve().is_some() {
-            // CSR reconstruction + Pissanetsky: index-only, scalar leg.
+        if ctx.backend.is_host() {
             let t0 = Instant::now();
             let out = host::sell::transpose_sell(&sell_view(sa)).map_err(host_err)?;
             let shape = (sa.rows, sa.cols, sa.row_len.iter().sum());
-            let report = host_report(
-                ctx,
-                "host.transpose_sell",
-                HostIsa::Scalar,
-                shape,
-                t0.elapsed(),
-            );
+            let report = host_report(ctx, "host.transpose_sell", shape, t0.elapsed());
             return Ok(wrap(self.name(), report, KernelOutput::Csr(out)));
         }
         let (out, report) = transpose_sell_obs(&ctx.vp, sa, ctx.timing, &ctx.obs)?;
@@ -1297,12 +1262,12 @@ impl Kernel for SpmvSell {
 
     fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
         let sa = self.sa.as_ref().ok_or(KernelError::NotPrepared)?;
-        if let Some(isa) = ctx.backend.resolve() {
+        if ctx.backend.is_host() {
             let t0 = Instant::now();
-            let y = host::sell::spmv_sell(&sell_view(sa), &self.x, ctx.vp.section_size, isa)
+            let y = host::sell::spmv_sell(&sell_view(sa), &self.x, ctx.vp.section_size)
                 .map_err(host_err)?;
             let shape = (sa.rows, sa.cols, sa.row_len.iter().sum());
-            let report = host_report(ctx, "host.spmv_sell", isa, shape, t0.elapsed());
+            let report = host_report(ctx, "host.spmv_sell", shape, t0.elapsed());
             return Ok(wrap(self.name(), report, KernelOutput::Vector(y)));
         }
         let (y, report) = spmv_sell_obs(&ctx.vp, sa, &self.x, ctx.timing, &ctx.obs)?;
@@ -1361,7 +1326,7 @@ mod tests {
             }
             let base = run_verified(name, &coo, &sim).unwrap();
             assert!(base.report.wall_ns.is_none(), "{name} sim leg has wall_ns");
-            for backend in [Backend::Scalar, Backend::Simd, Backend::Auto] {
+            for backend in [Backend::Scalar, Backend::Simd] {
                 let mut ctx = ExecCtx::paper();
                 ctx.backend = backend;
                 let got = run_verified(name, &coo, &ctx)
@@ -1472,7 +1437,7 @@ mod tests {
                 continue;
             }
             let mut ctx = ExecCtx::paper();
-            ctx.backend = Backend::Auto;
+            ctx.backend = Backend::Scalar;
             let got = run_verified(name, &coo, &ctx).unwrap();
             assert!(
                 got.report.wall_ns.is_none(),

@@ -10,7 +10,7 @@
 //! so the host leg replicates that literal tree instead of the naive
 //! sequential sum — see DESIGN.md §14.
 
-use crate::{HostError, HostIsa};
+use crate::HostError;
 use stm_sparse::{Csr, Value};
 
 /// Structural checks mirroring what the simulator's guarded memory would
@@ -53,9 +53,7 @@ pub fn check_csr(csr: &Csr) -> Result<(), HostError> {
     Ok(())
 }
 
-/// Host Pissanetsky transposition of a (checked) CRS matrix. Every ISA
-/// runs this scalar path: the scatter's cursor evolution is inherently
-/// serial, and the output is already bounded by memory bandwidth.
+/// Host Pissanetsky transposition of a (checked) CRS matrix.
 ///
 /// Byte-identical to the simulated `transpose_crs` (which is itself
 /// tested byte-identical to [`Csr::transpose_pissanetsky`]).
@@ -90,7 +88,7 @@ fn diverge(csr: Csr) -> Csr {
 /// `s` is the vector section size the simulator would strip-mine with —
 /// it shapes the reduction tree, so it is part of the functional
 /// contract, not just a cost parameter.
-pub fn spmv_csr(csr: &Csr, x: &[Value], s: usize, isa: HostIsa) -> Result<Vec<Value>, HostError> {
+pub fn spmv_csr(csr: &Csr, x: &[Value], s: usize) -> Result<Vec<Value>, HostError> {
     if x.len() != csr.cols() {
         return Err(HostError::Config(format!(
             "x length {} != matrix columns {}",
@@ -121,13 +119,9 @@ pub fn spmv_csr(csr: &Csr, x: &[Value], s: usize, isa: HostIsa) -> Result<Vec<Va
         let mut jp = iaa;
         while jp < iab {
             let vl = s.min(iab - jp);
-            crate::simd::gather_products(
-                &mut prod[..vl],
-                &an[jp..jp + vl],
-                &ja[jp..jp + vl],
-                x,
-                isa,
-            );
+            for ((p, &a), &j) in prod.iter_mut().zip(&an[jp..jp + vl]).zip(&ja[jp..jp + vl]) {
+                *p = a * x[j];
+            }
             // The simulator's reduction: shifted = slide_up(prod, k, 0.0);
             // prod = prod + shifted. The 0.0 fills participate in real
             // additions, so they stay.
@@ -135,7 +129,9 @@ pub fn spmv_csr(csr: &Csr, x: &[Value], s: usize, isa: HostIsa) -> Result<Vec<Va
             while k < vl {
                 shifted[..k].fill(0.0);
                 shifted[k..vl].copy_from_slice(&prod[..vl - k]);
-                crate::simd::add_in_place(&mut prod[..vl], &shifted[..vl], isa);
+                for (p, &sh) in prod[..vl].iter_mut().zip(&shifted[..vl]) {
+                    *p += sh;
+                }
                 k *= 2;
             }
             acc += prod[vl - 1];
@@ -143,7 +139,7 @@ pub fn spmv_csr(csr: &Csr, x: &[Value], s: usize, isa: HostIsa) -> Result<Vec<Va
         }
         *yi = acc;
     }
-    if isa == HostIsa::Scalar && crate::diverge_requested("spmv_crs") {
+    if crate::diverge_requested("spmv_crs") {
         if let Some(v) = y.first_mut() {
             *v = Value::from_bits(v.to_bits() ^ 0x8000_0000);
         }
@@ -183,7 +179,7 @@ mod tests {
         let bad = Csr::from_parts_unchecked(rows, cols, rp.clone(), bad_ja, an.clone());
         assert!(matches!(transpose_csr(&bad), Err(HostError::Corrupt(_))));
         assert!(matches!(
-            spmv_csr(&bad, &x_for(cols), 64, HostIsa::Scalar),
+            spmv_csr(&bad, &x_for(cols), 64),
             Err(HostError::Corrupt(_))
         ));
         // Truncated data arrays.
@@ -198,25 +194,9 @@ mod tests {
         bad_rp[1] = bad_rp[2] + 5;
         let bad = Csr::from_parts_unchecked(rows, cols, bad_rp, ja, an);
         assert!(matches!(
-            spmv_csr(&bad, &x_for(cols), 64, HostIsa::Scalar),
+            spmv_csr(&bad, &x_for(cols), 64),
             Err(HostError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn section_tree_differs_from_naive_sum_but_not_across_isas() {
-        // A row long enough to need the tree: the sectioned reduction is
-        // a *different* float value than the naive left fold in general,
-        // which is exactly why the host must replicate the tree.
-        let coo = gen::random::power_law(96, 96, 12.0, 1.1, 5);
-        let csr = Csr::from_coo(&coo);
-        let x = x_for(csr.cols());
-        let scalar = spmv_csr(&csr, &x, 64, HostIsa::Scalar).unwrap();
-        let best = spmv_csr(&csr, &x, 64, crate::detect_isa()).unwrap();
-        assert_eq!(scalar.len(), best.len());
-        for (a, b) in scalar.iter().zip(&best) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]
@@ -229,8 +209,8 @@ mod tests {
         }
         let csr = Csr::from_coo(&coo);
         let x = x_for(100);
-        let y64 = spmv_csr(&csr, &x, 64, HostIsa::Scalar).unwrap();
-        let y8 = spmv_csr(&csr, &x, 8, HostIsa::Scalar).unwrap();
+        let y64 = spmv_csr(&csr, &x, 64).unwrap();
+        let y8 = spmv_csr(&csr, &x, 8).unwrap();
         // Values are close but need not be bit-identical across s.
         assert!((y64[0] - y8[0]).abs() < 1e-2 * y64[0].abs().max(1.0));
     }
@@ -239,7 +219,7 @@ mod tests {
     fn empty_rows_produce_positive_zero() {
         let coo = Coo::from_triplets(3, 3, vec![(1, 1, -0.0)]).unwrap();
         let csr = Csr::from_coo(&coo);
-        let y = spmv_csr(&csr, &[1.0, 1.0, 1.0], 64, HostIsa::Scalar).unwrap();
+        let y = spmv_csr(&csr, &[1.0, 1.0, 1.0], 64).unwrap();
         assert_eq!(y[0].to_bits(), 0.0f32.to_bits());
         assert_eq!(y[2].to_bits(), 0.0f32.to_bits());
         // acc starts at +0.0 and adds the (possibly -0.0) product:

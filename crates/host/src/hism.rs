@@ -14,13 +14,11 @@
 //! at their *swapped* coordinates — row-major order of the transposed
 //! block — with the lengths vector of non-leaf blockarrays permuted
 //! identically; children are then visited through the rewritten pointer
-//! words. The SpMV accumulates leaf
-//! products into `y` strictly in hierarchy-walk order, left to right
-//! within each strip, exactly like the simulator's sequential
-//! scatter-accumulate; only the element-wise gather-multiply is
-//! SIMD-dispatched.
+//! words. The SpMV accumulates leaf products into `y` strictly in
+//! hierarchy-walk order, left to right within each leaf blockarray,
+//! exactly like the simulator's sequential scatter-accumulate.
 
-use crate::{HostError, HostIsa};
+use crate::HostError;
 use std::cell::Cell;
 use stm_hism::image::{
     pack_pos, unpack_pos, HismImage, IntegrityHeader, RootDesc, SectionSums, INTEGRITY_VERSION,
@@ -440,14 +438,12 @@ fn diverge(words: &mut [u32], root: &RootDesc) {
 /// `spmv_hism`: leaf products accumulate into `y` sequentially in
 /// hierarchy-walk order (the simulated scatter-accumulate resolves row
 /// collisions left to right), and `y` has the simulator's padded length
-/// `rows.max(1)`. Only the per-strip gather-multiply dispatches to SIMD.
-/// Returns `y` and the matrix nnz (the leaf count of the validating
-/// walk).
+/// `rows.max(1)`. Returns `y` and the matrix nnz (the leaf count of
+/// the validating walk).
 pub fn spmv_hism(
     image: &HismImage,
     x: &[Value],
     section_size: usize,
-    isa: HostIsa,
 ) -> Result<(Vec<Value>, usize), HostError> {
     if x.len() != image.root.cols as usize {
         return Err(HostError::Config(format!(
@@ -466,12 +462,6 @@ pub fn spmv_hism(
     let padded = (image.root.rows as usize).max(1);
     let mut y = vec![0.0f32; padded];
     let mut budget = image.words.len() / 2 + 1;
-    let mut scratch = Scratch {
-        vals: vec![0.0; s],
-        idx: vec![0; s],
-        rows: vec![0; s],
-        prod: vec![0.0; s],
-    };
     let nnz = walk(
         &image.words,
         addr,
@@ -481,24 +471,14 @@ pub fn spmv_hism(
         x,
         &mut y,
         s,
-        isa,
-        &mut scratch,
         &mut budget,
     )?;
-    if isa == HostIsa::Scalar && crate::diverge_requested("spmv_hism") {
+    if crate::diverge_requested("spmv_hism") {
         if let Some(v) = y.first_mut() {
             *v = f32::from_bits(v.to_bits() ^ 0x8000_0000);
         }
     }
     Ok((y, nnz))
-}
-
-/// Per-strip staging buffers (one `s`-sized set per run, reused).
-struct Scratch {
-    vals: Vec<f32>,
-    idx: Vec<usize>,
-    rows: Vec<usize>,
-    prod: Vec<f32>,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -511,8 +491,6 @@ fn walk(
     x: &[Value],
     y: &mut [Value],
     s: usize,
-    isa: HostIsa,
-    scratch: &mut Scratch,
     budget: &mut usize,
 ) -> Result<usize, HostError> {
     if len == 0 {
@@ -526,44 +504,27 @@ fn walk(
     check_block(words.len(), addr, len, footprint, budget)?;
     let base = addr as usize;
     if level == 0 {
-        let mut off = 0usize;
-        while off < len {
-            let vl = s.min(len - off);
-            for j in 0..vl {
-                let w = base + WPE * (off + j);
-                let pos = words[w + 1];
-                // The simulated unpack is v_srl_imm/v_and_imm: the row
-                // shift is NOT masked, so garbage high bits become a
-                // huge row index — an OOB fault there, a typed error here.
-                let row = origin.0 + (pos >> 8) as usize;
-                let col = origin.1 + (pos & 0xff) as usize;
-                if col >= x.len() {
-                    return Err(HostError::Corrupt(format!(
-                        "x gather index {col} outside 0..{}",
-                        x.len()
-                    )));
-                }
-                if row >= y.len() {
-                    return Err(HostError::Corrupt(format!(
-                        "y scatter index {row} outside 0..{}",
-                        y.len()
-                    )));
-                }
-                scratch.vals[j] = f32::from_bits(words[w]);
-                scratch.idx[j] = col;
-                scratch.rows[j] = row;
+        for k in 0..len {
+            let w = base + WPE * k;
+            let pos = words[w + 1];
+            // The simulated unpack is v_srl_imm/v_and_imm: the row
+            // shift is NOT masked, so garbage high bits become a
+            // huge row index — an OOB fault there, a typed error here.
+            let row = origin.0 + (pos >> 8) as usize;
+            let col = origin.1 + (pos & 0xff) as usize;
+            if col >= x.len() {
+                return Err(HostError::Corrupt(format!(
+                    "x gather index {col} outside 0..{}",
+                    x.len()
+                )));
             }
-            crate::simd::gather_products(
-                &mut scratch.prod[..vl],
-                &scratch.vals[..vl],
-                &scratch.idx[..vl],
-                x,
-                isa,
-            );
-            for j in 0..vl {
-                y[scratch.rows[j]] += scratch.prod[j];
+            if row >= y.len() {
+                return Err(HostError::Corrupt(format!(
+                    "y scatter index {row} outside 0..{}",
+                    y.len()
+                )));
             }
-            off += vl;
+            y[row] += f32::from_bits(words[w]) * x[col];
         }
         return Ok(len);
     }
@@ -575,19 +536,7 @@ fn walk(
         let clen = words[base + WPE * len + k] as usize;
         let (br, bc) = unpack_pos(pos);
         let child_origin = (origin.0 + br as usize * step, origin.1 + bc as usize * step);
-        nnz += walk(
-            words,
-            ptr,
-            clen,
-            level - 1,
-            child_origin,
-            x,
-            y,
-            s,
-            isa,
-            scratch,
-            budget,
-        )?;
+        nnz += walk(words, ptr, clen, level - 1, child_origin, x, y, s, budget)?;
     }
     Ok(nnz)
 }
@@ -806,7 +755,7 @@ mod tests {
     }
 
     #[test]
-    fn spmv_is_close_to_csr_oracle_and_isa_independent() {
+    fn spmv_is_close_to_csr_oracle() {
         for (coo, s) in [
             (gen::random::uniform(8, 8, 30, 3), 8),
             (gen::blocks::block_dense(64, 8, 6, 0.7, 5), 8),
@@ -814,14 +763,10 @@ mod tests {
         ] {
             let img = image_of(&coo, s);
             let x: Vec<f32> = (0..coo.cols()).map(|i| ((i % 7) as f32) - 3.0).collect();
-            let (scalar, nnz) = spmv_hism(&img, &x, s, HostIsa::Scalar).unwrap();
+            let (y, nnz) = spmv_hism(&img, &x, s).unwrap();
             assert_eq!(nnz, coo.nnz());
-            let (best, _) = spmv_hism(&img, &x, s, crate::detect_isa()).unwrap();
-            for (a, b) in scalar.iter().zip(&best) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
             let oracle = Csr::from_coo(&coo).spmv(&x).unwrap();
-            for (a, b) in scalar.iter().zip(&oracle) {
+            for (a, b) in y.iter().zip(&oracle) {
                 assert!((a - b).abs() < 1e-3, "{a} vs {b}");
             }
         }
@@ -839,10 +784,7 @@ mod tests {
             transpose_hism(&bad, 8),
             Err(HostError::Corrupt(_))
         ));
-        assert!(matches!(
-            spmv_hism(&bad, &x, 8, HostIsa::Scalar),
-            Err(HostError::Corrupt(_))
-        ));
+        assert!(matches!(spmv_hism(&bad, &x, 8), Err(HostError::Corrupt(_))));
         // Runaway root length.
         let mut bad = img.clone();
         bad.root.len = u32::MAX / 4;
@@ -862,10 +804,7 @@ mod tests {
             transpose_hism(&img, 16),
             Err(HostError::Config(_))
         ));
-        assert!(matches!(
-            spmv_hism(&img, &x, 16, HostIsa::Scalar),
-            Err(HostError::Config(_))
-        ));
+        assert!(matches!(spmv_hism(&img, &x, 16), Err(HostError::Config(_))));
     }
 
     #[test]
@@ -886,9 +825,6 @@ mod tests {
         assert!(img.root.levels > 1);
         assert_eq!(transpose_hism(&img, 8).unwrap().1, coo.nnz());
         let x = vec![1.0; 60];
-        assert_eq!(
-            spmv_hism(&img, &x, 8, HostIsa::Scalar).unwrap().1,
-            coo.nnz()
-        );
+        assert_eq!(spmv_hism(&img, &x, 8).unwrap().1, coo.nnz());
     }
 }

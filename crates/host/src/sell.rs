@@ -10,10 +10,9 @@
 //! per-lane partial sums depth by depth over the active-lane prefix of
 //! each chunk; per lane that is ascending-column sequential accumulation
 //! from `+0.0`, the same floating-point order as `Csr::spmv`, and lanes
-//! are independent — which is why the per-depth gather-multiply and the
-//! accumulate are safely SIMD-dispatched here.
+//! are independent.
 
-use crate::{HostError, HostIsa};
+use crate::HostError;
 use stm_sparse::{Csr, Value};
 
 /// A borrowed view of the flattened SELL-C-σ arrays (the registry's
@@ -104,8 +103,7 @@ fn first_cell(v: &SellView<'_>, p: usize) -> usize {
 /// SELL cells — a column histogram over the active cells, then the
 /// cursor scatter visiting original rows in ascending order through the
 /// inverse permutation. Byte-identical to `Csr::transpose_pissanetsky`
-/// of the original matrix. Scalar on every ISA — see
-/// [`crate::csr::transpose_csr`].
+/// of the original matrix.
 pub fn transpose_sell(v: &SellView<'_>) -> Result<Csr, HostError> {
     check_sell(v)?;
     // Column histogram, checking every active cell's column on the way
@@ -157,15 +155,13 @@ pub fn transpose_sell(v: &SellView<'_>) -> Result<Csr, HostError> {
 }
 
 /// Host SELL SpMV: per chunk and depth, the active-lane prefix gathers
-/// `x`, multiplies and accumulates — element-wise across lanes, hence
-/// SIMD-dispatched — then the accumulator scatters back through the
-/// permutation. Bit-identical to the simulated `spmv_sell` (and to
+/// `x`, multiplies and accumulates, then the accumulator scatters back
+/// through the permutation. Bit-identical to the simulated `spmv_sell` (and to
 /// `Csr::spmv`).
 pub fn spmv_sell(
     v: &SellView<'_>,
     x: &[Value],
     section_size: usize,
-    isa: HostIsa,
 ) -> Result<Vec<Value>, HostError> {
     if v.c > section_size {
         return Err(HostError::Config(format!(
@@ -182,9 +178,6 @@ pub fn spmv_sell(
     }
     check_sell(v)?;
     let mut acc = vec![0.0f32; v.rows];
-    let mut vals = vec![0.0f32; v.c];
-    let mut idx = vec![0usize; v.c];
-    let mut prod = vec![0.0f32; v.c];
     for i in 0..v.chunk_len.len() {
         let base = i * v.c;
         let lanes = v.c.min(v.rows - base);
@@ -207,18 +200,15 @@ pub fn spmv_sell(
                         v.cols
                     )));
                 }
-                idx[k] = c;
-                vals[k] = v.values[cell + k];
+                acc[base + k] += v.values[cell + k] * x[c];
             }
-            crate::simd::gather_products(&mut prod[..nact], &vals[..nact], &idx[..nact], x, isa);
-            crate::simd::add_in_place(&mut acc[base..base + nact], &prod[..nact], isa);
         }
     }
     let mut y = vec![0.0f32; v.rows];
     for (p, &a) in acc.iter().enumerate() {
         y[v.perm[p]] = a;
     }
-    if isa == HostIsa::Scalar && crate::diverge_requested("spmv_sell") {
+    if crate::diverge_requested("spmv_sell") {
         if let Some(val) = y.first_mut() {
             *val = f32::from_bits(val.to_bits() ^ 0x8000_0000);
         }
@@ -264,17 +254,15 @@ mod tests {
     }
 
     #[test]
-    fn spmv_is_bit_identical_to_csr_and_isa_independent() {
+    fn spmv_is_bit_identical_to_csr() {
         for coo in cases() {
             let sell = Sell::from_coo_with(&coo, SellConfig::default()).unwrap();
             let x: Vec<f32> = (0..coo.cols()).map(|i| ((i % 9) as f32) - 4.0).collect();
             let oracle = Csr::from_coo(&coo).spmv(&x).unwrap();
-            let scalar = spmv_sell(&view_of(&sell), &x, 64, HostIsa::Scalar).unwrap();
-            let best = spmv_sell(&view_of(&sell), &x, 64, crate::detect_isa()).unwrap();
-            assert_eq!(scalar.len(), oracle.len());
-            for ((a, b), c) in scalar.iter().zip(&best).zip(&oracle) {
+            let y = spmv_sell(&view_of(&sell), &x, 64).unwrap();
+            assert_eq!(y.len(), oracle.len());
+            for (a, b) in y.iter().zip(&oracle) {
                 assert_eq!(a.to_bits(), b.to_bits());
-                assert_eq!(a.to_bits(), c.to_bits());
             }
         }
     }
@@ -301,7 +289,7 @@ mod tests {
         assert!(matches!(transpose_sell(&bad), Err(HostError::Corrupt(_))));
         let x = vec![1.0f32; good.cols];
         assert!(matches!(
-            spmv_sell(&bad, &x, 64, HostIsa::Scalar),
+            spmv_sell(&bad, &x, 64),
             Err(HostError::Corrupt(_))
         ));
         // Active cell pointing at the pad sentinel column.
@@ -316,13 +304,13 @@ mod tests {
             // has nnz > 0, so cell 0 of chunk 0 is active.
             assert!(matches!(transpose_sell(&bad), Err(HostError::Corrupt(_))));
             assert!(matches!(
-                spmv_sell(&bad, &x, 64, HostIsa::Scalar),
+                spmv_sell(&bad, &x, 64),
                 Err(HostError::Corrupt(_))
             ));
         }
         // C above the section size is a configuration error.
         assert!(matches!(
-            spmv_sell(&good, &x, good.c - 1, HostIsa::Scalar),
+            spmv_sell(&good, &x, good.c - 1),
             Err(HostError::Config(_))
         ));
     }

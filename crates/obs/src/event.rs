@@ -37,7 +37,7 @@ pub enum Lane {
     /// server-global event sequence number, monotone by construction.
     Serve,
     /// Host-native backend execution (`stm-host`): kernel spans timed in
-    /// nominal cycles, with `host.dispatch.*` counters naming the ISA.
+    /// nominal cycles.
     Host,
 }
 

@@ -40,7 +40,7 @@ const FLAGS: &[(&str, &str)] = &[
     ),
     (
         "--backend B",
-        "execution backend, B in {sim,scalar,simd,auto} (or STM_BACKEND=B)",
+        "execution backend, B in {sim,scalar} (or STM_BACKEND=B)",
     ),
     (
         "--metrics-addr A",

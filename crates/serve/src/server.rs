@@ -152,13 +152,13 @@ impl Default for ServeConfig {
 }
 
 /// Stable wire index for the configured backend (the `STATS` payload
-/// cannot carry a string).
+/// cannot carry a string). Index 3 was the retired `auto` backend and is
+/// never reused.
 fn backend_index(b: registry::Backend) -> u64 {
     match b {
         registry::Backend::Sim => 0,
         registry::Backend::Scalar => 1,
         registry::Backend::Simd => 2,
-        registry::Backend::Auto => 3,
     }
 }
 
@@ -191,7 +191,8 @@ pub struct StatsSnapshot {
     /// Completed requests whose terminal status was not `OK`.
     pub failed: u64,
     /// The serving backend as a stable wire index (`0` = sim, `1` =
-    /// scalar host, `2` = SIMD host, `3` = auto).
+    /// scalar host, `2` = `simd`, which runs the scalar host code; `3`,
+    /// the retired `auto`, is never sent).
     pub backend: u64,
 }
 

@@ -1,19 +1,20 @@
 //! Three-leg differential validation of the execution backends: for
-//! every registry kernel, the cycle-accurate simulator, the forced-scalar
-//! host tier and the SIMD host tier must produce byte-identical output
-//! digests — over the quick catalogue, over seeded property-test
-//! matrices (with shrinking), and with fault injection confined to the
-//! leg it was aimed at. A final property pins the forced-scalar vs. auto
-//! dispatch contract: identical digests *and* identical trace structure,
-//! differing at most in which `host.dispatch.*` counter was bumped.
+//! every registry kernel the cycle-accurate simulator and the scalar
+//! host tier must produce byte-identical output digests, and for every
+//! host-capable kernel both must match the digest the `stm-sparse`
+//! reference leg computes from the input alone — over the quick
+//! catalogue, over seeded property-test matrices (with shrinking) at
+//! two section sizes, on degenerate shapes, and with fault injection
+//! confined to the leg it was aimed at.
 
 mod common;
 
 use common::{arb_coo, case_rng};
+use stm_bench::resilient::reference;
 use stm_core::kernels::registry::{self, Backend, ExecCtx};
 use stm_dsab::{experiment_sets, quick_catalogue, SuiteEntry};
 use stm_hism::FaultClass;
-use stm_obs::{Recorder, TraceData};
+use stm_sparse::Coo;
 
 /// The deduplicated quick catalogue, in catalogue order.
 fn entries() -> Vec<SuiteEntry> {
@@ -29,17 +30,41 @@ fn entries() -> Vec<SuiteEntry> {
         .collect()
 }
 
-fn ctx_with(backend: Backend) -> ExecCtx {
+/// The paper machine at section size `s` on `backend`.
+fn ctx_with(backend: Backend, s: usize) -> ExecCtx {
     let mut ctx = ExecCtx::paper();
     ctx.backend = backend;
+    ctx.vp.section_size = s;
+    ctx.stm.s = s;
     ctx
 }
 
 /// The verified digest of `kernel` on `coo` under `backend`.
-fn digest(kernel: &str, coo: &stm_sparse::Coo, backend: Backend) -> Result<u64, String> {
-    registry::run_verified(kernel, coo, &ctx_with(backend))
+fn digest(kernel: &str, coo: &Coo, backend: Backend) -> Result<u64, String> {
+    registry::run_verified(kernel, coo, &ctx_with(backend, 64))
         .map(|r| r.output_digest)
         .map_err(|f| f.to_string())
+}
+
+/// Checks the three legs of `kernel` on `coo` at section size `s`: the
+/// simulator and the scalar host are byte-identical, and their canonical
+/// digest is the reference's.
+fn three_legs(kernel: &str, coo: &Coo, s: usize) -> Result<(), String> {
+    let run = |backend: Backend| {
+        registry::run_verified(kernel, coo, &ctx_with(backend, s))
+            .map_err(|f| format!("{} leg: {f}", backend.name()))
+    };
+    let (sim, scalar) = (run(Backend::Sim)?, run(Backend::Scalar)?);
+    if sim.output_digest != scalar.output_digest {
+        return Err("scalar leg diverged from the simulator".into());
+    }
+    let want = reference::digest(kernel, coo, &ctx_with(Backend::Sim, s));
+    if sim.output.canonical_digest() != want {
+        return Err(format!(
+            "reference {want:x?} disagrees with both executed legs"
+        ));
+    }
+    Ok(())
 }
 
 #[test]
@@ -48,42 +73,69 @@ fn every_kernel_digests_identically_on_all_three_legs_over_the_quick_catalogue()
     assert!(entries.len() >= 6, "quick catalogue present");
     for entry in &entries {
         for &kernel in &registry::NAMES {
+            if registry::host_capable(kernel) {
+                three_legs(kernel, &entry.coo, 64)
+                    .unwrap_or_else(|e| panic!("{}/{kernel}: {e}", entry.name));
+                continue;
+            }
+            // The rest must be backend-transparent, with no reference.
             let sim = digest(kernel, &entry.coo, Backend::Sim)
                 .unwrap_or_else(|e| panic!("{}/{kernel} sim leg: {e}", entry.name));
-            // Host-capable kernels get real second and third legs; the
-            // rest must be backend-transparent (auto == sim).
-            let legs: &[Backend] = if registry::host_capable(kernel) {
-                &[Backend::Scalar, Backend::Simd]
-            } else {
-                &[Backend::Auto]
-            };
-            for &backend in legs {
-                let host = digest(kernel, &entry.coo, backend).unwrap_or_else(|e| {
-                    panic!("{}/{kernel} {} leg: {e}", entry.name, backend.name())
-                });
-                assert_eq!(
-                    host,
-                    sim,
-                    "{}/{kernel}: {} leg diverged from the simulator",
-                    entry.name,
-                    backend.name()
-                );
-            }
+            let host = digest(kernel, &entry.coo, Backend::Scalar)
+                .unwrap_or_else(|e| panic!("{}/{kernel} scalar leg: {e}", entry.name));
+            assert_eq!(
+                host, sim,
+                "{}/{kernel}: backend changed the result",
+                entry.name
+            );
+            let ctx = ExecCtx::paper();
+            assert_eq!(reference::digest(kernel, &entry.coo, &ctx), None);
         }
     }
 }
 
+/// Shapes the arbitrary generator never draws: no rows or no columns
+/// (the simulator pads an SpMV result to `rows.max(1)`), no entries, very
+/// tall and very wide, and a row whose products are all `-0.0`.
+fn degenerate_shapes() -> Vec<(&'static str, Coo)> {
+    // x[4] = 0.0, so negative values in columns 4 and 13 give -0.0
+    // products: every leg must serve the +0.0 that a row sum starting
+    // from +0.0 produces for row 1.
+    let signed_zero_row = vec![(1, 4, -2.0), (1, 13, -0.5), (2, 0, 1.5), (2, 13, -3.0)];
+    let tall = (0..300).map(|r| (r, r % 3, 1.0 + r as f32)).collect();
+    let wide = (0..300).map(|c| (c % 2, c, c as f32 / 7.0 - 9.0)).collect();
+    vec![
+        ("empty 0x5", Coo::new(0, 5)),
+        ("empty 5x0", Coo::new(5, 0)),
+        ("empty 9x4", Coo::new(9, 4)),
+        (
+            "signed-zero row",
+            Coo::from_triplets(3, 20, signed_zero_row).unwrap(),
+        ),
+        ("tall 300x3", Coo::from_triplets(300, 3, tall).unwrap()),
+        ("wide 2x300", Coo::from_triplets(2, 300, wide).unwrap()),
+    ]
+}
+
 #[test]
 fn three_leg_equality_holds_on_arbitrary_matrices() {
+    for (name, coo) in degenerate_shapes() {
+        for &kernel in &registry::HOST_CAPABLE {
+            for s in [8, 64] {
+                three_legs(kernel, &coo, s)
+                    .unwrap_or_else(|e| panic!("{name}/{kernel} s={s}: {e}"));
+            }
+        }
+    }
     for case in 0..24 {
         let mut r = case_rng(0xB4C8, case);
         let coo = arb_coo(&mut r, 60, 150);
         for &kernel in &registry::HOST_CAPABLE {
-            common::check_coo_property("three_leg_equality", 0xB4C8, case, &coo, |m| {
-                let sim = digest(kernel, m, Backend::Sim).unwrap();
-                digest(kernel, m, Backend::Scalar).unwrap() == sim
-                    && digest(kernel, m, Backend::Simd).unwrap() == sim
-            });
+            for s in [8, 64] {
+                common::check_coo_property("three_leg_equality", 0xB4C8, case, &coo, |m| {
+                    three_legs(kernel, m, s).is_ok()
+                });
+            }
         }
     }
 }
@@ -94,93 +146,37 @@ fn a_fault_injected_into_one_leg_never_poisons_the_others() {
     for kernel in ["transpose_hism", "spmv_hism"] {
         let clean = digest(kernel, &coo, Backend::Sim).unwrap();
         for (i, &class) in FaultClass::ALL.iter().enumerate() {
-            for poisoned in [Backend::Sim, Backend::Scalar, Backend::Simd] {
+            for (poisoned, other) in [
+                (Backend::Sim, Backend::Scalar),
+                (Backend::Scalar, Backend::Sim),
+            ] {
                 // The poisoned leg: its own kernel instance, its own
                 // prepared image, a fault injected only here. It may fail
                 // typed or produce a divergent digest — both are fine.
-                let ctx = ctx_with(poisoned);
+                let ctx = ctx_with(poisoned, 64);
                 let mut k = registry::create(kernel).unwrap();
                 k.prepare(&coo, &ctx).unwrap();
                 let injected = k.inject_fault(class, 0xBAD0 + i as u64).is_ok();
                 let _ = k.run(&mut ctx.clone());
 
-                // Every other leg, run after the faulted one, must still
+                // The other leg, run after the faulted one, must still
                 // produce the clean simulator digest.
-                for other in [Backend::Sim, Backend::Scalar, Backend::Simd] {
-                    if other == poisoned {
-                        continue;
-                    }
-                    let got = digest(kernel, &coo, other).unwrap_or_else(|e| {
-                        panic!(
-                            "{kernel}: clean {} leg failed after {class:?} on {} \
-                             (injected={injected}): {e}",
-                            other.name(),
-                            poisoned.name()
-                        )
-                    });
-                    assert_eq!(
-                        got,
-                        clean,
-                        "{kernel}: {class:?} on the {} leg leaked into the {} leg",
-                        poisoned.name(),
-                        other.name()
-                    );
-                }
+                let got = digest(kernel, &coo, other).unwrap_or_else(|e| {
+                    panic!(
+                        "{kernel}: clean {} leg failed after {class:?} on {} \
+                         (injected={injected}): {e}",
+                        other.name(),
+                        poisoned.name()
+                    )
+                });
+                assert_eq!(
+                    got,
+                    clean,
+                    "{kernel}: {class:?} on the {} leg leaked into the {} leg",
+                    poisoned.name(),
+                    other.name()
+                );
             }
         }
-    }
-}
-
-/// The trace shape: every event minus nothing — host-leg spans carry
-/// model-derived (not wall-clock) durations, so scalar and auto dispatch
-/// must agree event for event.
-fn event_shape(trace: &TraceData) -> Vec<String> {
-    trace.events.iter().map(|e| format!("{e:?}")).collect()
-}
-
-/// Counters with the `host.dispatch.*` family removed.
-fn non_dispatch_counters(trace: &TraceData) -> Vec<(String, u64)> {
-    trace
-        .counters
-        .iter()
-        .filter(|(k, _)| !k.starts_with("host.dispatch."))
-        .cloned()
-        .collect()
-}
-
-#[test]
-fn forced_scalar_and_auto_dispatch_agree_on_digest_and_trace_structure() {
-    let coo = stm_sparse::gen::random::uniform(96, 96, 1500, 0xD15);
-    for &kernel in &registry::HOST_CAPABLE {
-        let run = |backend: Backend| {
-            let mut ctx = ctx_with(backend);
-            ctx.obs = Recorder::enabled_default();
-            let report = registry::run_verified(kernel, &coo, &ctx).unwrap();
-            (report.output_digest, ctx.obs.snapshot())
-        };
-        let (scalar_digest, scalar_trace) = run(Backend::Scalar);
-        let (auto_digest, auto_trace) = run(Backend::Auto);
-        assert_eq!(scalar_digest, auto_digest, "{kernel}: digest drifted");
-        assert_eq!(
-            event_shape(&scalar_trace),
-            event_shape(&auto_trace),
-            "{kernel}: trace structure drifted between scalar and auto dispatch"
-        );
-        assert_eq!(
-            non_dispatch_counters(&scalar_trace),
-            non_dispatch_counters(&auto_trace),
-            "{kernel}: non-dispatch counters drifted"
-        );
-        // Exactly one dispatch per leg, whatever ISA it resolved to.
-        let dispatches = |t: &TraceData| -> u64 {
-            t.counters
-                .iter()
-                .filter(|(k, _)| k.starts_with("host.dispatch."))
-                .map(|(_, v)| *v)
-                .sum()
-        };
-        assert_eq!(dispatches(&scalar_trace), 1, "{kernel}");
-        assert_eq!(dispatches(&auto_trace), 1, "{kernel}");
-        assert_eq!(scalar_trace.counter("host.dispatch.scalar"), 1, "{kernel}");
     }
 }

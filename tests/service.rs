@@ -203,7 +203,7 @@ fn a_host_backend_server_serves_the_simulator_digest_and_degrades_onto_it() {
 
     // A host-tier server must serve the same digest natively…
     let (server, addr) = start(ServeConfig {
-        backend: Backend::Auto,
+        backend: Backend::Scalar,
         ..ServeConfig::default()
     });
     let mut c = client(&addr, 9);
