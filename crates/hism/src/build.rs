@@ -176,7 +176,9 @@ pub fn to_coo(h: &HismMatrix) -> Coo {
 }
 
 fn collect(h: &HismMatrix, block: usize, level: usize, origin: (usize, usize), out: &mut Coo) {
-    let step = h.section_size().pow(level as u32);
+    // Saturating: a decoded deep hierarchy reaches here only with every
+    // entry inside the matrix, so a saturated step only ever scales 0.
+    let step = h.section_size().saturating_pow(level as u32);
     match &h.blocks()[block].data {
         BlockData::Leaf(entries) => {
             for e in entries {

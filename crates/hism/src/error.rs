@@ -38,6 +38,17 @@ pub enum ImageError {
         /// Section size the coordinates must stay under.
         s: u32,
     },
+    /// A position word places its entry (or, at an upper level, its
+    /// child block) outside the `rows x cols` shape the root descriptor
+    /// declares.
+    OutOfShape {
+        /// Word address of the position word.
+        addr: u32,
+        /// Declared row count.
+        rows: u32,
+        /// Declared column count.
+        cols: u32,
+    },
     /// The declared hierarchy holds more entries than the image has room
     /// for — the signature of a pointer cycle or corrupted lengths vector.
     Runaway {
@@ -71,6 +82,10 @@ impl fmt::Display for ImageError {
             ImageError::BadPosition { addr, row, col, s } => write!(
                 f,
                 "position ({row},{col}) at word {addr} outside the s={s} block"
+            ),
+            ImageError::OutOfShape { addr, rows, cols } => write!(
+                f,
+                "position at word {addr} lies outside the declared {rows}x{cols} matrix"
             ),
             ImageError::Runaway { addr } => write!(
                 f,

@@ -409,6 +409,7 @@ impl HismImage {
             self.root.addr,
             self.root.len,
             self.root.levels - 1,
+            (0, 0),
             &mut blocks,
             &mut budget,
         )?;
@@ -437,11 +438,14 @@ impl HismImage {
             })
     }
 
+    /// Decodes the blockarray at `addr` whose block starts at matrix
+    /// coordinates `origin`.
     fn decode_block(
         &self,
         addr: u32,
         len: u32,
         level: u32,
+        origin: (u64, u64),
         arena: &mut Vec<HismBlock>,
         budget: &mut u64,
     ) -> Result<usize, ImageError> {
@@ -463,12 +467,32 @@ impl HismImage {
             }
             Ok(())
         };
+        // Where an entry lands in the matrix: each position at this level
+        // spans `s^level` rows and columns. Saturating, so a corrupt deep
+        // hierarchy lands out of shape instead of overflowing.
+        let step = u64::from(sw).saturating_pow(level);
+        let (rows, cols) = (self.root.rows, self.root.cols);
+        let place = |addr: usize, row: u8, col: u8| -> Result<(u64, u64), ImageError> {
+            let at = (
+                origin.0.saturating_add(u64::from(row).saturating_mul(step)),
+                origin.1.saturating_add(u64::from(col).saturating_mul(step)),
+            );
+            if at.0 >= u64::from(rows) || at.1 >= u64::from(cols) {
+                return Err(ImageError::OutOfShape {
+                    addr: addr.min(u32::MAX as usize) as u32,
+                    rows,
+                    cols,
+                });
+            }
+            Ok(at)
+        };
         if level == 0 {
             let mut leaf: Vec<LeafEntry> = Vec::with_capacity(len as usize);
             for k in 0..len as usize {
                 let v = Value::from_bits(self.word(base + 2 * k)?);
                 let (row, col) = unpack_pos(self.word(base + 2 * k + 1)?);
                 check_pos(base + 2 * k + 1, row, col)?;
+                place(base + 2 * k + 1, row, col)?;
                 leaf.push(LeafEntry { row, col, value: v });
             }
             leaf.sort_by_key(|e| (e.row, e.col));
@@ -483,8 +507,16 @@ impl HismImage {
                 let child_addr = self.word(base + 2 * k)?;
                 let (row, col) = unpack_pos(self.word(base + 2 * k + 1)?);
                 check_pos(base + 2 * k + 1, row, col)?;
+                let child_origin = place(base + 2 * k + 1, row, col)?;
                 let child_len = self.word(lens_base + k)?;
-                let child = self.decode_block(child_addr, child_len, level - 1, arena, budget)?;
+                let child = self.decode_block(
+                    child_addr,
+                    child_len,
+                    level - 1,
+                    child_origin,
+                    arena,
+                    budget,
+                )?;
                 node.push(NodeEntry { row, col, child });
             }
             node.sort_by_key(|e| (e.row, e.col));

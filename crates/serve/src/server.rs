@@ -43,9 +43,12 @@ use crate::protocol::{
     Response, ResponseBody, Status,
 };
 use crate::store::{ResultRecord, ResultsLog};
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use stm_bench::resilient::{
     execute_slot, Breaker, BreakerConfig, BreakerState, Decision, RetryPolicy,
@@ -65,6 +68,27 @@ const DEADLINE_STORM: usize = 3;
 /// dozen events; 4096 leaves room for pathological retry chains without
 /// ever dropping (dropped events would mark the merged trace lossy).
 const REQUEST_TRACE_CAPACITY: usize = 4096;
+
+/// Source of [`SERVER_ID`] values; 0 means "no server".
+static NEXT_SERVER_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// The server this thread works for (0 for every other thread), so
+    /// a server's panic hook dumps its flight ring only for panics on
+    /// its own worker, connection and accept threads.
+    static SERVER_ID: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Spawns a thread of server `id`, tagged as such for its panic hook.
+fn spawn_server_thread<T: Send + 'static>(
+    id: u64,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> JoinHandle<T> {
+    std::thread::spawn(move || {
+        SERVER_ID.with(|s| s.set(id));
+        f()
+    })
+}
 
 /// The kernel each execution op dispatches to.
 fn kernel_for(op: Op) -> &'static str {
@@ -268,6 +292,8 @@ struct State {
 
 struct Shared {
     cfg: ServeConfig,
+    /// This server's thread tag (see [`SERVER_ID`]).
+    id: u64,
     state: Mutex<State>,
     /// Wakes workers (queue push, stop).
     work: Condvar,
@@ -484,18 +510,24 @@ impl Server {
             flight,
             start: Instant::now(),
             deadlines: Mutex::new(VecDeque::new()),
+            id: NEXT_SERVER_ID.fetch_add(1, Ordering::Relaxed),
             cfg,
         });
+        let id = shared.id;
 
-        // Last-breath flight dump on a worker/connection panic. The
-        // hook chains the previous one and holds only a weak reference,
-        // so a dropped server never keeps dumping (or leaks).
+        // Last-breath flight dump on a panic in one of this server's own
+        // threads; a panic elsewhere in the process (another server, a
+        // test thread) is not this server's to record. The hook chains
+        // the previous one and holds only a weak reference, so a dropped
+        // server never keeps dumping (or leaks).
         if install_panic_hook {
             let weak = Arc::downgrade(&shared);
             let prev = std::panic::take_hook();
             std::panic::set_hook(Box::new(move |info| {
-                if let Some(sh) = weak.upgrade() {
-                    sh.flight_dump("panic");
+                if SERVER_ID.try_with(Cell::get) == Ok(id) {
+                    if let Some(sh) = weak.upgrade() {
+                        sh.flight_dump("panic");
+                    }
                 }
                 prev(info);
             }));
@@ -504,15 +536,15 @@ impl Server {
         let workers = (0..workers_n)
             .map(|i| {
                 let sh = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&sh, i))
+                spawn_server_thread(id, move || worker_loop(&sh, i))
             })
             .collect();
         let metrics_thread = metrics_listener.map(|l| {
             let sh = Arc::clone(&shared);
-            std::thread::spawn(move || metrics_loop(&sh, &l))
+            spawn_server_thread(id, move || metrics_loop(&sh, &l))
         });
         let sh = Arc::clone(&shared);
-        let accept = std::thread::spawn(move || accept_loop(&sh, &listener));
+        let accept = spawn_server_thread(id, move || accept_loop(&sh, &listener));
         Ok(Server {
             shared,
             addr,
@@ -631,9 +663,7 @@ fn accept_loop(sh: &Arc<Shared>, listener: &TcpListener) {
             Ok((stream, _)) => {
                 sh.tick("serve.accept");
                 let sh = Arc::clone(sh);
-                std::thread::spawn(move || {
-                    handle_connection(&sh, stream);
-                });
+                spawn_server_thread(sh.id, move || handle_connection(&sh, stream));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));

@@ -44,5 +44,6 @@ pub use config::{MidRunFlip, VpConfig};
 pub use engine::{DeadlineExceeded, Engine, Fu, VReg};
 pub use mem::{Allocator, MemFault, Memory, OobPolicy, POISON_WORD};
 pub use stats::{EngineStats, StallBreakdown, StallCauses};
+pub use stream::{Ready, Stream};
 pub use timing::{IdealTiming, PaperTiming, TimingKind, TimingModel};
 pub use trace::{FuBusy, Trace, TraceEvent};

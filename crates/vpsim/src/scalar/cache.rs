@@ -39,8 +39,11 @@ impl CacheConfig {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// `sets[set][way] = (tag, last_use_stamp)`; `u64::MAX` tag = invalid.
-    sets: Vec<Vec<(u64, u64)>>,
+    /// `ways[set * assoc + way] = (tag, last_use_stamp)`, one flat array
+    /// of every set's ways; `u64::MAX` tag = invalid.
+    ways: Vec<(u64, u64)>,
+    /// Number of sets.
+    sets: u64,
     /// `log2(line_bytes)`: the line size is a power of two.
     line_shift: u32,
     /// `log2(sets)` when the set count is a power of two (the default
@@ -57,10 +60,10 @@ impl Cache {
         assert!(cfg.line_bytes >= 4 && cfg.line_bytes.is_power_of_two());
         assert!(cfg.assoc >= 1);
         let n = cfg.num_sets();
-        let sets = vec![vec![(u64::MAX, 0); cfg.assoc]; n];
         Cache {
             cfg,
-            sets,
+            ways: vec![(u64::MAX, 0); n * cfg.assoc],
+            sets: n as u64,
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_shift: n.is_power_of_two().then(|| n.trailing_zeros()),
             stamp: 0,
@@ -71,29 +74,36 @@ impl Cache {
 
     /// Accesses the word at `word_addr` (read or write — write-allocate
     /// makes them equivalent for this model) and returns the latency.
+    #[inline]
     pub fn access(&mut self, word_addr: u32) -> u64 {
         self.stamp += 1;
         let line = (word_addr as u64 * 4) >> self.line_shift;
         let (set, tag) = match self.set_shift {
             Some(sh) => ((line & ((1 << sh) - 1)) as usize, line >> sh),
-            None => {
-                let n = self.sets.len() as u64;
-                ((line % n) as usize, line / n)
-            }
+            None => ((line % self.sets) as usize, line / self.sets),
         };
-        let ways = &mut self.sets[set];
-        if let Some(w) = ways.iter_mut().find(|(t, _)| *t == tag) {
-            w.1 = self.stamp;
+        let assoc = self.cfg.assoc;
+        let ways = &mut self.ways[set * assoc..(set + 1) * assoc];
+        // Branch-free scans: which way hits is data-dependent, so an
+        // early-exit search would mispredict on most accesses. Valid tags
+        // in a set are distinct, so at most one way matches.
+        let mut hit = assoc;
+        for (way, &(t, _)) in ways.iter().enumerate() {
+            hit = if t == tag { way } else { hit };
+        }
+        if hit < assoc {
+            ways[hit].1 = self.stamp;
             self.hits += 1;
             return self.cfg.hit_latency;
         }
-        // Miss: evict LRU.
+        // Miss: evict the least recently used way (the first on a tie,
+        // which only invalid ways can share).
         self.misses += 1;
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|(_, stamp)| *stamp)
-            .expect("assoc >= 1");
-        *victim = (tag, self.stamp);
+        let mut victim = 0;
+        for (way, &(_, stamp)) in ways.iter().enumerate().skip(1) {
+            victim = if stamp < ways[victim].1 { way } else { victim };
+        }
+        ways[victim] = (tag, self.stamp);
         self.cfg.hit_latency + self.cfg.miss_penalty
     }
 

@@ -37,9 +37,44 @@ pub struct ScalarRunStats {
     pub capped: bool,
 }
 
+/// A static instruction with its issue constraints decoded once.
+#[derive(Debug, Clone, Copy)]
+struct Decoded {
+    instr: SInstr,
+    /// RAW source registers; [`NO_REG`] names a slot that is always
+    /// ready.
+    srcs: [usize; 2],
+    /// Loads and stores compete for a memory port.
+    mem: bool,
+}
+
+/// The ready-time slot of an absent source operand (never written).
+const NO_REG: usize = NUM_REGS;
+
+fn decode(instr: SInstr) -> Decoded {
+    let reg = |r: u8| r as usize;
+    let srcs = match instr {
+        SInstr::Li(..) | SInstr::Jmp(_) | SInstr::Halt => [NO_REG, NO_REG],
+        SInstr::Addi(_, rs, _) | SInstr::Ld(_, rs, _) => [reg(rs), NO_REG],
+        SInstr::Add(_, rs, rt)
+        | SInstr::Sub(_, rs, rt)
+        | SInstr::St(rs, rt, _)
+        | SInstr::Blt(rs, rt, _)
+        | SInstr::Bge(rs, rt, _)
+        | SInstr::Bne(rs, rt, _)
+        | SInstr::Beq(rs, rt, _) => [reg(rs), reg(rt)],
+    };
+    Decoded {
+        instr,
+        srcs,
+        mem: matches!(instr, SInstr::Ld(..) | SInstr::St(..)),
+    }
+}
+
 /// Executes `program` to `Halt` (or the `max_instructions` safety cap),
 /// reading and writing `mem`. Returns the run statistics; register state
-/// is internal to the run.
+/// is internal to the run. `cfg` must be valid ([`VpConfig::validate`]):
+/// the issue width and memory ports are at least one.
 ///
 /// A program that runs past `max_instructions` without halting stops
 /// there with [`ScalarRunStats::capped`] set — corrupt inputs can drive
@@ -50,8 +85,9 @@ pub fn run_program(
     program: &Program,
     max_instructions: u64,
 ) -> ScalarRunStats {
+    let code: Vec<Decoded> = program.code.iter().map(|&i| decode(i)).collect();
     let mut regs = [0i64; NUM_REGS];
-    let mut ready = [0u64; NUM_REGS];
+    let mut ready = [0u64; NUM_REGS + 1];
     let mut cache = Cache::new(cfg.scalar_cache);
     let mut pc = 0usize;
     let mut cycle = 0u64;
@@ -59,51 +95,28 @@ pub fn run_program(
     let mut mem_ports = 0u64;
     let mut stats = ScalarRunStats::default();
 
-    fn advance_to(cycle: &mut u64, slots: &mut u64, ports: &mut u64, t: u64) {
-        if t > *cycle {
-            *cycle = t;
-            *slots = 0;
-            *ports = 0;
-        }
-    }
-
-    while pc < program.code.len() {
+    while pc < code.len() {
         if stats.instructions >= max_instructions {
             stats.capped = true;
             break;
         }
-        let instr = program.code[pc];
-        // Source operands for the RAW stall.
-        let (src1, src2) = match instr {
-            SInstr::Li(..) | SInstr::Jmp(_) | SInstr::Halt => (None, None),
-            SInstr::Addi(_, rs, _) | SInstr::Ld(_, rs, _) => (Some(rs), None),
-            SInstr::Add(_, rs, rt) | SInstr::Sub(_, rs, rt) => (Some(rs), Some(rt)),
-            SInstr::St(rs, rt, _) => (Some(rs), Some(rt)),
-            SInstr::Blt(rs, rt, _)
-            | SInstr::Bge(rs, rt, _)
-            | SInstr::Bne(rs, rt, _)
-            | SInstr::Beq(rs, rt, _) => (Some(rs), Some(rt)),
-        };
-        let mut earliest = cycle;
-        if let Some(r) = src1 {
-            earliest = earliest.max(ready[r as usize]);
-        }
-        if let Some(r) = src2 {
-            earliest = earliest.max(ready[r as usize]);
-        }
-        advance_to(&mut cycle, &mut slots, &mut mem_ports, earliest);
-        if slots == cfg.scalar_issue_width {
-            {
-                let t = cycle + 1;
-                advance_to(&mut cycle, &mut slots, &mut mem_ports, t);
-            }
-        }
-        let is_mem = matches!(instr, SInstr::Ld(..) | SInstr::St(..));
-        if is_mem && mem_ports == cfg.scalar_mem_ports {
-            {
-                let t = cycle + 1;
-                advance_to(&mut cycle, &mut slots, &mut mem_ports, t);
-            }
+        let Decoded {
+            instr,
+            srcs,
+            mem: is_mem,
+        } = code[pc];
+        // One stall check: issue at the first cycle with both sources
+        // ready (RAW), a free issue slot and, for a load or store, a free
+        // memory port. A full cycle pushes issue to the next one; a later
+        // operand already does, onto a fresh cycle.
+        let full = slots == cfg.scalar_issue_width || (is_mem && mem_ports == cfg.scalar_mem_ports);
+        let t = (cycle + full as u64)
+            .max(ready[srcs[0]])
+            .max(ready[srcs[1]]);
+        if t > cycle {
+            cycle = t;
+            slots = 0;
+            mem_ports = 0;
         }
         let issue = cycle;
         slots += 1;
@@ -169,14 +182,13 @@ pub fn run_program(
             SInstr::Halt => break,
         }
         // Taken control flow ends the issue group and pays the penalty.
-        let taken = next_pc != pc + 1;
-        if taken {
-            advance_to(
-                &mut cycle,
-                &mut slots,
-                &mut mem_ports,
-                issue + 1 + cfg.scalar_branch_penalty,
-            );
+        if next_pc != pc + 1 {
+            let t = issue + 1 + cfg.scalar_branch_penalty;
+            if t > cycle {
+                cycle = t;
+                slots = 0;
+                mem_ports = 0;
+            }
         }
         pc = next_pc;
     }

@@ -20,6 +20,7 @@ fn variant_tag(e: &ImageError) -> &'static str {
         ImageError::BadSectionSize(_) => "bad_section_size",
         ImageError::OutOfBounds { .. } => "out_of_bounds",
         ImageError::BadPosition { .. } => "bad_position",
+        ImageError::OutOfShape { .. } => "out_of_shape",
         ImageError::Runaway { .. } => "runaway",
         ImageError::Integrity { .. } => "integrity",
     }
@@ -134,6 +135,7 @@ fn word_corruptions_decode_to_typed_errors_and_cover_every_variant() {
         "bad_section_size",
         "out_of_bounds",
         "bad_position",
+        "out_of_shape",
         "runaway",
         "integrity",
     ] {
@@ -230,4 +232,48 @@ fn root_descriptor_fuzzing_never_panics() {
             let _ = decode_no_panic(&t, &what);
         }
     }
+}
+
+/// The route `resilient::verify_primary` takes with an untrusted output
+/// image: decode without verifying the seal, rebuild the COO, digest it.
+/// Every image that decodes must get through `build::to_coo` and
+/// `canonical_digest` without a panic.
+#[test]
+fn decoded_unverified_images_reach_a_canonical_digest_without_panicking() {
+    let mut decoded = 0usize;
+    for case in 0..CASES {
+        let mut r = case_rng(0xD6, case);
+        let img = arb_image(&mut r, "digest route");
+        for _ in 0..24 {
+            let mut t = img.clone();
+            t.integrity = None;
+            match r.gen_range(0..3usize) {
+                0 if !t.words.is_empty() => {
+                    let site = r.gen_range(0..t.words.len());
+                    t.words[site] ^= 1u32 << r.gen_range(0..32u64) as u32;
+                }
+                1 if !t.words.is_empty() => {
+                    let site = r.gen_range(0..t.words.len());
+                    t.words[site] = r.next_u64() as u32;
+                }
+                _ => {
+                    t.root.levels = r.gen_range(1..12u64) as u32;
+                    t.root.s = common::pick(&mut r, &[2u32, 4, 16, 255, 256]);
+                }
+            }
+            let what = format!("root {:?} (case {case})", t.root);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                t.decode().map(|h| {
+                    let coo = build::to_coo(&h);
+                    hism_stm::sparse::format::canonical_digest(&coo)
+                })
+            }));
+            match outcome {
+                Ok(Ok(_)) => decoded += 1,
+                Ok(Err(_)) => {}
+                Err(_) => panic!("decode → to_coo → canonical_digest panicked on {what}"),
+            }
+        }
+    }
+    assert!(decoded > 0, "no corrupted image ever decoded");
 }
