@@ -85,9 +85,11 @@ pub fn unseal(line: &str) -> (String, Seal) {
     let body = line.trim_end_matches(['\n', '\r']);
     // ,"crc":"0x<16 hex>"}  →  10 + 16 + 2 bytes.
     let tail_len = 10 + 16 + 2;
+    // A cut inside a multi-byte character cannot start the ASCII seal.
     let stored = body
         .len()
         .checked_sub(tail_len)
+        .filter(|&cut| body.is_char_boundary(cut))
         .map(|cut| (&body[..cut], &body[cut..]))
         .and_then(|(head, tail)| {
             let hex = tail
@@ -328,6 +330,16 @@ mod tests {
             assert_eq!(body, line);
             assert_eq!(verdict, Seal::Absent);
         }
+    }
+
+    #[test]
+    fn a_seal_sized_tail_that_starts_mid_character_is_no_seal() {
+        // 28 two-byte characters and a closing brace: the seal-sized
+        // tail would start in the middle of a character.
+        let line = format!("{}}}", "é".repeat(28));
+        assert_eq!(unseal(&line), (line.clone(), Seal::Absent));
+        let read = read_journal(&format!("{{}}\n{line}\n"), |_, _| Ok(Some(())));
+        assert_eq!(read.map(|r| r.records.len()), Ok(2));
     }
 
     #[test]

@@ -120,8 +120,9 @@ fn main() {
     println!("degraded: {}", report.degraded);
     let p = |q: u64| report.latency_us.percentile(q).unwrap_or(0);
     // Server-side view of the same tail, scraped from the metrics
-    // endpoint: client p99 includes queueing + transport, server p99
-    // starts at dequeue — the gap is where the latency lives.
+    // endpoint: client p99 includes waiting for a permit + transport,
+    // server p99 starts once the request holds its permit — the gap is
+    // where the latency lives.
     let scraped = arg_value("--metrics-addr").map(|maddr| {
         stm_serve::scrape::fetch(&maddr, cfg.timeout_ms)
             .map(|text| stm_serve::scrape::parse(&text))

@@ -13,10 +13,13 @@ const FLAGS: &[(&str, &str)] = &[
     ("--addr A", "bind address (default 127.0.0.1:0 = free port)"),
     (
         "--queue-depth N",
-        "bounded admission queue depth (default 8)",
+        "requests that may wait for a permit before shedding (default 8)",
     ),
     ("--quota N", "max in-flight requests per client (default 4)"),
-    ("--workers N", "kernel worker threads (default 4)"),
+    (
+        "--workers N",
+        "requests that may execute at once, each on its connection thread (default 4)",
+    ),
     (
         "--deadline CYCLES",
         "per-request cycle budget (typed abort)",

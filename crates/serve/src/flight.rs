@@ -2,7 +2,7 @@
 //! events, dumped atomically to a JSONL file when something goes wrong.
 //!
 //! The ring is deliberately cheap — one mutex-guarded `VecDeque` per
-//! worker shard, instants only, wall-millisecond timestamps relative to
+//! shard (admission's, and one per execution permit), instants only, wall-millisecond timestamps relative to
 //! server start — so it can stay on in production without perturbing
 //! the execution path. A dump:
 //!
@@ -16,9 +16,9 @@
 //!   *previous* incomplete attempt, which the JSONL loaders already
 //!   tolerate.
 //!
-//! Triggers (see `server.rs`): worker panic, a circuit breaker opening,
-//! a deadline storm, `SIGTERM` in the `stmserve` bin, and the
-//! `--flight-every` test hook.
+//! Triggers (see `server.rs`): a panic on a server thread, a circuit
+//! breaker opening, a deadline storm, `SIGTERM` in the `stmserve` bin,
+//! and the `--flight-every` test hook.
 
 use std::collections::VecDeque;
 use std::io::Write;
@@ -30,8 +30,9 @@ use stm_obs::{Category, EventKind, Lane, TraceData, TraceEvent};
 /// Default cap on buffered events across all shards.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
-/// The always-on ring. Writers pick a shard (worker index; shard
-/// indexes wrap), so workers never contend with each other.
+/// The always-on ring. Writers pick a shard (1 + permit index for an
+/// executing request; shard indexes wrap), so concurrently executing
+/// requests never contend with each other.
 pub struct FlightRecorder {
     shards: Vec<Mutex<VecDeque<TraceEvent>>>,
     cap_per_shard: usize,

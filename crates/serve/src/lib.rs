@@ -8,8 +8,9 @@
 //!   (frames, opcodes, typed statuses);
 //! * [`store`] — the durable, torn-tail-tolerant results log that
 //!   survives `kill -9`;
-//! * [`server`] — the `stmserve` server: bounded admission queue,
-//!   per-client quotas, circuit-breaker degradation through
+//! * [`server`] — the `stmserve` server: requests execute on their
+//!   connection threads under a bounded number of permits, with a
+//!   bounded waiting line, per-client quotas, circuit-breaker degradation through
 //!   `stm_bench::resilient::execute_slot`, load shedding, clean drain;
 //! * [`client`] — a blocking client;
 //! * [`load`] — the `stmload` chaos-injecting load harness with

@@ -144,8 +144,8 @@ pub enum Status {
     UnknownMatrix = 3,
     /// The client exceeded its in-flight request quota.
     QuotaExceeded = 4,
-    /// The bounded admission queue is full — retry after the hinted
-    /// delay (load shedding, not failure).
+    /// No execution permit is free and the waiting line is full —
+    /// retry after the hinted delay (load shedding, not failure).
     RetryAfter = 5,
     /// The kernel and its fallback (if any) both failed.
     KernelFailed = 6,
@@ -350,11 +350,21 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Writes one frame (magic, length, payload) and flushes.
+/// Writes one frame (magic, length, payload) with a single `write_all`
+/// and flushes. On an unbuffered `TCP_NODELAY` socket, separate writes
+/// of the header and the payload would each leave as their own segment.
 pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&MAGIC)?;
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("a {}-byte payload does not fit a frame", payload.len()),
+        )
+    })?;
+    let mut frame = Vec::with_capacity(8 + payload.len());
+    frame.extend_from_slice(&MAGIC);
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -776,6 +786,108 @@ mod tests {
         let nnz_at = 1 + 8 + 8 + 8 + 4 + 4;
         p[nnz_at..nnz_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(decode_request(&p), Err(Some(_))));
+    }
+
+    /// A sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One request of each kind, as the sweeps below corrupt them.
+    fn one_of_each_request() -> Vec<Request> {
+        let fault = Some(FaultRequest {
+            class: FaultClass::Truncate,
+            seed: 0x5eed,
+        });
+        [
+            RequestBody::Submit {
+                matrix_id: 0xabcd,
+                rows: 16,
+                cols: 8,
+                entries: vec![(0, 1, 1.5), (15, 7, -4.0), (3, 3, 2.25)],
+            },
+            RequestBody::Transpose {
+                matrix_id: 1,
+                fault,
+            },
+            RequestBody::Spmv {
+                matrix_id: 2,
+                fault: None,
+            },
+            RequestBody::Fetch { target: 7 },
+            RequestBody::Stats,
+            RequestBody::Metrics,
+            RequestBody::Shutdown,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, body)| Request {
+            request_id: 100 + i as u64,
+            client_id: 3,
+            body,
+        })
+        .collect()
+    }
+
+    #[test]
+    fn each_frame_leaves_in_one_write_in_the_wire_layout() {
+        let payloads: Vec<Vec<u8>> = std::iter::once(Vec::new())
+            .chain(one_of_each_request().iter().map(encode_request))
+            .collect();
+        for payload in &payloads {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "a {}-byte payload", payload.len());
+            let mut layout = MAGIC.to_vec();
+            layout.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            layout.extend_from_slice(payload);
+            assert_eq!(w.bytes, layout);
+            assert_eq!(&read_frame(&mut &w.bytes[..], 1 << 20).unwrap(), payload);
+        }
+    }
+
+    /// Reads `bytes` as a frame and decodes the payload as a request, as
+    /// a connection thread does: every outcome is a value, never a panic.
+    fn read_request(bytes: &[u8]) -> Option<Request> {
+        let payload = read_frame(&mut &bytes[..], DEFAULT_MAX_FRAME).ok()?;
+        decode_request(&payload).ok()
+    }
+
+    #[test]
+    fn truncated_and_bit_flipped_frames_are_typed_errors_or_other_requests() {
+        for req in one_of_each_request() {
+            let mut frame = Vec::new();
+            write_frame(&mut frame, &encode_request(&req)).unwrap();
+            assert_eq!(read_request(&frame), Some(req.clone()));
+            for n in 0..frame.len() {
+                assert_eq!(read_request(&frame[..n]), None, "{req:?} cut to {n} bytes");
+            }
+            for bit in 0..frame.len() * 8 {
+                let mut flipped = frame.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                // Every bit of the frame is significant: a flip never
+                // reads back as the request that was sent.
+                assert_ne!(
+                    read_request(&flipped),
+                    Some(req.clone()),
+                    "bit {bit} of {req:?}"
+                );
+            }
+        }
     }
 
     #[test]

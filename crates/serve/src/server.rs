@@ -4,10 +4,16 @@
 //! ## Architecture
 //!
 //! ```text
-//! accept loop ──► connection threads ──► bounded admission queue ──► worker pool
-//!   (poll +          (frame codec,          (depth-limited,            (breaker decide →
-//!    stop flag)       guards, timeouts)      per-client quotas,         execute_slot →
-//!                                            RETRY_AFTER shedding)      commit, log, wake)
+//! accept loop ──► one connection thread per client, which runs its own requests:
+//!  (blocking       read frame ─► admit ──┬─ a permit is free ──────────────────┐
+//!   accept, woken  (codec,       (idem-  ├─ none free: wait in the FIFO line   │
+//!   at shutdown)    guards,       potency,│  (≤ queue_depth ids) for a permit ─┤
+//!                   timeouts)     quota,  └─ line full: RETRY_AFTER            ▼
+//!                                 drain)          breaker decide → execute_slot
+//!                                                                              │
+//!                  write frame ◄─ commit; hand the permit ◄─ log append ◄──────┘
+//!                  (one write)    to the line's head, or      + flush
+//!                                 free it
 //! ```
 //!
 //! Every execution request flows through
@@ -18,9 +24,16 @@
 //!
 //! ## Invariants
 //!
-//! * **Bounded memory** — the admission queue never holds more than
-//!   `queue_depth` jobs; excess load is shed with `RETRY_AFTER` and the
-//!   high-water mark is exported in `STATS` for CI to assert.
+//! * **Bounded concurrency** — at most `workers` requests execute at
+//!   once, each on the connection thread that read it, while holding
+//!   one of `workers` permits. Permit `i` writes metrics and flight
+//!   events to shard `1 + i`; shard 0 belongs to admission.
+//! * **Bounded memory** — a request that finds no free permit waits in
+//!   a FIFO line that never holds more than `queue_depth` ids; excess
+//!   load is shed with `RETRY_AFTER` and the line's high-water mark is
+//!   exported in `STATS` for CI to assert. A finishing request hands its
+//!   permit straight to the head of the line, so a permit is free only
+//!   while the line is empty.
 //! * **At-most-once execution** — `request_id` is the idempotency key: a
 //!   re-sent in-flight id joins the original execution (no re-admit), a
 //!   re-sent completed id replays the recorded result.
@@ -28,12 +41,14 @@
 //!   degrades onto `transpose_ref`; SpMV has no registry fallback, so it
 //!   gets no breaker (an open breaker would turn healthy requests into
 //!   failures) and every SpMV runs. See DESIGN.md §13.
-//! * **Durability** — each completed request is appended and flushed to
-//!   the results log *before* its response is sent; a `kill -9` loses at
-//!   most responses, never recorded results, and a restarted server
-//!   re-serves `FETCH`es for every completed id.
+//! * **Durability** — the executing connection thread appends and
+//!   flushes each completed request to the results log *before* it
+//!   sends the response; a `kill -9` loses at most responses, never
+//!   recorded results, and a restarted server re-serves `FETCH`es for
+//!   every completed id. The log is not fsynced: an OS crash or power
+//!   loss can lose its tail (DESIGN.md §13).
 //! * **Clean drain** — `SHUTDOWN` stops admission (`SHUTTING_DOWN` to
-//!   new work), lets the queue and in-flight requests finish (each one
+//!   new work), lets waiting and executing requests finish (each one
 //!   checkpointed to the log as it lands), exports the server trace, and
 //!   only then acknowledges.
 
@@ -75,7 +90,7 @@ static NEXT_SERVER_ID: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     /// The server this thread works for (0 for every other thread), so
     /// a server's panic hook dumps its flight ring only for panics on
-    /// its own worker, connection and accept threads.
+    /// its own connection, accept and metrics threads.
     static SERVER_ID: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -103,11 +118,13 @@ fn kernel_for(op: Op) -> &'static str {
 pub struct ServeConfig {
     /// Bind address; port 0 picks a free port (see [`Server::addr`]).
     pub addr: String,
-    /// Admission queue depth — the bounded-memory knob.
+    /// Length limit of the line of requests waiting for a permit — the
+    /// bounded-memory knob.
     pub queue_depth: usize,
     /// Max in-flight (admitted, not yet completed) requests per client.
     pub quota: usize,
-    /// Worker threads executing kernels.
+    /// Execution permits: how many requests may execute at once. Each
+    /// request executes on the connection thread that read it.
     pub workers: usize,
     /// Frame payload cap in bytes (oversized-frame guard).
     pub max_frame: usize,
@@ -190,15 +207,17 @@ fn backend_index(b: registry::Backend) -> u64 {
 /// payload, in wire order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
-    /// Execution requests admitted to the queue.
+    /// Execution requests admitted (executing at once or after a wait
+    /// in the line).
     pub accepted: u64,
     /// Execution requests completed (any terminal status).
     pub completed: u64,
-    /// Requests shed with `RETRY_AFTER` because the queue was full.
+    /// Requests shed with `RETRY_AFTER` because no permit was free and
+    /// the waiting line was full.
     pub shed: u64,
     /// Completed requests whose result came from the fallback kernel.
     pub degraded: u64,
-    /// High-water mark of the admission queue.
+    /// High-water mark of the waiting line.
     pub queue_depth_max: u64,
     /// The configured queue depth (the bound `queue_depth_max` must
     /// respect).
@@ -207,7 +226,7 @@ pub struct StatsSnapshot {
     pub matrices: u64,
     /// Frames rejected by the magic/size/parse guards.
     pub bad_frames: u64,
-    /// Jobs sitting in the admission queue *right now* (live, not a
+    /// Requests waiting for a permit *right now* (live, not a
     /// high-water mark).
     pub queue_depth: u64,
     /// Admitted-but-not-completed requests right now.
@@ -265,7 +284,7 @@ impl StatsSnapshot {
     }
 }
 
-/// One admitted execution job.
+/// One admitted execution request.
 struct Job {
     request_id: u64,
     client_id: u64,
@@ -278,7 +297,14 @@ struct Job {
 #[derive(Default)]
 struct State {
     matrices: HashMap<u64, Arc<SuiteEntry>>,
-    queue: VecDeque<Job>,
+    /// Permits no request holds; non-empty only while `line` is empty.
+    free: Vec<usize>,
+    /// Admitted request ids waiting for a permit, oldest first; never
+    /// longer than `queue_depth`.
+    line: VecDeque<u64>,
+    /// Permits handed to former heads of `line` whose threads have not
+    /// woken yet, keyed by request id.
+    granted: HashMap<u64, usize>,
     /// Admitted-but-not-completed request ids, with the owning client.
     pending: HashMap<u64, u64>,
     pending_by_client: HashMap<u64, usize>,
@@ -286,18 +312,30 @@ struct State {
     stats: StatsSnapshot,
     /// No new work admitted; drain in progress.
     draining: bool,
-    /// Workers and the accept loop should exit.
+    /// The accept and metrics loops should exit.
     stopped: bool,
+}
+
+impl State {
+    /// The counters with the live fields filled in.
+    fn snapshot(&self) -> StatsSnapshot {
+        StatsSnapshot {
+            queue_depth: self.line.len() as u64,
+            in_flight: self.pending.len() as u64,
+            ..self.stats
+        }
+    }
 }
 
 struct Shared {
     cfg: ServeConfig,
     /// This server's thread tag (see [`SERVER_ID`]).
     id: u64,
+    /// The bound address, which [`finish_shutdown`] connects to.
+    addr: SocketAddr,
     state: Mutex<State>,
-    /// Wakes workers (queue push, stop).
-    work: Condvar,
-    /// Wakes request waiters and the drain (completion, stop).
+    /// Wakes waiters on completion: joiners of an in-flight id, requests
+    /// in the line (a permit was handed over) and the drain.
     done: Condvar,
     /// One breaker per kernel *with a registry fallback*, with its
     /// monotone decision sequence.
@@ -310,9 +348,10 @@ struct Shared {
     /// happen as one step: `check::validate` requires per-lane monotone
     /// timestamps in record order.
     seq: Mutex<u64>,
-    /// The live telemetry plane: shard 0 belongs to connection threads,
-    /// shard `1 + i` to worker `i`. Always on — updates are a striped
-    /// mutex and a map insert, far off the execution path's clock.
+    /// The live telemetry plane: shard 0 belongs to admission, shard
+    /// `1 + i` to the request holding permit `i`. Always on — updates
+    /// are a striped mutex and a map insert, far off the execution
+    /// path's clock.
     metrics: MetricsRegistry,
     /// The crash flight recorder's event ring (same shard layout).
     flight: FlightRecorder,
@@ -397,7 +436,6 @@ pub struct Server {
     metrics_addr: Option<SocketAddr>,
     accept: std::thread::JoinHandle<()>,
     metrics_thread: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 /// Counter and gauge families, declared at startup so the set of
@@ -419,12 +457,10 @@ const GAUGE_FAMILIES: &[&str] = &["serve.queue.depth", "serve.inflight"];
 const WINDOW_FAMILIES: &[&str] = &["serve.latency.us", "serve.kernel.cycles"];
 
 impl Server {
-    /// Binds, recovers the results log, and spawns the accept loop,
-    /// the worker pool, and (when configured) the metrics exposition
-    /// listener.
+    /// Binds, recovers the results log, and spawns the accept loop and
+    /// (when configured) the metrics exposition listener.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let metrics_listener = match &cfg.metrics_addr {
             Some(maddr) => {
@@ -439,7 +475,10 @@ impl Server {
             None => None,
         };
 
+        let permits = cfg.workers.max(1);
         let mut state = State {
+            // Reversed, so that `pop` hands out permit 0 first.
+            free: (0..permits).rev().collect(),
             stats: StatsSnapshot {
                 queue_depth_limit: cfg.queue_depth as u64,
                 backend: backend_index(cfg.backend),
@@ -478,10 +517,8 @@ impl Server {
         };
         run.vp.cycle_budget = cfg.deadline;
 
-        let workers_n = cfg.workers.max(1);
-        // Shard 0 is the connection threads' stripe; worker i owns
-        // stripe 1 + i.
-        let metrics = MetricsRegistry::new(workers_n + 1, 10);
+        // Shard 0 is admission's stripe; permit i owns stripe 1 + i.
+        let metrics = MetricsRegistry::new(permits + 1, 10);
         for name in COUNTER_FAMILIES {
             metrics.add(0, name, 0);
         }
@@ -491,11 +528,10 @@ impl Server {
         for name in WINDOW_FAMILIES {
             metrics.declare_window(0, name);
         }
-        let flight = FlightRecorder::new(workers_n + 1, cfg.flight_window_ms);
+        let flight = FlightRecorder::new(permits + 1, cfg.flight_window_ms);
         let install_panic_hook = cfg.flight_dir.is_some();
         let shared = Arc::new(Shared {
             state: Mutex::new(state),
-            work: Condvar::new(),
             done: Condvar::new(),
             breakers: Mutex::new(HashMap::new()),
             run,
@@ -511,6 +547,7 @@ impl Server {
             start: Instant::now(),
             deadlines: Mutex::new(VecDeque::new()),
             id: NEXT_SERVER_ID.fetch_add(1, Ordering::Relaxed),
+            addr,
             cfg,
         });
         let id = shared.id;
@@ -533,12 +570,6 @@ impl Server {
             }));
         }
 
-        let workers = (0..workers_n)
-            .map(|i| {
-                let sh = Arc::clone(&shared);
-                spawn_server_thread(id, move || worker_loop(&sh, i))
-            })
-            .collect();
         let metrics_thread = metrics_listener.map(|l| {
             let sh = Arc::clone(&shared);
             spawn_server_thread(id, move || metrics_loop(&sh, &l))
@@ -551,7 +582,6 @@ impl Server {
             metrics_addr,
             accept,
             metrics_thread,
-            workers,
         })
     }
 
@@ -572,19 +602,12 @@ impl Server {
         if let Some(m) = self.metrics_thread {
             m.join().ok();
         }
-        for w in self.workers {
-            w.join().ok();
-        }
     }
 
     /// A stats snapshot, for in-process tests. Live fields
     /// (`queue_depth`, `in_flight`) reflect this instant.
     pub fn stats(&self) -> StatsSnapshot {
-        let state = self.shared.state.lock().unwrap();
-        let mut stats = state.stats;
-        stats.queue_depth = state.queue.len() as u64;
-        stats.in_flight = state.pending.len() as u64;
-        stats
+        self.shared.state.lock().unwrap().snapshot()
     }
 
     /// The current metrics exposition text (what a scrape returns).
@@ -654,20 +677,21 @@ fn metrics_loop(sh: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
+/// Blocks in `accept`; [`finish_shutdown`] wakes it with a connection
+/// of its own once the stop flag is set.
 fn accept_loop(sh: &Arc<Shared>, listener: &TcpListener) {
     loop {
+        let accepted = listener.accept();
         if sh.state.lock().unwrap().stopped {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 sh.tick("serve.accept");
                 let sh = Arc::clone(sh);
                 spawn_server_thread(sh.id, move || handle_connection(&sh, stream));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Out of descriptors and the like: back off, then retry.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -682,7 +706,8 @@ fn handle_connection(sh: &Arc<Shared>, stream: TcpStream) {
         Ok(s) => s,
         Err(_) => return,
     });
-    let mut writer = std::io::BufWriter::new(stream);
+    // `write_frame` sends each frame in one write: no buffer needed.
+    let mut writer = stream;
     loop {
         let payload = match read_frame(&mut reader, sh.cfg.max_frame) {
             Ok(p) => p,
@@ -755,13 +780,7 @@ fn handle_request(sh: &Arc<Shared>, req: Request) -> Response {
         RequestBody::Fetch { target } => handle_fetch(sh, req.request_id, target),
         RequestBody::Stats => {
             sh.tick("serve.stats");
-            let stats = {
-                let state = sh.state.lock().unwrap();
-                let mut stats = state.stats;
-                stats.queue_depth = state.queue.len() as u64;
-                stats.in_flight = state.pending.len() as u64;
-                stats
-            };
+            let stats = sh.state.lock().unwrap().snapshot();
             Response {
                 status: Status::Ok,
                 degraded: false,
@@ -871,8 +890,10 @@ fn handle_execute(
     if in_flight >= sh.cfg.quota.max(1) {
         return Response::empty(Status::QuotaExceeded, req.request_id);
     }
-    // Bounded admission: shed rather than grow.
-    if state.queue.len() >= sh.cfg.queue_depth.max(1) {
+    // Run now on a free permit; else wait in the bounded line; else
+    // shed rather than grow.
+    let permit = state.free.pop();
+    if permit.is_none() && state.line.len() >= sh.cfg.queue_depth.max(1) {
         state.stats.shed += 1;
         drop(state);
         sh.tick("serve.shed");
@@ -888,7 +909,35 @@ fn handle_execute(
     }
     state.pending.insert(req.request_id, req.client_id);
     *state.pending_by_client.entry(req.client_id).or_insert(0) += 1;
-    state.queue.push_back(Job {
+    if permit.is_none() {
+        state.line.push_back(req.request_id);
+    }
+    state.stats.accepted += 1;
+    let depth = state.line.len() as u64;
+    let in_flight = state.pending.len() as u64;
+    state.stats.queue_depth_max = state.stats.queue_depth_max.max(depth);
+    drop(state);
+    sh.rec.observe("serve.queue.depth", depth);
+    sh.metrics.add(0, "serve.requests.accepted", 1);
+    sh.metrics.gauge(0, "serve.queue.depth", depth);
+    sh.metrics.gauge(0, "serve.inflight", in_flight);
+    sh.flight_note(0, "flight.enqueue", req.request_id);
+    sh.tick("serve.enqueue");
+
+    // Without a permit, wait until a finishing request hands one over.
+    let permit = match permit {
+        Some(p) => p,
+        None => {
+            let mut state = sh.state.lock().unwrap();
+            loop {
+                if let Some(p) = state.granted.remove(&req.request_id) {
+                    break p;
+                }
+                state = sh.done.wait(state).unwrap();
+            }
+        }
+    };
+    let job = Job {
         request_id: req.request_id,
         client_id: req.client_id,
         op,
@@ -899,26 +948,8 @@ fn handle_execute(
             class: f.class,
             seed: f.seed,
         }),
-    });
-    state.stats.accepted += 1;
-    let depth = state.queue.len() as u64;
-    let in_flight = state.pending.len() as u64;
-    state.stats.queue_depth_max = state.stats.queue_depth_max.max(depth);
-    sh.rec.observe("serve.queue.depth", depth);
-    sh.metrics.add(0, "serve.requests.accepted", 1);
-    sh.metrics.gauge(0, "serve.queue.depth", depth);
-    sh.metrics.gauge(0, "serve.inflight", in_flight);
-    sh.flight_note(0, "flight.enqueue", req.request_id);
-    sh.work.notify_one();
-    sh.tick("serve.enqueue");
-
-    // Wait for the worker pool to complete this id.
-    loop {
-        state = sh.done.wait(state).unwrap();
-        if let Some(rec) = state.completed.get(&req.request_id) {
-            return record_to_response(rec);
-        }
-    }
+    };
+    execute_job(sh, permit, &job)
 }
 
 fn handle_fetch(sh: &Arc<Shared>, request_id: u64, target: u64) -> Response {
@@ -938,9 +969,10 @@ fn handle_shutdown(sh: &Arc<Shared>, request_id: u64) -> Response {
     sh.tick("serve.drain");
     let mut state = sh.state.lock().unwrap();
     state.draining = true;
-    // Clean drain: every admitted request completes and is checkpointed
-    // to the results log before we acknowledge.
-    while !state.queue.is_empty() || !state.pending.is_empty() {
+    // Clean drain: every admitted request, waiting or executing,
+    // completes and is checkpointed to the results log before we
+    // acknowledge.
+    while !state.pending.is_empty() {
         state = sh.done.wait(state).unwrap();
     }
     drop(state);
@@ -955,37 +987,27 @@ fn handle_shutdown(sh: &Arc<Shared>, request_id: u64) -> Response {
 }
 
 /// Flips the stop flag after the shutdown ack went out, releasing the
-/// accept loop and the worker pool.
+/// metrics loop and, through one last connection, the accept loop.
 fn finish_shutdown(sh: &Arc<Shared>) {
-    let mut state = sh.state.lock().unwrap();
-    state.stopped = true;
-    drop(state);
-    sh.work.notify_all();
-    sh.done.notify_all();
-}
-
-fn worker_loop(sh: &Arc<Shared>, widx: usize) {
-    loop {
-        let job = {
-            let mut state = sh.state.lock().unwrap();
-            loop {
-                if let Some(job) = state.queue.pop_front() {
-                    break job;
-                }
-                if state.stopped {
-                    return;
-                }
-                state = sh.work.wait(state).unwrap();
-            }
-        };
-        execute_job(sh, widx, job);
+    sh.state.lock().unwrap().stopped = true;
+    let mut wake = sh.addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    if let Err(e) = TcpStream::connect(wake) {
+        eprintln!("stmserve: waking the accept loop at {wake} failed: {e}");
     }
 }
 
-fn execute_job(sh: &Arc<Shared>, widx: usize, job: Job) {
-    // This worker's metrics/flight stripe (shard 0 is the connection
-    // threads').
-    let shard = widx + 1;
+/// Executes an admitted request on the calling connection thread, which
+/// holds `permit`; commits the result, passes the permit on and returns
+/// the response.
+fn execute_job(sh: &Arc<Shared>, permit: usize, job: &Job) -> Response {
+    // This permit's metrics/flight stripe (shard 0 is admission's).
+    let shard = permit + 1;
     sh.tick("serve.execute");
     sh.flight_note(shard, "flight.execute", job.request_id);
     let kernel = kernel_for(job.op);
@@ -1150,10 +1172,18 @@ fn execute_job(sh: &Arc<Shared>, widx: usize, job: Job) {
     if rec.status != Status::Ok {
         state.stats.failed += 1;
     }
+    let resp = record_to_response(&rec);
     let (rstatus, rdegraded) = (rec.status, rec.degraded);
     state.completed.insert(job.request_id, rec);
+    // Hand the permit to the head of the line, or free it.
+    match state.line.pop_front() {
+        Some(next) => {
+            state.granted.insert(next, permit);
+        }
+        None => state.free.push(permit),
+    }
     let completed_total = state.stats.completed;
-    let depth = state.queue.len() as u64;
+    let depth = state.line.len() as u64;
     let in_flight = state.pending.len() as u64;
     drop(state);
     sh.rec.add("serve.completed", 1);
@@ -1190,4 +1220,5 @@ fn execute_job(sh: &Arc<Shared>, widx: usize, job: Job) {
         }
     }
     sh.done.notify_all();
+    resp
 }

@@ -143,9 +143,9 @@ impl ResultsLog {
             }
         }
         let bad = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-        let (records, keep_len, fresh) = match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let (records, keep_len) = parse_log(&text, path).map_err(bad)?;
+        let (records, keep_len, fresh) = match std::fs::read(path) {
+            Ok(bytes) => {
+                let (records, keep_len) = parse_log(&bytes, path).map_err(bad)?;
                 (records, keep_len, false)
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Vec::new(), 0, true),
@@ -178,10 +178,11 @@ impl ResultsLog {
     }
 }
 
-/// Parses the log text through the shared journal reader; returns the
+/// Parses the log bytes through the shared journal reader; returns the
 /// records and the byte length of the well-formed prefix (everything up
 /// to and including the last complete line).
-fn parse_log(text: &str, path: &Path) -> Result<(Vec<ResultRecord>, usize), String> {
+fn parse_log(bytes: &[u8], path: &Path) -> Result<(Vec<ResultRecord>, usize), String> {
+    let text = std::str::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"))?;
     if text.is_empty() {
         return Ok((Vec::new(), 0));
     }
@@ -322,6 +323,43 @@ mod tests {
         let (_, reloaded) = ResultsLog::open(&path).unwrap();
         assert_eq!(reloaded, vec![records[0].clone(), extra]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncated_and_bit_flipped_records_are_typed_errors_or_torn_tails() {
+        let header = journal::seal(&format!("{{\"schema\":\"{SCHEMA}\"}}")) + "\n";
+        let rec = sample().remove(0);
+        let line = journal::seal(&rec.canonical_line()) + "\n";
+        let path = Path::new("results.log");
+        let load = |tail: &[u8]| parse_log(&[header.as_bytes(), tail].concat(), path);
+        assert_eq!(
+            load(line.as_bytes()),
+            Ok((vec![rec.clone()], header.len() + line.len()))
+        );
+
+        // A cut record is a torn tail: dropped, the header kept. Only the
+        // cut that removes just the newline leaves a whole record.
+        for n in 0..line.len() {
+            let want = if n == line.len() - 1 {
+                (vec![rec.clone()], header.len() + n)
+            } else {
+                (Vec::new(), header.len())
+            };
+            assert_eq!(load(&line.as_bytes()[..n]), Ok(want), "cut to {n} bytes");
+        }
+        // A flipped bit is refused, dropped as a torn tail, or (in the
+        // seal's own spelling, e.g. a hex digit's case) harmless — it
+        // never loads a different record.
+        for bit in 0..line.len() * 8 {
+            let mut flipped = line.clone().into_bytes();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok((records, _)) = load(&flipped) {
+                assert!(
+                    records.is_empty() || records == [rec.clone()],
+                    "bit {bit}: {records:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -345,6 +345,69 @@ fn chaos_load_is_clean_bounded_and_deterministic() {
     assert_eq!(first, second, "summary must be byte-deterministic");
 }
 
+#[test]
+fn a_full_waiting_line_sheds_while_the_waiting_request_completes() {
+    // One permit, a line of one. A long transpose holds the permit, a
+    // second request waits in the line, a third is shed. The held
+    // transpose (300k nnz, three vote legs) outlasts the few round
+    // trips the test makes while it runs by two orders of magnitude.
+    let (server, addr) = start(ServeConfig {
+        workers: 1,
+        queue_depth: 1,
+        verify_mode: stm_bench::resilient::VerifyMode::Vote,
+        max_frame: 8 << 20,
+        ..ServeConfig::default()
+    });
+    let mut c = client(&addr, 1);
+    let long = stm_sparse::gen::random::uniform(2048, 2048, 300_000, 0x1106);
+    let resp = c.submit(u64::MAX - 70, 0, &long).expect("submit");
+    assert_eq!(resp.status, Status::Ok);
+    submit(&mut c, 0x11E, 1);
+    let small = workload_matrix(0x11E, 1);
+    let want = stm_sparse::format::canonical_digest(&small.transpose_canonical());
+
+    std::thread::scope(|s| {
+        let addr = &addr;
+        let in_flight = |n: u64| {
+            let t0 = std::time::Instant::now();
+            while server.stats().in_flight != n {
+                assert!(t0.elapsed().as_secs() < 60, "never saw {n} in flight");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        };
+        let holder = s.spawn(move || client(addr, 2).transpose(1, 0, None));
+        in_flight(1);
+        let waiter = s.spawn(move || client(addr, 3).transpose(2, 1, None));
+        in_flight(2);
+
+        // STATS over the wire reads the one waiting request...
+        let resp = c.stats(10).expect("stats");
+        let stats = match resp.body {
+            ResponseBody::Stats(v) => stm_serve::server::StatsSnapshot::from_vec(&v).unwrap(),
+            other => panic!("expected stats, got {other:?}"),
+        };
+        assert_eq!(stats.queue_depth, 1, "the second request must wait");
+        // ...and a third request finds the line full.
+        let shed = client(addr, 4).transpose(3, 1, None).expect("shed");
+        assert_eq!(shed.status, Status::RetryAfter);
+        assert!(matches!(shed.body, ResponseBody::RetryAfterMs(_)));
+
+        let held = holder.join().unwrap().expect("holder");
+        assert_eq!(held.status, Status::Ok);
+        let waited = waiter.join().unwrap().expect("waiter");
+        assert_eq!(waited.status, Status::Ok);
+        assert_eq!(waited.body, ResponseBody::Digest(want));
+    });
+    let stats = server.stats();
+    assert_eq!(stats.accepted, 2, "holder and waiter admitted");
+    assert_eq!(stats.shed, 1, "the third request shed");
+    assert_eq!(stats.queue_depth_max, 1);
+    assert_eq!(stats.completed, 2);
+    assert_eq!((stats.queue_depth, stats.in_flight), (0, 0));
+    drop(c);
+    shutdown_and_join(server, &addr);
+}
+
 fn shutdown_and_join(server: Server, addr: &str) {
     let mut c = client(addr, 0);
     let resp = c.shutdown(u64::MAX).expect("shutdown");
