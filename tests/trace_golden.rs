@@ -2,16 +2,21 @@
 //! the same kernel must serialize to byte-identical JSONL, CSV and
 //! Chrome-trace output on every run — and through the batch harness the
 //! exported files must not depend on the worker count. Byte determinism
-//! is what makes traces diffable artifacts in CI.
+//! is what makes traces diffable artifacts in CI. Golden digests pin the
+//! JSONL bytes themselves, so a reordered or renamed event fails here.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use hism_stm::obs::Recorder;
 use hism_stm::sparse::Coo;
-use hism_stm::stm::kernels::registry::{self, ExecCtx};
+use hism_stm::stm::kernels::registry::{self, ExecCtx, KernelError};
+use hism_stm::stm::StmConfig;
+use hism_stm::vpsim::VpConfig;
 use stm_bench::harness::{run_set, RunConfig};
 use stm_dsab::SuiteEntry;
+use stm_hism::FaultClass;
+use stm_sparse::hash::fnv1a;
 
 /// A small fixed matrix — hand-written triplets, no RNG, so the trace
 /// contents are pinned by the code alone.
@@ -38,6 +43,113 @@ fn traced_run(name: &str, coo: &Coo) -> hism_stm::obs::TraceData {
     ctx.obs = Recorder::enabled_default();
     registry::run_verified(name, coo, &ctx).unwrap_or_else(|e| panic!("{name}: {e}"));
     ctx.obs.snapshot()
+}
+
+/// FNV-1a of the traced JSONL of every registry kernel on the fixed
+/// matrix (prepare → run → verify on the paper machine), in registry
+/// order.
+#[rustfmt::skip]
+const CLEAN_GOLDENS: [(&str, u64); 12] = [
+    ("transpose_hism", 0xd46669f1fa9cf218),
+    ("transpose_crs", 0x30340bc1c782e589),
+    ("transpose_crs_scalar", 0xeac9e9c880dc4986),
+    ("transpose_dense", 0x94407648f169a57a),
+    ("spmv_hism", 0x5203b9ea6861a459),
+    ("spmv_crs", 0xf17b7e4d2a7967fa),
+    ("transpose_ref", 0x676982ddbd963e25),
+    ("transpose_coo", 0x4fb6e05fd9a94d2d),
+    ("transpose_csc", 0xfc129d237793c9de),
+    ("transpose_jd", 0x9d535d844d0bb52a),
+    ("transpose_sell", 0x634933898f808156),
+    ("spmv_sell", 0xf0dad42bfc41301f),
+];
+
+/// One fault per kernel that hosts any: the class injected (seed
+/// `0x5eed`) and the FNV-1a of the run's outcome text followed by its
+/// traced JSONL. The runs use `s = 8`, so the HiSM image has two levels
+/// and a retargeted pointer reaches guarded memory; every class but the
+/// dense kernel's value-only flip ends in `mem.oob` instants.
+#[rustfmt::skip]
+const FAULTED_GOLDENS: [(&str, FaultClass, u64); 11] = [
+    ("transpose_hism", FaultClass::PointerRetarget, 0x246a38b4aecfdfe0),
+    ("transpose_crs", FaultClass::PosGarbage, 0x595e81f214ff9dff),
+    ("transpose_crs_scalar", FaultClass::PosGarbage, 0x76e4dacf99452b17),
+    ("transpose_dense", FaultClass::BitFlip, 0x886538885a0b4047),
+    ("spmv_hism", FaultClass::PosGarbage, 0x931b4f0f42ed9e86),
+    ("spmv_crs", FaultClass::PosGarbage, 0xcf5b5d43f2371fb6),
+    ("transpose_coo", FaultClass::PosGarbage, 0xf761497044e520e5),
+    ("transpose_csc", FaultClass::PosGarbage, 0xcef73579fb996ce8),
+    ("transpose_jd", FaultClass::PosGarbage, 0x4f56b44787897d3a),
+    ("transpose_sell", FaultClass::PosGarbage, 0xc24d74a587d57a7b),
+    ("spmv_sell", FaultClass::PosGarbage, 0x677cae807d9e4b4c),
+];
+
+/// The traced JSONL and outcome of one faulted run on an `s = 8` machine.
+fn faulted_run(name: &str, class: FaultClass, coo: &Coo) -> (String, hism_stm::obs::TraceData) {
+    let ctx = ExecCtx {
+        vp: VpConfig {
+            section_size: 8,
+            ..VpConfig::paper()
+        },
+        stm: StmConfig { s: 8, b: 4, l: 4 },
+        obs: Recorder::enabled_default(),
+        ..ExecCtx::paper()
+    };
+    let mut kernel = registry::create(name).unwrap();
+    kernel.prepare(coo, &ctx).unwrap();
+    kernel
+        .inject_fault(class, 0x5eed)
+        .unwrap_or_else(|e| panic!("{name}/{class}: {e}"));
+    let outcome = match kernel.run(&mut ctx.clone()) {
+        Ok(r) => format!("ok {:#018x}", r.output_digest),
+        Err(e) => format!("err {e}"),
+    };
+    (outcome, ctx.obs.snapshot())
+}
+
+#[test]
+fn traced_jsonl_matches_its_golden_digests() {
+    let coo = fixed_matrix();
+    let clean: Vec<(&str, u64)> = registry::names()
+        .iter()
+        .map(|&name| (name, fnv1a(traced_run(name, &coo).to_jsonl().as_bytes())))
+        .collect();
+    let faulted: Vec<(&str, FaultClass, u64)> = FAULTED_GOLDENS
+        .iter()
+        .map(|&(name, class, _)| {
+            let (outcome, data) = faulted_run(name, class, &coo);
+            if name != "transpose_dense" {
+                assert!(data.counter("mem.oob_events") > 0, "{name}: no mem.oob");
+            }
+            let bytes = format!("{outcome}\n{}", data.to_jsonl());
+            (name, class, fnv1a(bytes.as_bytes()))
+        })
+        .collect();
+    let rendered: Vec<String> = clean
+        .iter()
+        .map(|(k, d)| format!("    (\"{k}\", {d:#018x}),"))
+        .chain(
+            faulted
+                .iter()
+                .map(|(k, c, d)| format!("    (\"{k}\", FaultClass::{c:?}, {d:#018x}),")),
+        )
+        .collect();
+    let now = rendered.join("\n");
+    assert_eq!(clean, CLEAN_GOLDENS, "trace digests moved; now:\n{now}");
+    assert_eq!(faulted, FAULTED_GOLDENS, "trace digests moved; now:\n{now}");
+    // Every kernel that hosts a fault has its faulted trace pinned.
+    for &name in registry::names() {
+        let pinned = FAULTED_GOLDENS.iter().any(|g| g.0 == name);
+        let hosts = FaultClass::ALL.into_iter().any(|class| {
+            let mut kernel = registry::create(name).unwrap();
+            kernel.prepare(&coo, &ExecCtx::paper()).unwrap();
+            !matches!(
+                kernel.inject_fault(class, 0x5eed),
+                Err(KernelError::FaultUnsupported { .. })
+            )
+        });
+        assert_eq!(pinned, hosts, "{name}: faulted trace pinning");
+    }
 }
 
 #[test]
