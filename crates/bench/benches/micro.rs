@@ -119,8 +119,7 @@ fn bench_simulator_throughput() {
         let mut kernel = registry::create(name).unwrap();
         kernel.prepare(&coo, &ctx).unwrap();
         bench(&format!("simulator/{name}"), || {
-            let mut ctx = registry::ExecCtx::paper();
-            black_box(kernel.run(&mut ctx).unwrap());
+            black_box(kernel.run(&ctx).unwrap());
         });
     }
 }

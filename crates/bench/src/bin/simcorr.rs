@@ -44,10 +44,9 @@ fn run_leg(entry: &SuiteEntry, kernel: &str, backend: Backend, reps: usize) -> R
         .map_err(|e| format!("{kernel} prepare: {e}"))?;
     let mut best: Option<Leg> = None;
     for _ in 0..reps.max(1) {
-        let mut c = ctx.clone();
         let t0 = Instant::now();
         let report = k
-            .run(&mut c)
+            .run(&ctx)
             .map_err(|e| format!("{kernel} run ({}): {e}", backend.name()))?;
         let measured = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let wall_ns = report.report.wall_ns.unwrap_or(measured);

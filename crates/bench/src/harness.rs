@@ -121,7 +121,6 @@ impl RunConfig {
             stm: self.stm,
             timing: self.timing,
             obs: Recorder::disabled(),
-            span: stm_obs::SpanCtx::root(),
             backend: self.backend,
         }
     }
@@ -323,7 +322,6 @@ pub(crate) fn attempt(
 ) -> Result<KernelReport, KernelFailure> {
     let mut ctx = cfg.ctx();
     ctx.obs = rec.clone();
-    ctx.span = rec.span_ctx();
     let mut k = registry::create(kernel).ok_or_else(|| KernelFailure {
         kernel: kernel.to_string(),
         stage: Stage::Prepare,
@@ -353,7 +351,7 @@ pub(crate) fn attempt(
             }
         }
     }
-    let report = isolate(kernel, Stage::Run, || k.run(&mut ctx))?;
+    let report = isolate(kernel, Stage::Run, || k.run(&ctx))?;
     if cfg.verify {
         isolate(kernel, Stage::Verify, || {
             k.verify(&entry.coo, &report.output)

@@ -12,10 +12,10 @@
 //! use stm_sparse::gen;
 //!
 //! let coo = gen::random::uniform(32, 32, 60, 1);
-//! let mut ctx = registry::ExecCtx::paper();
+//! let ctx = registry::ExecCtx::paper();
 //! let mut kernel = registry::create("transpose_hism").unwrap();
 //! kernel.prepare(&coo, &ctx).unwrap();
-//! let report = kernel.run(&mut ctx).unwrap();
+//! let report = kernel.run(&ctx).unwrap();
 //! kernel.verify(&coo, &report.output).unwrap();
 //! assert!(report.report.cycles > 0);
 //! ```
@@ -30,7 +30,7 @@ use crate::report::TransposeReport;
 use crate::unit::StmConfig;
 use std::fmt;
 use stm_hism::{FaultClass, FaultRecord, HismImage, ImageError};
-use stm_obs::{Recorder, SpanCtx};
+use stm_obs::Recorder;
 use stm_sparse::hash::Fnv1a;
 use stm_sparse::{Coo, Csr, Dense, FormatError, Value};
 use stm_vpsim::{MemFault, TimingKind, VpConfig};
@@ -38,11 +38,10 @@ use stm_vpsim::{MemFault, TimingKind, VpConfig};
 pub use stm_host::Backend;
 
 /// The machine a kernel executes on: vector-processor parameters, STM
-/// coprocessor parameters and the timing model charging the cycles.
-///
-/// One `ExecCtx` is immutable machine state from the kernel's point of
-/// view; [`Kernel::run`] takes it mutably only so future kernels can
-/// thread shared resources (e.g. a persistent trace sink) through it.
+/// coprocessor parameters, the timing model charging the cycles, the
+/// recorder and the backend. Every kernel function takes it by shared
+/// reference; build a variant with struct update syntax, e.g.
+/// `ExecCtx { vp, stm, ..ExecCtx::paper() }`.
 #[derive(Debug, Clone)]
 pub struct ExecCtx {
     /// Vector-processor configuration.
@@ -53,14 +52,10 @@ pub struct ExecCtx {
     pub timing: TimingKind,
     /// Observability sink threaded through every engine this context
     /// creates. Disabled (a no-op) by default; clones share the same
-    /// underlying recording, so the trace survives context clones.
+    /// underlying recording, so the trace survives context clones. A
+    /// handle made with `Recorder::with_ctx` stamps every event with its
+    /// request id.
     pub obs: Recorder,
-    /// Request correlation context: the originating service request id
-    /// this execution is serving, or the root context for batch runs.
-    /// Harnesses set it alongside `obs` so every engine event carries
-    /// the request tag (`obs` handles stamp it; `span` makes the id
-    /// available to kernels that spawn their own sub-recorders).
-    pub span: SpanCtx,
     /// Execution backend: the cycle-accurate simulator (the default) or
     /// the host-native scalar leg ([`Backend::Scalar`]; [`Backend::Simd`]
     /// runs the same code). Host-capable kernels dispatch on it in
@@ -78,7 +73,6 @@ impl ExecCtx {
             stm: StmConfig::default(),
             timing: TimingKind::Paper,
             obs: Recorder::disabled(),
-            span: SpanCtx::root(),
             backend: Backend::Sim,
         }
     }
@@ -442,7 +436,7 @@ pub trait Kernel {
     fn prepare(&mut self, coo: &Coo, ctx: &ExecCtx) -> Result<(), KernelError>;
 
     /// Executes the prepared input on the context's machine.
-    fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError>;
+    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError>;
 
     /// Checks `out` against the host oracle for `coo`.
     fn verify(&self, coo: &Coo, out: &KernelOutput) -> Result<(), KernelError>;

@@ -8,16 +8,15 @@
 //! CSR walk would produce them, the output is **byte-identical** to the
 //! `transpose_crs` reference.
 
-use crate::exec::KernelError;
+use super::{simulate, Ran};
+use crate::exec::{ExecCtx, KernelError};
 use crate::kernels::crs_transpose::{decode_result, CrsLayout};
 use crate::kernels::histogram::{histogram_max_instructions, histogram_program};
 use crate::kernels::scan::scan_add_inplace;
-use crate::obs::{record_oob, record_phases};
 use crate::report::{Phase, TransposeReport};
-use stm_obs::Recorder;
 use stm_sparse::{Csr, Value};
-use stm_vpsim::scalar::{run_scalar, ScalarRunStats};
-use stm_vpsim::{Allocator, Engine, Memory, TimingKind, VpConfig};
+use stm_vpsim::scalar::run_scalar;
+use stm_vpsim::{Allocator, Engine, Memory, VpConfig};
 
 /// The raw triplet arrays a run consumes. Kept as plain vectors (not a
 /// [`stm_sparse::Coo`]) so the fault injector can plant out-of-range
@@ -34,12 +33,7 @@ pub struct CooArrays {
 
 /// Simulates the COO transposition of `ca`. Returns the transposed CSR
 /// matrix and the cycle report.
-pub fn transpose_coo_obs(
-    vp_cfg: &VpConfig,
-    ca: &CooArrays,
-    timing: TimingKind,
-    rec: &Recorder,
-) -> Result<(Csr, TransposeReport), KernelError> {
+pub fn transpose_coo(ctx: &ExecCtx, ca: &CooArrays) -> Result<(Csr, TransposeReport), KernelError> {
     let (rows, cols, nnz) = (ca.rows, ca.cols, ca.entries.len());
     let mut mem = Memory::new();
     let mut alloc = Allocator::new(64);
@@ -57,52 +51,33 @@ pub fn transpose_coo_obs(
     mem.write_block(rowa, &rowv);
     mem.write_block(cola, &colv);
     mem.write_block(vala, &valv);
-    mem.guard(alloc.watermark(), vp_cfg.oob);
-    let mut e = Engine::with_timing(vp_cfg.clone(), mem, timing);
-    e.set_recorder(rec.clone());
-
-    let phased = run_phases(&mut e, vp_cfg, ca, rowa, cola, vala, jat, ant, iat);
-    record_oob(rec, e.stats_snapshot().mem_oob_events, e.cycles());
-    let (phases, scalar_stats) = phased?;
-    if let Some(f) = e.mem_fault() {
-        return Err(f.into());
-    }
-    let report = TransposeReport {
-        wall_ns: None,
-        cycles: e.cycles(),
-        nnz,
-        engine: e.stats_snapshot(),
-        scalar: Some(scalar_stats),
-        stm: None,
-        phases,
-        fu_busy: *e.fu_busy(),
-        stalls: e.stall_breakdown(),
-    };
-    record_phases(rec, &report.phases);
     let layout = CrsLayout {
-        ia: rowa, // unused by decode
+        ia: rowa, // the row array; decode ignores it
         ja: cola,
         an: vala,
         iat,
         jat,
         ant,
     };
-    let result = decode_result(e.mem(), &layout, rows, cols, nnz)?;
-    Ok((result, report))
+    simulate(
+        ctx,
+        mem,
+        alloc.watermark(),
+        nnz,
+        |e| run_phases(e, &ctx.vp, ca, &layout),
+        |mem| decode_result(&mem, &layout, rows, cols, nnz),
+    )
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The four phases of the COO transposition over the arrays at `l`
+/// (`ia` holds the row array).
 fn run_phases(
     e: &mut Engine,
     vp_cfg: &VpConfig,
     ca: &CooArrays,
-    rowa: u32,
-    cola: u32,
-    vala: u32,
-    jat: u32,
-    ant: u32,
-    iat: u32,
-) -> Result<(Vec<Phase>, ScalarRunStats), KernelError> {
+    l: &CrsLayout,
+) -> Result<Ran, KernelError> {
+    let (rowa, cola, vala, jat, ant, iat) = (l.ia, l.ja, l.an, l.jat, l.ant, l.iat);
     let mut phases = Vec::new();
     let s = vp_cfg.section_size;
     let (rows, cols, nnz) = (ca.rows, ca.cols, ca.entries.len());
@@ -193,7 +168,10 @@ fn run_phases(
         name: "scatter",
         cycles: t3 - t2,
     });
-    Ok((phases, scalar_stats))
+    Ok(Ran {
+        scalar: Some(scalar_stats),
+        ..Ran::phased(phases)
+    })
 }
 
 #[cfg(test)]
@@ -220,13 +198,7 @@ mod tests {
             Coo::new(5, 7),
         ] {
             let ca = arrays(&coo);
-            let (got, report) = transpose_coo_obs(
-                &VpConfig::paper(),
-                &ca,
-                TimingKind::Paper,
-                &Recorder::disabled(),
-            )
-            .unwrap();
+            let (got, report) = transpose_coo(&ExecCtx::paper(), &ca).unwrap();
             assert_eq!(got, Csr::from_coo(&coo).transpose_pissanetsky());
             let sum: u64 = report.phases.iter().map(|p| p.cycles).sum();
             assert_eq!(sum, report.cycles);
@@ -241,12 +213,7 @@ mod tests {
         ca.entries[0].0 = ca.rows + 3;
         // The runaway row sorts first, so the very first segment trips.
         assert!(matches!(
-            transpose_coo_obs(
-                &VpConfig::paper(),
-                &ca,
-                TimingKind::Paper,
-                &Recorder::disabled()
-            ),
+            transpose_coo(&ExecCtx::paper(), &ca),
             Err(KernelError::Corrupt(_))
         ));
     }
@@ -256,13 +223,7 @@ mod tests {
         let coo = gen::random::uniform(30, 30, 120, 9);
         let mut ca = arrays(&coo);
         ca.entries[10].1 = ca.cols + 100;
-        let err = transpose_coo_obs(
-            &VpConfig::paper(),
-            &ca,
-            TimingKind::Paper,
-            &Recorder::disabled(),
-        )
-        .unwrap_err();
+        let err = transpose_coo(&ExecCtx::paper(), &ca).unwrap_err();
         assert!(
             matches!(err, KernelError::MemFault(_) | KernelError::Corrupt(_)),
             "{err:?}"

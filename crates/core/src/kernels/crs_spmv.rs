@@ -12,42 +12,18 @@
 //! scalar accumulate + store y[i]
 //! ```
 
-use crate::exec::KernelError;
-use crate::obs::{record_oob, record_phases};
-use crate::report::{Phase, TransposeReport};
-use stm_obs::Recorder;
+use super::{simulate, Ran};
+use crate::exec::{ExecCtx, KernelError};
+use crate::report::TransposeReport;
 use stm_sparse::{Csr, Value};
-use stm_vpsim::{Allocator, Engine, Memory, TimingKind, VpConfig};
+use stm_vpsim::{Allocator, Engine, Memory, VpConfig};
 
 /// Simulates `y = A * x` for a CSR matrix. Returns the result vector and
 /// the cycle report.
 pub fn spmv_crs(
-    vp_cfg: &VpConfig,
+    ctx: &ExecCtx,
     csr: &Csr,
     x: &[Value],
-) -> Result<(Vec<Value>, TransposeReport), KernelError> {
-    spmv_crs_timed(vp_cfg, csr, x, TimingKind::Paper)
-}
-
-/// [`spmv_crs`] under an explicit timing model — the functional result is
-/// identical for every model; only the cycle accounting changes.
-pub fn spmv_crs_timed(
-    vp_cfg: &VpConfig,
-    csr: &Csr,
-    x: &[Value],
-    timing: TimingKind,
-) -> Result<(Vec<Value>, TransposeReport), KernelError> {
-    spmv_crs_obs(vp_cfg, csr, x, timing, &Recorder::disabled())
-}
-
-/// [`spmv_crs_timed`] with a structured-event [`Recorder`]. A disabled
-/// recorder makes this identical to [`spmv_crs_timed`].
-pub fn spmv_crs_obs(
-    vp_cfg: &VpConfig,
-    csr: &Csr,
-    x: &[Value],
-    timing: TimingKind,
-    rec: &Recorder,
 ) -> Result<(Vec<Value>, TransposeReport), KernelError> {
     if x.len() != csr.cols() {
         return Err(KernelError::Config(format!(
@@ -56,7 +32,7 @@ pub fn spmv_crs_obs(
             csr.cols()
         )));
     }
-    let s = vp_cfg.section_size;
+    let s = ctx.vp.section_size;
     let mut mem = Memory::new();
     let mut alloc = Allocator::new(64);
     let ia = alloc.alloc(csr.rows() + 1);
@@ -79,39 +55,17 @@ pub fn spmv_crs_obs(
     for (i, &v) in x.iter().enumerate() {
         mem.write_f32(xb + i as u32, v);
     }
+    let body = |e: &mut Engine| {
+        run_rows(e, &ctx.vp, csr, s, ia, ja, an, xb, yb)?;
+        Ok(Ran::whole(e, "crs-spmv"))
+    };
     // Corrupt column indices would gather past the allocation; the guard
     // records that as a fault instead of silently growing memory.
-    mem.guard(alloc.watermark(), vp_cfg.oob);
-    let mut e = Engine::with_timing(vp_cfg.clone(), mem, timing);
-    e.set_recorder(rec.clone());
-
-    let ran = run_rows(&mut e, vp_cfg, csr, s, ia, ja, an, xb, yb);
-    record_oob(rec, e.stats_snapshot().mem_oob_events, e.cycles());
-    ran?;
-    if let Some(f) = e.mem_fault() {
-        return Err(f.into());
-    }
-    let cycles = e.cycles();
-    let report = TransposeReport {
-        wall_ns: None,
-        cycles,
-        nnz: csr.nnz(),
-        engine: e.stats_snapshot(),
-        scalar: None,
-        stm: None,
-        phases: vec![Phase {
-            name: "crs-spmv",
-            cycles,
-        }],
-        fu_busy: *e.fu_busy(),
-        stalls: e.stall_breakdown(),
-    };
-    record_phases(rec, &report.phases);
-    let mem = e.into_mem();
-    let y = (0..csr.rows())
-        .map(|i| mem.read_f32(yb + i as u32))
-        .collect();
-    Ok((y, report))
+    simulate(ctx, mem, alloc.watermark(), csr.nnz(), body, |mem| {
+        Ok((0..csr.rows())
+            .map(|i| mem.read_f32(yb + i as u32))
+            .collect())
+    })
 }
 
 /// The per-row gather/multiply/reduce loop, factored out so the caller can
@@ -176,7 +130,7 @@ mod tests {
     fn run(coo: &Coo) -> (Vec<f32>, Vec<f32>) {
         let csr = Csr::from_coo(coo);
         let x: Vec<f32> = (0..coo.cols()).map(|i| ((i % 5) as f32) - 2.0).collect();
-        let (y, _) = spmv_crs(&VpConfig::paper(), &csr, &x).unwrap();
+        let (y, _) = spmv_crs(&ExecCtx::paper(), &csr, &x).unwrap();
         (y, csr.spmv(&x).unwrap())
     }
 
@@ -211,8 +165,8 @@ mod tests {
         let small = gen::random::uniform(64, 64, 200, 1);
         let large = gen::random::uniform(64, 64, 2000, 1);
         let x = vec![1.0f32; 64];
-        let (_, r1) = spmv_crs(&VpConfig::paper(), &Csr::from_coo(&small), &x).unwrap();
-        let (_, r2) = spmv_crs(&VpConfig::paper(), &Csr::from_coo(&large), &x).unwrap();
+        let (_, r1) = spmv_crs(&ExecCtx::paper(), &Csr::from_coo(&small), &x).unwrap();
+        let (_, r2) = spmv_crs(&ExecCtx::paper(), &Csr::from_coo(&large), &x).unwrap();
         assert!(r2.cycles > r1.cycles);
     }
 }

@@ -6,43 +6,18 @@
 //! exactly why sparse formats, and then sparse transposition hardware,
 //! exist.
 
-use crate::exec::KernelError;
-use crate::obs::{record_oob, record_phases};
-use crate::report::{Phase, TransposeReport};
-use stm_obs::Recorder;
+use super::{simulate, Ran};
+use crate::exec::{ExecCtx, KernelError};
+use crate::report::TransposeReport;
 use stm_sparse::{Coo, Dense};
-use stm_vpsim::{Allocator, Engine, Memory, TimingKind, VpConfig};
+use stm_vpsim::{Allocator, Engine, Memory};
 
 /// Simulates the dense strided transpose of a matrix (stored row-major as
 /// a full `rows x cols` array). Returns the transposed dense matrix read
 /// back from simulated memory, and the report (`nnz` is the matrix's
 /// non-zero count so `cycles_per_nnz` is comparable with the sparse
 /// kernels).
-pub fn transpose_dense(
-    vp_cfg: &VpConfig,
-    coo: &Coo,
-) -> Result<(Dense, TransposeReport), KernelError> {
-    transpose_dense_timed(vp_cfg, coo, TimingKind::Paper)
-}
-
-/// [`transpose_dense`] under an explicit timing model — the functional
-/// result is identical for every model; only the cycle accounting changes.
-pub fn transpose_dense_timed(
-    vp_cfg: &VpConfig,
-    coo: &Coo,
-    timing: TimingKind,
-) -> Result<(Dense, TransposeReport), KernelError> {
-    transpose_dense_obs(vp_cfg, coo, timing, &Recorder::disabled())
-}
-
-/// [`transpose_dense_timed`] with a structured-event [`Recorder`]. A
-/// disabled recorder makes this identical to [`transpose_dense_timed`].
-pub fn transpose_dense_obs(
-    vp_cfg: &VpConfig,
-    coo: &Coo,
-    timing: TimingKind,
-    rec: &Recorder,
-) -> Result<(Dense, TransposeReport), KernelError> {
+pub fn transpose_dense(ctx: &ExecCtx, coo: &Coo) -> Result<(Dense, TransposeReport), KernelError> {
     // `Dense::from_coo` indexes by entry coordinates; validate first so a
     // corrupted COO is a typed error rather than a panic.
     coo.validate(false)?;
@@ -57,68 +32,46 @@ pub fn transpose_dense_obs(
             mem.write_f32(src + (r * cols + c) as u32, dense.get(r, c));
         }
     }
-    mem.guard(alloc.watermark(), vp_cfg.oob);
-    let mut e = Engine::with_timing(vp_cfg.clone(), mem, timing);
-    e.set_recorder(rec.clone());
-    let s = vp_cfg.section_size;
-
-    // For each output row (= input column): strided gather of the column,
-    // contiguous store of the row. Strip-mined over the section size.
-    for c in 0..cols {
-        let mut off = 0usize;
-        while off < rows {
-            let vl = s.min(rows - off);
-            let col = e.v_ld_strided(src + (off * cols + c) as u32, cols as u32, vl);
-            e.v_st(dst + (c * rows + off) as u32, &col);
-            e.loop_overhead();
-            off += vl;
-        }
-    }
-
-    record_oob(rec, e.stats_snapshot().mem_oob_events, e.cycles());
-    if let Some(f) = e.mem_fault() {
-        return Err(f.into());
-    }
-    let cycles = e.cycles();
     let mut canon = coo.clone();
     canon.canonicalize();
-    let report = TransposeReport {
-        wall_ns: None,
-        cycles,
-        nnz: canon.nnz(),
-        engine: e.stats_snapshot(),
-        scalar: None,
-        stm: None,
-        phases: vec![Phase {
-            name: "dense-transpose",
-            cycles,
-        }],
-        fu_busy: *e.fu_busy(),
-        stalls: e.stall_breakdown(),
-    };
-    record_phases(rec, &report.phases);
-    let mem = e.into_mem();
-    let mut out = Dense::zeros(cols, rows);
-    for c in 0..cols {
-        for r in 0..rows {
-            out.set(c, r, mem.read_f32(dst + (c * rows + r) as u32));
+    let s = ctx.vp.section_size;
+    // For each output row (= input column): strided gather of the column,
+    // contiguous store of the row. Strip-mined over the section size.
+    let body = |e: &mut Engine| {
+        for c in 0..cols {
+            let mut off = 0usize;
+            while off < rows {
+                let vl = s.min(rows - off);
+                let col = e.v_ld_strided(src + (off * cols + c) as u32, cols as u32, vl);
+                e.v_st(dst + (c * rows + off) as u32, &col);
+                e.loop_overhead();
+                off += vl;
+            }
         }
-    }
-    Ok((out, report))
+        Ok(Ran::whole(e, "dense-transpose"))
+    };
+    simulate(ctx, mem, alloc.watermark(), canon.nnz(), body, |mem| {
+        let mut out = Dense::zeros(cols, rows);
+        for c in 0..cols {
+            for r in 0..rows {
+                out.set(c, r, mem.read_f32(dst + (c * rows + r) as u32));
+            }
+        }
+        Ok(out)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernels::transpose_hism;
-    use crate::unit::StmConfig;
     use stm_hism::{build, HismImage};
     use stm_sparse::gen;
 
     #[test]
     fn dense_transpose_is_functionally_exact() {
         let coo = gen::random::uniform(20, 30, 100, 3);
-        let (t, report) = transpose_dense(&VpConfig::paper(), &coo).unwrap();
+        let (t, report) = transpose_dense(&ExecCtx::paper(), &coo).unwrap();
         assert_eq!(t.to_coo(), coo.transpose_canonical());
         assert!(report.cycles > 0);
     }
@@ -128,8 +81,8 @@ mod tests {
         // Same nnz, 4x the area → roughly 4x the cycles.
         let small = gen::random::uniform(64, 64, 500, 1);
         let large = gen::random::uniform(128, 128, 500, 1);
-        let (_, rs) = transpose_dense(&VpConfig::paper(), &small).unwrap();
-        let (_, rl) = transpose_dense(&VpConfig::paper(), &large).unwrap();
+        let (_, rs) = transpose_dense(&ExecCtx::paper(), &small).unwrap();
+        let (_, rl) = transpose_dense(&ExecCtx::paper(), &large).unwrap();
         let ratio = rl.cycles as f64 / rs.cycles as f64;
         assert!(ratio > 2.5 && ratio < 6.0, "ratio = {ratio}");
     }
@@ -139,14 +92,9 @@ mod tests {
         // Section II's motivation, quantified: on a 1%-dense matrix the
         // sparse mechanism must win by a wide margin.
         let coo = gen::random::uniform(256, 256, 650, 7);
-        let (_, dense_r) = transpose_dense(&VpConfig::paper(), &coo).unwrap();
+        let (_, dense_r) = transpose_dense(&ExecCtx::paper(), &coo).unwrap();
         let h = build::from_coo(&coo, 64).unwrap();
-        let (_, hism_r) = transpose_hism(
-            &VpConfig::paper(),
-            StmConfig::default(),
-            &HismImage::encode(&h),
-        )
-        .unwrap();
+        let (_, hism_r) = transpose_hism(&ExecCtx::paper(), &HismImage::encode(&h)).unwrap();
         assert!(
             dense_r.cycles > 10 * hism_r.cycles,
             "dense {} vs hism {}",
@@ -158,7 +106,7 @@ mod tests {
     #[test]
     fn rectangular_dense_transpose() {
         let coo = gen::random::uniform(10, 40, 60, 2);
-        let (t, _) = transpose_dense(&VpConfig::paper(), &coo).unwrap();
+        let (t, _) = transpose_dense(&ExecCtx::paper(), &coo).unwrap();
         assert_eq!((t.rows(), t.cols()), (40, 10));
         assert_eq!(t.to_coo(), coo.transpose_canonical());
     }

@@ -21,45 +21,21 @@
 //! The scatter-accumulate resolves in-vector row collisions sequentially
 //! (left to right), standing in for the accumulation hardware of \[5\].
 
-use crate::exec::KernelError;
-use crate::obs::{record_oob, record_phases};
-use crate::report::{Phase, TransposeReport};
+use super::{simulate, Ran};
+use crate::exec::{ExecCtx, KernelError};
+use crate::report::TransposeReport;
 use stm_hism::image::{HismImage, WORDS_PER_ENTRY};
-use stm_obs::Recorder;
 use stm_sparse::Value;
-use stm_vpsim::{Engine, Memory, TimingKind, VpConfig};
+use stm_vpsim::{Engine, Memory};
 
 /// Simulates `y = A * x` for a HiSM image. Returns the result vector and
 /// a cycle report (reusing [`TransposeReport`]'s cycle/nnz accounting).
 ///
 /// The image is treated as untrusted — see [`super::transpose_hism`].
 pub fn spmv_hism(
-    vp_cfg: &VpConfig,
+    ctx: &ExecCtx,
     image: &HismImage,
     x: &[Value],
-) -> Result<(Vec<Value>, TransposeReport), KernelError> {
-    spmv_hism_timed(vp_cfg, image, x, TimingKind::Paper)
-}
-
-/// [`spmv_hism`] under an explicit timing model — the functional result is
-/// identical for every model; only the cycle accounting changes.
-pub fn spmv_hism_timed(
-    vp_cfg: &VpConfig,
-    image: &HismImage,
-    x: &[Value],
-    timing: TimingKind,
-) -> Result<(Vec<Value>, TransposeReport), KernelError> {
-    spmv_hism_obs(vp_cfg, image, x, timing, &Recorder::disabled())
-}
-
-/// [`spmv_hism_timed`] with a structured-event [`Recorder`]. A disabled
-/// recorder makes this identical to [`spmv_hism_timed`].
-pub fn spmv_hism_obs(
-    vp_cfg: &VpConfig,
-    image: &HismImage,
-    x: &[Value],
-    timing: TimingKind,
-    rec: &Recorder,
 ) -> Result<(Vec<Value>, TransposeReport), KernelError> {
     if x.len() != image.root.cols as usize {
         return Err(KernelError::Config(format!(
@@ -69,10 +45,10 @@ pub fn spmv_hism_obs(
         )));
     }
     let s = image.root.s as usize;
-    if vp_cfg.section_size != s {
+    if ctx.vp.section_size != s {
         return Err(KernelError::Config(format!(
             "engine section size {} != image section size {s}",
-            vp_cfg.section_size
+            ctx.vp.section_size
         )));
     }
     // Validates the pointer/length structure up front (typed error on a
@@ -88,51 +64,28 @@ pub fn spmv_hism_obs(
     }
     let padded = (image.root.rows as usize).max(1);
     let y_base = x_base + x.len() as u32;
+    let body = |e: &mut Engine| {
+        let mut budget = image.words.len() / 2 + 1;
+        walk(
+            e,
+            image.root.addr,
+            image.root.len as usize,
+            image.root.levels - 1,
+            (0, 0),
+            x_base,
+            y_base,
+            s,
+            &mut budget,
+        )?;
+        Ok(Ran::whole(e, "hism-spmv"))
+    };
     // Garbage positions send gathers/scatters past the layout; the guard
     // turns those into a recorded fault instead of silent growth.
-    mem.guard(y_base + padded as u32, vp_cfg.oob);
-    let mut e = Engine::with_timing(vp_cfg.clone(), mem, timing);
-    e.set_recorder(rec.clone());
-
-    let mut budget = image.words.len() / 2 + 1;
-    let walked = walk(
-        &mut e,
-        image.root.addr,
-        image.root.len as usize,
-        image.root.levels - 1,
-        (0, 0),
-        x_base,
-        y_base,
-        s,
-        &mut budget,
-    );
-    record_oob(rec, e.stats_snapshot().mem_oob_events, e.cycles());
-    walked?;
-    if let Some(f) = e.mem_fault() {
-        return Err(f.into());
-    }
-
-    let cycles = e.cycles();
-    let report = TransposeReport {
-        wall_ns: None,
-        cycles,
-        nnz,
-        engine: e.stats_snapshot(),
-        scalar: None,
-        stm: None,
-        phases: vec![Phase {
-            name: "hism-spmv",
-            cycles,
-        }],
-        fu_busy: *e.fu_busy(),
-        stalls: e.stall_breakdown(),
-    };
-    record_phases(rec, &report.phases);
-    let mem = e.into_mem();
-    let y = (0..padded)
-        .map(|i| mem.read_f32(y_base + i as u32))
-        .collect();
-    Ok((y, report))
+    simulate(ctx, mem, y_base + padded as u32, nnz, body, |mem| {
+        Ok((0..padded)
+            .map(|i| mem.read_f32(y_base + i as u32))
+            .collect())
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -203,16 +156,15 @@ fn walk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::machine;
     use stm_hism::build;
     use stm_sparse::{gen, Coo, Csr};
 
     fn run(coo: &Coo, s: usize) -> (Vec<f32>, TransposeReport) {
         let h = build::from_coo(coo, s).unwrap();
         let img = HismImage::encode(&h);
-        let mut vp = VpConfig::paper();
-        vp.section_size = s;
         let x: Vec<f32> = (0..coo.cols()).map(|i| ((i % 7) as f32) - 3.0).collect();
-        spmv_hism(&vp, &img, &x).unwrap()
+        spmv_hism(&machine(s, 4), &img, &x).unwrap()
     }
 
     fn oracle(coo: &Coo) -> Vec<f32> {

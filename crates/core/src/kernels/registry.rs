@@ -16,15 +16,13 @@ pub use crate::exec::{
     Stage,
 };
 
-use crate::kernels::coo_transpose::{transpose_coo_obs, CooArrays};
-use crate::kernels::crs_scalar::transpose_crs_scalar_obs;
-use crate::kernels::crs_spmv::spmv_crs_obs;
-use crate::kernels::crs_transpose::transpose_crs_obs;
-use crate::kernels::dense_transpose::transpose_dense_obs;
-use crate::kernels::hism_spmv::spmv_hism_obs;
-use crate::kernels::hism_transpose::transpose_hism_obs;
-use crate::kernels::jd_transpose::{transpose_jd_obs, JdArrays};
-use crate::kernels::sell::{spmv_sell_obs, transpose_sell_obs, SellArrays};
+use crate::kernels::coo_transpose::CooArrays;
+use crate::kernels::jd_transpose::JdArrays;
+use crate::kernels::sell::SellArrays;
+use crate::kernels::{
+    spmv_crs, spmv_hism, spmv_sell, transpose_coo, transpose_crs, transpose_crs_scalar,
+    transpose_dense, transpose_hism, transpose_jd, transpose_sell,
+};
 use crate::obs::{record_lifecycle, record_phases};
 use crate::report::{Phase, TransposeReport};
 use std::time::Instant;
@@ -170,8 +168,7 @@ pub fn run_verified(name: &str, coo: &Coo, ctx: &ExecCtx) -> Result<KernelReport
     kernel
         .prepare(coo, ctx)
         .map_err(|e| fail(Stage::Prepare, e))?;
-    let mut ctx = ctx.clone();
-    let report = kernel.run(&mut ctx).map_err(|e| fail(Stage::Run, e))?;
+    let report = kernel.run(ctx).map_err(|e| fail(Stage::Run, e))?;
     kernel
         .verify(coo, &report.output)
         .map_err(|e| fail(Stage::Verify, e))?;
@@ -369,7 +366,7 @@ impl Kernel for TransposeHism {
         Ok(())
     }
 
-    fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
+    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
         let image = self.image.as_ref().ok_or(KernelError::NotPrepared)?;
         if ctx.backend.is_host() {
             let t0 = Instant::now();
@@ -378,7 +375,7 @@ impl Kernel for TransposeHism {
             let report = host_report(ctx, "host.transpose_hism", shape, t0.elapsed());
             return Ok(wrap(self.name(), report, KernelOutput::Hism(out)));
         }
-        let (out, report) = transpose_hism_obs(&ctx.vp, ctx.stm, image, ctx.timing, &ctx.obs)?;
+        let (out, report) = transpose_hism(ctx, image)?;
         Ok(wrap(self.name(), report, KernelOutput::Hism(out)))
     }
 
@@ -483,7 +480,7 @@ impl Kernel for TransposeCrs {
         Ok(())
     }
 
-    fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
+    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
         let csr = self.csr.as_ref().ok_or(KernelError::NotPrepared)?;
         if ctx.backend.is_host() {
             let t0 = Instant::now();
@@ -492,7 +489,7 @@ impl Kernel for TransposeCrs {
             let report = host_report(ctx, "host.transpose_crs", shape, t0.elapsed());
             return Ok(wrap(self.name(), report, KernelOutput::Csr(out)));
         }
-        let (out, report) = transpose_crs_obs(&ctx.vp, csr, ctx.timing, &ctx.obs)?;
+        let (out, report) = transpose_crs(ctx, csr)?;
         Ok(wrap(self.name(), report, KernelOutput::Csr(out)))
     }
 
@@ -526,9 +523,9 @@ impl Kernel for TransposeCrsScalar {
         Ok(())
     }
 
-    fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
+    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
         let csr = self.csr.as_ref().ok_or(KernelError::NotPrepared)?;
-        let (out, report) = transpose_crs_scalar_obs(&ctx.vp, csr, ctx.timing, &ctx.obs)?;
+        let (out, report) = transpose_crs_scalar(ctx, csr)?;
         Ok(wrap(self.name(), report, KernelOutput::Csr(out)))
     }
 
@@ -588,7 +585,7 @@ impl Kernel for TransposeRef {
         Ok(())
     }
 
-    fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
+    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
         let csr = self.csr.as_ref().ok_or(KernelError::NotPrepared)?;
         let out = csr.transpose_pissanetsky();
         let (rows, cols, nnz) = (csr.rows(), csr.cols(), csr.nnz());
@@ -661,9 +658,9 @@ impl Kernel for TransposeDense {
         Ok(())
     }
 
-    fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
+    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
         let coo = self.coo.as_ref().ok_or(KernelError::NotPrepared)?;
-        let (out, report) = transpose_dense_obs(&ctx.vp, coo, ctx.timing, &ctx.obs)?;
+        let (out, report) = transpose_dense(ctx, coo)?;
         Ok(wrap(self.name(), report, KernelOutput::Dense(out)))
     }
 
@@ -755,7 +752,7 @@ impl Kernel for SpmvHism {
         Ok(())
     }
 
-    fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
+    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
         let image = self.image.as_ref().ok_or(KernelError::NotPrepared)?;
         if ctx.backend.is_host() {
             let t0 = Instant::now();
@@ -765,7 +762,7 @@ impl Kernel for SpmvHism {
             let report = host_report(ctx, "host.spmv_hism", shape, t0.elapsed());
             return Ok(wrap(self.name(), report, KernelOutput::Vector(y)));
         }
-        let (y, report) = spmv_hism_obs(&ctx.vp, image, &self.x, ctx.timing, &ctx.obs)?;
+        let (y, report) = spmv_hism(ctx, image, &self.x)?;
         Ok(wrap(self.name(), report, KernelOutput::Vector(y)))
     }
 
@@ -816,7 +813,7 @@ impl Kernel for SpmvCrs {
         Ok(())
     }
 
-    fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
+    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
         let csr = self.csr.as_ref().ok_or(KernelError::NotPrepared)?;
         if ctx.backend.is_host() {
             let t0 = Instant::now();
@@ -825,7 +822,7 @@ impl Kernel for SpmvCrs {
             let report = host_report(ctx, "host.spmv_crs", shape, t0.elapsed());
             return Ok(wrap(self.name(), report, KernelOutput::Vector(y)));
         }
-        let (y, report) = spmv_crs_obs(&ctx.vp, csr, &self.x, ctx.timing, &ctx.obs)?;
+        let (y, report) = spmv_crs(ctx, csr, &self.x)?;
         Ok(wrap(self.name(), report, KernelOutput::Vector(y)))
     }
 
@@ -1063,9 +1060,9 @@ impl Kernel for TransposeCoo {
         Ok(())
     }
 
-    fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
+    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
         let ca = self.ca.as_ref().ok_or(KernelError::NotPrepared)?;
-        let (out, report) = transpose_coo_obs(&ctx.vp, ca, ctx.timing, &ctx.obs)?;
+        let (out, report) = transpose_coo(ctx, ca)?;
         Ok(wrap(self.name(), report, KernelOutput::Csr(out)))
     }
 
@@ -1107,9 +1104,9 @@ impl Kernel for TransposeCsc {
         Ok(())
     }
 
-    fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
+    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
         let dual = self.dual.as_ref().ok_or(KernelError::NotPrepared)?;
-        let (out, report) = transpose_crs_obs(&ctx.vp, dual, ctx.timing, &ctx.obs)?;
+        let (out, report) = transpose_crs(ctx, dual)?;
         Ok(wrap(self.name(), report, KernelOutput::Csr(out)))
     }
 
@@ -1153,9 +1150,9 @@ impl Kernel for TransposeJd {
         Ok(())
     }
 
-    fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
+    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
         let jda = self.jda.as_ref().ok_or(KernelError::NotPrepared)?;
-        let (out, report) = transpose_jd_obs(&ctx.vp, jda, ctx.timing, &ctx.obs)?;
+        let (out, report) = transpose_jd(ctx, jda)?;
         Ok(wrap(self.name(), report, KernelOutput::Csr(out)))
     }
 
@@ -1214,7 +1211,7 @@ impl Kernel for TransposeSell {
         Ok(())
     }
 
-    fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
+    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
         let sa = self.sa.as_ref().ok_or(KernelError::NotPrepared)?;
         if ctx.backend.is_host() {
             let t0 = Instant::now();
@@ -1223,7 +1220,7 @@ impl Kernel for TransposeSell {
             let report = host_report(ctx, "host.transpose_sell", shape, t0.elapsed());
             return Ok(wrap(self.name(), report, KernelOutput::Csr(out)));
         }
-        let (out, report) = transpose_sell_obs(&ctx.vp, sa, ctx.timing, &ctx.obs)?;
+        let (out, report) = transpose_sell(ctx, sa)?;
         Ok(wrap(self.name(), report, KernelOutput::Csr(out)))
     }
 
@@ -1260,7 +1257,7 @@ impl Kernel for SpmvSell {
         Ok(())
     }
 
-    fn run(&mut self, ctx: &mut ExecCtx) -> Result<KernelReport, KernelError> {
+    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
         let sa = self.sa.as_ref().ok_or(KernelError::NotPrepared)?;
         if ctx.backend.is_host() {
             let t0 = Instant::now();
@@ -1270,7 +1267,7 @@ impl Kernel for SpmvSell {
             let report = host_report(ctx, "host.spmv_sell", shape, t0.elapsed());
             return Ok(wrap(self.name(), report, KernelOutput::Vector(y)));
         }
-        let (y, report) = spmv_sell_obs(&ctx.vp, sa, &self.x, ctx.timing, &ctx.obs)?;
+        let (y, report) = spmv_sell(ctx, sa, &self.x)?;
         Ok(wrap(self.name(), report, KernelOutput::Vector(y)))
     }
 
@@ -1497,9 +1494,9 @@ mod tests {
 
     #[test]
     fn run_before_prepare_is_a_typed_error() {
-        let mut ctx = ExecCtx::paper();
+        let ctx = ExecCtx::paper();
         for &name in names() {
-            let err = create(name).unwrap().run(&mut ctx).unwrap_err();
+            let err = create(name).unwrap().run(&ctx).unwrap_err();
             assert_eq!(err, KernelError::NotPrepared, "{name}");
         }
     }
@@ -1543,8 +1540,7 @@ mod tests {
                     Err(e) => panic!("{name}/{class}: unexpected injection error {e}"),
                     Ok(_) => {}
                 }
-                let mut ctx = ctx.clone();
-                let failed = match kernel.run(&mut ctx) {
+                let failed = match kernel.run(&ctx) {
                     Err(_) => true,
                     Ok(report) => kernel.verify(&coo, &report.output).is_err(),
                 };

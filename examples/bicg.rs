@@ -15,8 +15,7 @@
 use hism_stm::hism::{build, spmv, HismImage, HismMatrix};
 use hism_stm::sparse::Coo;
 use hism_stm::stm::kernels::transpose_hism;
-use hism_stm::stm::StmConfig;
-use hism_stm::vpsim::VpConfig;
+use hism_stm::stm::ExecCtx;
 
 /// Builds the advection–diffusion operator on an `k x k` grid:
 /// `-∆u + (vx, vy)·∇u` with first-order upwinding.
@@ -116,8 +115,7 @@ fn main() {
     // Store A hierarchically and obtain Aᵀ through the simulated STM.
     let a = build::from_coo(&coo, 64).expect("operator fits HiSM");
     let image = HismImage::encode(&a);
-    let (out, report) =
-        transpose_hism(&VpConfig::paper(), StmConfig::default(), &image).expect("valid image");
+    let (out, report) = transpose_hism(&ExecCtx::paper(), &image).expect("valid image");
     let at = out.decode().expect("valid output image");
     assert_eq!(build::to_coo(&at), coo.transpose_canonical());
     println!(

@@ -13,8 +13,7 @@ use hism_stm::hism::{build, spmv, HismImage};
 use hism_stm::sparse::gen::rmat::{rmat, RmatProbs};
 use hism_stm::sparse::Csr;
 use hism_stm::stm::kernels::{transpose_crs, transpose_hism};
-use hism_stm::stm::StmConfig;
-use hism_stm::vpsim::VpConfig;
+use hism_stm::stm::ExecCtx;
 
 const DAMPING: f32 = 0.85;
 
@@ -35,14 +34,14 @@ fn main() {
     }
 
     // --- Transpose the crawl matrix on the simulated machine -----------
-    let vp = VpConfig::paper();
+    let ctx = ExecCtx::paper();
     let h = build::from_coo(&adj, 64).expect("graph fits HiSM");
     let image = HismImage::encode(&h);
-    let (out, report) = transpose_hism(&vp, StmConfig::default(), &image).expect("valid image");
+    let (out, report) = transpose_hism(&ctx, &image).expect("valid image");
     let at = out.decode().expect("valid output image"); // Aᵀ: rows are in-links
     assert_eq!(build::to_coo(&at), adj.transpose_canonical());
 
-    let (_, crs_report) = transpose_crs(&vp, &Csr::from_coo(&adj)).expect("valid CSR");
+    let (_, crs_report) = transpose_crs(&ctx, &Csr::from_coo(&adj)).expect("valid CSR");
     println!(
         "transpose on the VP: HiSM+STM {} cycles vs CRS {} cycles ({:.1}x)\n",
         report.cycles,

@@ -10,8 +10,7 @@
 use hism_stm::hism::{build, HismImage};
 use hism_stm::sparse::{gen, Csr, MatrixMetrics};
 use hism_stm::stm::kernels::{transpose_crs, transpose_hism};
-use hism_stm::stm::StmConfig;
-use hism_stm::vpsim::VpConfig;
+use hism_stm::stm::ExecCtx;
 
 fn main() {
     // A 512x512 matrix with scattered dense 32x32 blocks — the kind of
@@ -25,13 +24,12 @@ fn main() {
 
     // The machine of the paper's evaluation: section size 64, 4 lanes,
     // 20-cycle memory startup, chaining; STM with B = 4, L = 4.
-    let vp = VpConfig::paper();
-    let stm = StmConfig::default();
+    let ctx = ExecCtx::paper();
 
     // --- HiSM + STM ----------------------------------------------------
-    let h = build::from_coo(&coo, stm.s).expect("matrix fits HiSM");
+    let h = build::from_coo(&coo, ctx.stm.s).expect("matrix fits HiSM");
     let image = HismImage::encode(&h);
-    let (out, hism_report) = transpose_hism(&vp, stm, &image).expect("valid image");
+    let (out, hism_report) = transpose_hism(&ctx, &image).expect("valid image");
 
     // The transposition is functional: decode the simulated memory and
     // check it against the host-side oracle.
@@ -50,7 +48,7 @@ fn main() {
 
     // --- CRS baseline ----------------------------------------------------
     let csr = Csr::from_coo(&coo);
-    let (out_csr, crs_report) = transpose_crs(&vp, &csr).expect("valid CSR");
+    let (out_csr, crs_report) = transpose_crs(&ctx, &csr).expect("valid CSR");
     assert_eq!(out_csr, csr.transpose_pissanetsky());
     println!(
         "CRS        : {:>9} cycles  ({:.2} cycles per non-zero)",

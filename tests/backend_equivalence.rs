@@ -157,7 +157,7 @@ fn a_fault_injected_into_one_leg_never_poisons_the_others() {
                 let mut k = registry::create(kernel).unwrap();
                 k.prepare(&coo, &ctx).unwrap();
                 let injected = k.inject_fault(class, 0xBAD0 + i as u64).is_ok();
-                let _ = k.run(&mut ctx.clone());
+                let _ = k.run(&ctx);
 
                 // The other leg, run after the faulted one, must still
                 // produce the clean simulator digest.

@@ -39,14 +39,13 @@ fn every_fault_class_on_every_kernel_fails_typed_then_recovers() {
                     injected += 1;
                 }
             }
-            let mut run_ctx = ctx.clone();
             if class == FaultClass::ValueCorruption {
                 // The SDC class: guaranteed type-silent. The run must
                 // SUCCEED — no typed error may fire, because structure,
                 // checksums, and every validation invariant are intact —
                 // yet the bit-exact output digest must differ from the
                 // clean baseline: only digest comparison can see it.
-                let report = kernel.run(&mut run_ctx).unwrap_or_else(|e| {
+                let report = kernel.run(&ctx).unwrap_or_else(|e| {
                     panic!("{name}/{class}: a type-silent fault raised a typed error: {e}")
                 });
                 assert_ne!(
@@ -58,7 +57,7 @@ fn every_fault_class_on_every_kernel_fails_typed_then_recovers() {
                 // with a typed error, not a panic (this test is not
                 // wrapped in catch_unwind, so any panic fails it
                 // outright).
-                let failed = match kernel.run(&mut run_ctx) {
+                let failed = match kernel.run(&ctx) {
                     Err(e) => {
                         assert!(
                             !matches!(e, KernelError::Panicked(_)),

@@ -12,17 +12,24 @@ use hism_stm::hism::{build, HismImage};
 use hism_stm::sparse::Csr;
 use hism_stm::stm::kernels::{transpose_crs, transpose_hism};
 use hism_stm::stm::unit::{block_timing, buffer_utilization, StmConfig, StmUnit};
+use hism_stm::stm::ExecCtx;
 use hism_stm::vpsim::VpConfig;
 
 /// Arbitrary STM geometry with a matching VP config.
-fn arb_geometry(r: &mut StdRng) -> (VpConfig, StmConfig) {
+fn arb_geometry(r: &mut StdRng) -> ExecCtx {
     let s = pick(r, &[4usize, 8, 16, 64]);
     let b = pick(r, &[1u64, 2, 4, 8]);
     let l = pick(r, &[1usize, 2, 4, 8]);
-    let mut vp = VpConfig::paper();
-    vp.section_size = s;
-    vp.chaining = r.gen_bool(0.5);
-    (vp, StmConfig { s, b, l })
+    let vp = VpConfig {
+        section_size: s,
+        chaining: r.gen_bool(0.5),
+        ..VpConfig::paper()
+    };
+    ExecCtx {
+        vp,
+        stm: StmConfig { s, b, l },
+        ..ExecCtx::paper()
+    }
 }
 
 /// Unique block positions numbered row-major with values `1..`.
@@ -39,13 +46,13 @@ fn simulated_hism_transpose_is_exact_for_any_geometry() {
     for case in 0..48 {
         let mut r = case_rng(0xA1, case);
         let coo = arb_coo(&mut r, 70, 120);
-        let (vp, stm) = arb_geometry(&mut r);
+        let ctx = arb_geometry(&mut r);
         // A failing case is shrunk to a minimal counterexample before the
         // panic (see `common::check_coo_property`).
         common::check_coo_property("hism_transpose_exact", 0xA1, case, &coo, |m| {
-            let h = build::from_coo(m, stm.s).unwrap();
+            let h = build::from_coo(m, ctx.stm.s).unwrap();
             let img = HismImage::encode(&h);
-            let (out, report) = transpose_hism(&vp, stm, &img).unwrap();
+            let (out, report) = transpose_hism(&ctx, &img).unwrap();
             let mut canon = m.clone();
             canon.canonicalize();
             build::to_coo(&out.decode().unwrap()) == m.transpose_canonical()
@@ -59,11 +66,11 @@ fn simulated_crs_transpose_is_exact() {
     for case in 0..48 {
         let mut r = case_rng(0xA2, case);
         let coo = arb_coo(&mut r, 70, 120);
-        let mut vp = VpConfig::paper();
-        vp.chaining = r.gen_bool(0.5);
+        let mut ctx = ExecCtx::paper();
+        ctx.vp.chaining = r.gen_bool(0.5);
         common::check_coo_property("crs_transpose_exact", 0xA2, case, &coo, |m| {
             let csr = Csr::from_coo(m);
-            let (got, report) = transpose_crs(&vp, &csr).unwrap();
+            let (got, report) = transpose_crs(&ctx, &csr).unwrap();
             got.validate().unwrap();
             got == csr.transpose_pissanetsky() && report.cycles > 0
         });
@@ -120,14 +127,19 @@ fn chaining_never_hurts_the_kernels() {
     for case in 0..32 {
         let mut r = case_rng(0xA5, case);
         let coo = arb_coo(&mut r, 70, 120);
-        let stm = StmConfig { s: 16, b: 4, l: 4 };
         let cyc = |chaining: bool| {
-            let mut vp = VpConfig::paper();
-            vp.section_size = 16;
-            vp.chaining = chaining;
+            let ctx = ExecCtx {
+                vp: VpConfig {
+                    section_size: 16,
+                    chaining,
+                    ..VpConfig::paper()
+                },
+                stm: StmConfig { s: 16, b: 4, l: 4 },
+                ..ExecCtx::paper()
+            };
             let h = build::from_coo(&coo, 16).unwrap();
-            let (_, hr) = transpose_hism(&vp, stm, &HismImage::encode(&h)).unwrap();
-            let (_, cr) = transpose_crs(&vp, &Csr::from_coo(&coo)).unwrap();
+            let (_, hr) = transpose_hism(&ctx, &HismImage::encode(&h)).unwrap();
+            let (_, cr) = transpose_crs(&ctx, &Csr::from_coo(&coo)).unwrap();
             (hr.cycles, cr.cycles)
         };
         let (h_on, c_on) = cyc(true);
@@ -149,12 +161,11 @@ fn faster_memory_never_slows_the_kernels() {
         let mut r = case_rng(0xA6, case);
         let coo = arb_coo(&mut r, 70, 120);
         let cyc = |startup: u64| {
-            let mut vp = VpConfig::paper();
-            vp.mem_startup = startup;
+            let mut ctx = ExecCtx::paper();
+            ctx.vp.mem_startup = startup;
             let h = build::from_coo(&coo, 64).unwrap();
-            let (_, hr) =
-                transpose_hism(&vp, StmConfig::default(), &HismImage::encode(&h)).unwrap();
-            let (_, cr) = transpose_crs(&vp, &Csr::from_coo(&coo)).unwrap();
+            let (_, hr) = transpose_hism(&ctx, &HismImage::encode(&h)).unwrap();
+            let (_, cr) = transpose_crs(&ctx, &Csr::from_coo(&coo)).unwrap();
             (hr.cycles, cr.cycles)
         };
         let (h_fast, c_fast) = cyc(5);

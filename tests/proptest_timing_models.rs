@@ -31,9 +31,8 @@ fn functional_output_is_identical_under_every_timing_model() {
                 let ctx = registry::ExecCtx::with_timing(timing);
                 let mut k = registry::create(name).unwrap();
                 k.prepare(&coo, &ctx).unwrap();
-                let mut ctx = ctx;
                 let report = k
-                    .run(&mut ctx)
+                    .run(&ctx)
                     .unwrap_or_else(|e| panic!("case {case} {name} ({timing:?}): {e}"));
                 k.verify(&coo, &report.output)
                     .unwrap_or_else(|e| panic!("case {case} {name} ({timing:?}): {e}"));

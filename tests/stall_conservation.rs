@@ -119,7 +119,7 @@ fn no_observer_effect_under_injected_faults() {
                     return None; // class unsupported by this kernel
                 }
                 kernel
-                    .run(&mut ctx)
+                    .run(&ctx)
                     .ok()
                     .map(|r| (r.report.cycles, r.report.stalls))
             };

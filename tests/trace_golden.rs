@@ -100,7 +100,7 @@ fn faulted_run(name: &str, class: FaultClass, coo: &Coo) -> (String, hism_stm::o
     kernel
         .inject_fault(class, 0x5eed)
         .unwrap_or_else(|e| panic!("{name}/{class}: {e}"));
-    let outcome = match kernel.run(&mut ctx.clone()) {
+    let outcome = match kernel.run(&ctx) {
         Ok(r) => format!("ok {:#018x}", r.output_digest),
         Err(e) => format!("err {e}"),
     };

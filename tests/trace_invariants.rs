@@ -123,14 +123,14 @@ fn oob_counter_matches_fault_lane_events_under_injected_faults() {
     for &name in registry::names() {
         for class in FaultClass::ALL {
             let mut kernel = registry::create(name).unwrap();
-            let mut ctx = traced_ctx();
+            let ctx = traced_ctx();
             kernel.prepare(&coo, &ctx).unwrap();
             match kernel.inject_fault(class, 7) {
                 Ok(_) => {}
                 Err(_) => continue, // class unsupported by this kernel
             }
             // Run may fail (that's the point); verify is irrelevant here.
-            let _ = kernel.run(&mut ctx);
+            let _ = kernel.run(&ctx);
             let data = ctx.obs.snapshot();
             let fault_events = data
                 .events
