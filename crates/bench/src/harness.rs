@@ -24,6 +24,7 @@
 //! [`RunConfig::strict`] to turn the first failure into a panic for
 //! CI-style fail-fast runs.
 
+use crate::resilient::RetryPolicy;
 use crate::trace::{export_trace, TraceRollup};
 use stm_core::kernels::registry::{
     self, Backend, ExecCtx, KernelError, KernelFailure, KernelReport, Stage,
@@ -31,7 +32,7 @@ use stm_core::kernels::registry::{
 use stm_core::{StmConfig, TransposeReport};
 use stm_dsab::{FormatDecision, FormatKind, FormatSel, SuiteEntry};
 use stm_hism::FaultClass;
-use stm_obs::{Recorder, TraceData};
+use stm_obs::Recorder;
 use stm_vpsim::{TimingKind, VpConfig};
 
 /// Machine + experiment configuration for a harness run.
@@ -51,11 +52,6 @@ pub struct RunConfig {
     /// Matrices in flight in [`run_set`] (each runs its legs on threads
     /// of its own); `None` = machine parallelism.
     pub jobs: Option<usize>,
-    /// Extra attempts after a failure before the matrix is reported as
-    /// [`RunStatus::Failed`]. Kernels are deterministic, so this only
-    /// papers over transient *host* trouble; deliberately injected
-    /// faults are never retried.
-    pub retries: usize,
     /// Panic on the first failed matrix instead of recording it —
     /// fail-fast for CI (`--strict` in the binaries).
     pub strict: bool,
@@ -87,7 +83,6 @@ impl Default for RunConfig {
             verify: true,
             timing: TimingKind::Paper,
             jobs: None,
-            retries: 1,
             strict: false,
             fault: None,
             format: None,
@@ -361,12 +356,62 @@ pub(crate) fn attempt(
     Ok(report)
 }
 
-/// One kernel's harness outcome: the (possibly failed) report, the number
-/// of attempts made, and the *final* attempt's trace when tracing was on.
-struct KernelRun {
-    result: Result<KernelReport, KernelFailure>,
-    attempts: u64,
-    trace: Option<TraceData>,
+/// One kernel's outcome after its retry loop: the final attempt's
+/// result, the number of attempts made, and the recorder the final
+/// attempt traced into.
+pub(crate) struct KernelRun {
+    pub result: Result<KernelReport, KernelFailure>,
+    pub attempts: u64,
+    pub rec: Recorder,
+}
+
+/// The one attempt-retry loop: runs [`attempt`] until it succeeds or
+/// `retry` gives up. A deliberately injected fault gets exactly one
+/// attempt (it would fail identically again), and so does any failure
+/// [`RetryPolicy::should_retry`] rejects. Before each retry it calls
+/// `on_retry` and sleeps the policy's backoff for `key`. Every attempt
+/// records into a fresh recorder from `new_rec`: an abandoned attempt's
+/// events and counters must never leak into the trace (or the roll-ups)
+/// of the attempt that produced the reported numbers.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn attempt_with_retry(
+    cfg: &RunConfig,
+    retry: &RetryPolicy,
+    key: u64,
+    kernel: &str,
+    entry: &SuiteEntry,
+    fault: Option<&FaultSpec>,
+    new_rec: impl Fn() -> Recorder,
+    mut on_retry: impl FnMut(),
+) -> KernelRun {
+    let injected = fault.is_some();
+    let max_attempts = if injected {
+        1
+    } else {
+        u64::from(retry.max_attempts.max(1))
+    };
+    let mut attempts = 0;
+    loop {
+        attempts += 1;
+        let rec = new_rec();
+        let result = attempt(cfg, kernel, entry, fault, &rec);
+        match &result {
+            Err(f) if attempts < max_attempts && retry.should_retry(&f.error, injected) => {
+                on_retry();
+                let delay = retry.delay_ms(key, (attempts + 1) as u32);
+                if delay > 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(delay));
+                }
+            }
+            _ => {
+                return KernelRun {
+                    result,
+                    attempts,
+                    rec,
+                }
+            }
+        }
+    }
 }
 
 fn run_kernel_inner(
@@ -375,44 +420,29 @@ fn run_kernel_inner(
     entry: &SuiteEntry,
     fault: Option<&FaultSpec>,
 ) -> KernelRun {
-    // Deliberate corruption is deterministic — retrying it just fails
-    // identically, so injected runs get exactly one attempt.
-    let max_attempts = if fault.is_some() { 1 } else { 1 + cfg.retries };
-    let mut last = None;
-    for n in 1..=max_attempts {
-        // A fresh recorder per attempt: an abandoned attempt's events and
-        // counters must never leak into the trace (or the roll-ups) of
-        // the attempt that actually produced the reported numbers.
-        let rec = if cfg.trace.is_some() {
+    let new_rec = || {
+        if cfg.trace.is_some() {
             Recorder::enabled_default()
         } else {
             Recorder::disabled()
-        };
-        let result = attempt(cfg, kernel, entry, fault, &rec);
-        let trace = cfg.trace.is_some().then(|| rec.snapshot());
-        match result {
-            Ok(r) => {
-                return KernelRun {
-                    result: Ok(r),
-                    attempts: n as u64,
-                    trace,
-                }
-            }
-            Err(e) => last = Some((e, trace)),
         }
-    }
-    let (error, trace) = last.expect("at least one attempt");
-    KernelRun {
-        result: Err(error),
-        attempts: max_attempts as u64,
-        trace,
-    }
+    };
+    attempt_with_retry(
+        cfg,
+        &RetryPolicy::default(),
+        0,
+        kernel,
+        entry,
+        fault,
+        new_rec,
+        || {},
+    )
 }
 
 /// Runs the named registry kernel on one suite entry: prepare, run and
 /// (when `cfg.verify` is set) functional verification against the host
-/// oracle, each stage isolated by `catch_unwind` and retried up to
-/// `cfg.retries` extra times.
+/// oracle, each stage isolated by `catch_unwind`, the attempt retried
+/// under [`RetryPolicy::default`].
 pub fn run_kernel(
     cfg: &RunConfig,
     kernel: &str,
@@ -480,11 +510,10 @@ fn run_matrix_inner(
             }
         }
         for (kernel, run) in legs {
-            if let Some(data) = &run.trace {
-                export_trace(dir, &entry.name, kernel, data)
-                    .unwrap_or_else(|e| panic!("writing trace under {}: {e}", dir.display()));
-                traces.push(TraceRollup::of(&entry.name, kernel, data, run.attempts));
-            }
+            let data = run.rec.snapshot();
+            export_trace(dir, &entry.name, kernel, &data)
+                .unwrap_or_else(|e| panic!("writing trace under {}: {e}", dir.display()));
+            traces.push(TraceRollup::of(&entry.name, kernel, &data, run.attempts));
         }
     }
     MatrixResult {
@@ -741,8 +770,8 @@ mod tests {
                     let want_report = format!("{:?}", want.report);
                     assert_eq!(format!("{:?}", got.report), want_report, "{what}");
                     assert_eq!(format!("{:?}", reported.unwrap()), want_report, "{what}");
-                    let trace = seq.trace.expect("traced");
-                    assert_eq!(run.trace.unwrap().to_jsonl(), trace.to_jsonl(), "{what}");
+                    let trace = seq.rec.snapshot();
+                    assert_eq!(run.rec.snapshot().to_jsonl(), trace.to_jsonl(), "{what}");
                     // `--format csr` re-runs the CRS leg and is rolled up once.
                     if i < 2 || kernel != "transpose_crs" {
                         rollups.push(TraceRollup::of(&e.name, kernel, &trace, seq.attempts));
@@ -1042,15 +1071,15 @@ mod tests {
     #[test]
     fn retry_budget_is_spent_only_on_failures_and_faults_get_one_attempt() {
         let cfg = RunConfig {
-            retries: 2,
             jobs: Some(1),
             ..RunConfig::default()
         };
         let e = entry("m", gen::random::uniform(32, 32, 100, 1));
-        // Unknown kernel: every attempt fails, so all 1 + retries run.
+        // Unknown kernel: every attempt fails, so the default policy's
+        // two attempts both run.
         let run = run_kernel_inner(&cfg, "bogus", &e, None);
         assert!(run.result.is_err());
-        assert_eq!(run.attempts, 3);
+        assert_eq!(run.attempts, 2);
         // A clean kernel succeeds on the first attempt.
         let ok = run_kernel_inner(&cfg, "transpose_hism", &e, None);
         assert!(ok.result.is_ok());
@@ -1064,6 +1093,15 @@ mod tests {
         let faulted = run_kernel_inner(&cfg, "transpose_crs", &e, Some(&fault));
         assert!(faulted.result.is_err());
         assert_eq!(faulted.attempts, 1);
+        // A blown cycle budget would abort identically again.
+        let mut tight = cfg.clone();
+        tight.vp.cycle_budget = Some(1);
+        let deadline = run_kernel_inner(&tight, "transpose_hism", &e, None);
+        assert!(matches!(
+            deadline.result.map_err(|f| f.error),
+            Err(KernelError::DeadlineExceeded(_))
+        ));
+        assert_eq!(deadline.attempts, 1);
     }
 
     #[test]
@@ -1072,14 +1110,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let cfg = RunConfig {
             trace: Some(dir.clone()),
-            retries: 3,
             jobs: Some(1),
             ..RunConfig::default()
         };
         let e = entry("m one", gen::random::uniform(64, 64, 300, 2));
         let run = run_kernel_inner(&cfg, "transpose_hism", &e, None);
         let report = run.result.expect("clean run");
-        let data = run.trace.expect("tracing was on");
+        let data = run.rec.snapshot();
         // Exactly one lifecycle per trace: a retried (or aggregated)
         // recording would carry one run-span per attempt and the cycle
         // counter would overshoot the report.

@@ -45,7 +45,8 @@ pub use checkpoint::{
 };
 
 use crate::harness::{
-    attempt, resolve_format, FaultSpec, FormatLeg, MatrixResult, RunConfig, RunStatus,
+    attempt, attempt_with_retry, resolve_format, FaultSpec, FormatLeg, MatrixResult, RunConfig,
+    RunStatus,
 };
 use crate::trace::export_trace;
 use std::collections::BTreeMap;
@@ -143,7 +144,7 @@ impl VerifyMode {
 #[derive(Debug, Clone)]
 pub struct SoakConfig {
     /// The underlying harness configuration (machine, timing, verify,
-    /// `jobs`). `run.fault`, `run.retries`, `run.strict`, `run.trace`
+    /// `jobs`). `run.fault`, `run.strict`, `run.trace`
     /// and `run.format` are ignored — chaos, retry, tracing and the
     /// format slot are governed by the soak fields below.
     pub run: RunConfig,
@@ -272,7 +273,6 @@ impl SoakConfig {
         let mut run = self.run.clone();
         run.vp.cycle_budget = self.deadline;
         run.fault = None;
-        run.retries = 0;
         run.strict = false;
         run.trace = None;
         run.format = None;
@@ -947,40 +947,19 @@ fn run_slot(
     let primary = match decision {
         Decision::Skip => None,
         Decision::Run | Decision::Probe => {
-            let injected = fault.is_some();
-            // Injected corruption is deterministic: one attempt, like
-            // the plain harness.
-            let max_attempts = if injected {
-                1
-            } else {
-                u64::from(retry.max_attempts.max(1))
-            };
-            let mut out = None;
-            while out.is_none() {
-                attempts += 1;
-                let att = attempt_rec();
-                match attempt(run, kernel, entry, fault, &att) {
-                    Ok(r) => {
-                        absorb_structural(rec, &att, &mut clock);
-                        out = Some(Ok(r));
-                    }
-                    Err(f) => {
-                        if attempts >= max_attempts || !retry.should_retry(&f.error, injected) {
-                            out = Some(Err(f));
-                        } else {
-                            if traced {
-                                rec.instant(Lane::Resil, Category::Resil, "resil.retry", clock);
-                            }
-                            let key = fnv1a(index as u64, kernel.as_bytes());
-                            let delay = retry.delay_ms(key, (attempts + 1) as u32);
-                            if delay > 0 {
-                                std::thread::sleep(std::time::Duration::from_millis(delay));
-                            }
-                        }
-                    }
+            let on_retry = || {
+                if traced {
+                    rec.instant(Lane::Resil, Category::Resil, "resil.retry", clock);
                 }
+            };
+            let key = fnv1a(index as u64, kernel.as_bytes());
+            let done =
+                attempt_with_retry(run, retry, key, kernel, entry, fault, attempt_rec, on_retry);
+            attempts = done.attempts;
+            if done.result.is_ok() {
+                absorb_structural(rec, &done.rec, &mut clock);
             }
-            out
+            Some(done.result)
         }
     };
     let verify = match &primary {

@@ -142,10 +142,7 @@ fn run_kernel_retries_and_reports_the_failure_stage() {
         metrics: MatrixMetrics::compute(&coo),
         coo,
     };
-    let mut cfg = RunConfig {
-        retries: 2,
-        ..RunConfig::default()
-    };
+    let mut cfg = RunConfig::default();
     cfg.stm.s = 32; // != vp.section_size → typed Config error in prepare
     let failure = run_kernel(&cfg, "transpose_hism", &entry).unwrap_err();
     assert_eq!(failure.stage.to_string(), "prepare");
