@@ -12,22 +12,9 @@
 //!
 //! Exits 0 when all checks hold, 1 otherwise.
 
-use stm_bench::{run_set, FaultSpec, RunConfig};
+use stm_bench::{arg_value, parsed, run_set, FaultSpec, RunConfig};
 use stm_dsab::{experiment_sets, quick_catalogue};
 use stm_hism::FaultClass;
-
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
 
 fn main() {
     stm_bench::handle_help(
@@ -47,9 +34,7 @@ fn main() {
         None => FaultClass::PointerRetarget,
     };
     let set = experiment_sets(&quick_catalogue(), 6).by_locality;
-    let index: usize = arg_value("--index")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.min(set.len() - 1));
+    let index: usize = parsed("--index").unwrap_or(2.min(set.len() - 1));
     assert!(
         index < set.len(),
         "--index {index} outside the {} matrices",

@@ -47,29 +47,7 @@ use stm_bench::output::format_table;
 use stm_bench::resilient::{
     self, ChaosSpec, EntryStatus, Outcome, SdcSpec, SlotRecord, SoakConfig, VerifyMode,
 };
-use stm_bench::RunConfig;
-
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-fn parsed<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    arg_value(flag).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("stmsoak: bad value {v:?} for {flag}");
-            std::process::exit(2);
-        })
-    })
-}
+use stm_bench::{arg_value, parsed, RunConfig};
 
 fn slot_cell(s: &SlotRecord) -> String {
     match s.outcome {

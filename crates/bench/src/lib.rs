@@ -52,20 +52,55 @@ pub fn sets_from_env() -> (ExperimentSets, &'static str) {
     }
 }
 
+/// The value of `flag` on the command line, given as `flag V` or
+/// `flag=V`; the first occurrence wins.
+pub fn arg_value(flag: &str) -> Option<String> {
+    let mut args = std::env::args();
+    while let Some(a) = args.next() {
+        if a == flag {
+            return args.next();
+        }
+        if let Some(v) = a.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
+            return Some(v.to_string());
+        }
+    }
+    None
+}
+
+/// `raw`, the value given for `flag` (a command-line flag or an
+/// environment variable), parsed as `T`. A value that does not parse
+/// names the flag and exits with status 2: a silently dropped flag would
+/// run a different experiment than the one asked for.
+fn parse_or_exit<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+    raw.parse().unwrap_or_else(|_| {
+        let arg0 = std::env::args().next().unwrap_or_default();
+        let bin = std::path::Path::new(&arg0).file_stem().unwrap_or_default();
+        eprintln!("{}: bad value {raw:?} for {flag}", bin.to_string_lossy());
+        std::process::exit(2)
+    })
+}
+
+/// [`arg_value`] parsed as `T`; `None` when the flag is absent. An
+/// unparsable value exits with status 2, naming the flag.
+pub fn parsed<T: std::str::FromStr>(flag: &str) -> Option<T> {
+    arg_value(flag).map(|v| parse_or_exit(flag, &v))
+}
+
+/// `flag` from the command line, else the environment variable `var`.
+fn flag_or_env(flag: &str, var: &str) -> Option<String> {
+    arg_value(flag).or_else(|| std::env::var(var).ok())
+}
+
 /// Parses the worker-thread count from the CLI args / environment:
 /// `--jobs N`, `--jobs=N` or `STM_JOBS=N`. `None` (no flag) lets the
 /// harness use the machine's parallelism; `--jobs 1` forces serial runs.
+/// A value that is not a count exits with status 2.
 pub fn jobs_from_env() -> Option<usize> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--jobs" {
-            return args.next().and_then(|n| n.parse().ok());
-        }
-        if let Some(n) = a.strip_prefix("--jobs=") {
-            return n.parse().ok();
-        }
-    }
-    std::env::var("STM_JOBS").ok().and_then(|n| n.parse().ok())
+    parsed("--jobs").or_else(|| {
+        std::env::var("STM_JOBS")
+            .ok()
+            .map(|raw| parse_or_exit("STM_JOBS", &raw))
+    })
 }
 
 /// Parses the trace output directory from the CLI args / environment:
@@ -74,18 +109,7 @@ pub fn jobs_from_env() -> Option<usize> {
 /// per-matrix `.jsonl` / `.csv` / `.trace.json` files under the directory
 /// (see [`trace`]). `None` (no flag) leaves tracing compiled out.
 pub fn trace_dir_from_env() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-        if let Some(d) = a.strip_prefix("--trace=") {
-            return Some(std::path::PathBuf::from(d));
-        }
-    }
-    std::env::var("STM_TRACE")
-        .ok()
-        .map(std::path::PathBuf::from)
+    flag_or_env("--trace", "STM_TRACE").map(std::path::PathBuf::from)
 }
 
 /// Parses the baseline output path from the CLI args / environment:
@@ -94,18 +118,7 @@ pub fn trace_dir_from_env() -> Option<std::path::PathBuf> {
 /// performance baseline (see [`baseline`]) that `benchdiff` can compare
 /// against a committed copy.
 pub fn bench_json_from_env() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--bench-json" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-        if let Some(f) = a.strip_prefix("--bench-json=") {
-            return Some(std::path::PathBuf::from(f));
-        }
-    }
-    std::env::var("STM_BENCH_JSON")
-        .ok()
-        .map(std::path::PathBuf::from)
+    flag_or_env("--bench-json", "STM_BENCH_JSON").map(std::path::PathBuf::from)
 }
 
 /// Parses the storage-format selection from the CLI args / environment:
@@ -117,19 +130,7 @@ pub fn bench_json_from_env() -> Option<std::path::PathBuf> {
 /// value aborts with exit code 2: a silently dropped format flag would
 /// invalidate a whole campaign.
 pub fn format_from_env() -> Option<stm_dsab::FormatSel> {
-    let mut raw = None;
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--format" {
-            raw = args.next();
-            break;
-        }
-        if let Some(v) = a.strip_prefix("--format=") {
-            raw = Some(v.to_string());
-            break;
-        }
-    }
-    let raw = raw.or_else(|| std::env::var("STM_FORMAT").ok())?;
+    let raw = flag_or_env("--format", "STM_FORMAT")?;
     match stm_dsab::FormatSel::parse(&raw) {
         Some(sel) => Some(sel),
         None => {
@@ -148,19 +149,7 @@ pub fn format_from_env() -> Option<stm_dsab::FormatSel> {
 /// campaign's numbers.
 pub fn backend_from_env() -> stm_core::kernels::registry::Backend {
     use stm_core::kernels::registry::Backend;
-    let mut raw = None;
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--backend" {
-            raw = args.next();
-            break;
-        }
-        if let Some(v) = a.strip_prefix("--backend=") {
-            raw = Some(v.to_string());
-            break;
-        }
-    }
-    let Some(raw) = raw.or_else(|| std::env::var("STM_BACKEND").ok()) else {
+    let Some(raw) = flag_or_env("--backend", "STM_BACKEND") else {
         return Backend::Sim;
     };
     match Backend::parse(&raw) {

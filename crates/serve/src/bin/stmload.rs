@@ -16,6 +16,7 @@
 //! 1 = a digest mismatch, failure, or queue-bound violation; 2 = usage
 //! or connection error.
 
+use stm_bench::{arg_value, parsed};
 use stm_serve::load::{run_load, LoadConfig};
 use stm_serve::protocol::Status;
 
@@ -47,28 +48,6 @@ fn usage() -> String {
         out.push_str(&format!("  {flag:width$}  {desc}\n"));
     }
     out
-}
-
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-fn parsed<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    arg_value(flag).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("stmload: bad value {v:?} for {flag}");
-            std::process::exit(2);
-        })
-    })
 }
 
 fn main() {

@@ -7,6 +7,7 @@
 //! Exit codes: 0 = clean drain; 2 = configuration/bind/log error.
 
 use stm_bench::resilient::{BreakerConfig, RetryPolicy, VerifyMode};
+use stm_bench::{arg_value, parsed};
 use stm_serve::server::{ServeConfig, Server};
 
 const FLAGS: &[(&str, &str)] = &[
@@ -72,28 +73,6 @@ fn usage() -> String {
         out.push_str(&format!("  {flag:width$}  {desc}\n"));
     }
     out
-}
-
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-fn parsed<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    arg_value(flag).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("stmserve: bad value {v:?} for {flag}");
-            std::process::exit(2);
-        })
-    })
 }
 
 fn main() {

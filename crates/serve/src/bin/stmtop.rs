@@ -11,6 +11,7 @@
 //! usage error or the first scrape failed.
 
 use std::io::{IsTerminal, Write};
+use stm_bench::{arg_value, parsed};
 use stm_serve::scrape::{self, Sample};
 
 const FLAGS: &[(&str, &str)] = &[
@@ -42,28 +43,6 @@ fn usage() -> String {
         out.push_str(&format!("  {flag:width$}  {desc}\n"));
     }
     out
-}
-
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-fn parsed<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    arg_value(flag).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("stmtop: bad value {v:?} for {flag}");
-            std::process::exit(2);
-        })
-    })
 }
 
 fn val(samples: &[Sample], name: &str) -> u64 {
