@@ -943,9 +943,8 @@ fn run_slot(
             Recorder::disabled()
         }
     };
-    let mut attempts = 0u64;
-    let primary = match decision {
-        Decision::Skip => None,
+    let (primary, attempts) = match decision {
+        Decision::Skip => (None, 0),
         Decision::Run | Decision::Probe => {
             let on_retry = || {
                 if traced {
@@ -955,11 +954,10 @@ fn run_slot(
             let key = fnv1a(index as u64, kernel.as_bytes());
             let done =
                 attempt_with_retry(run, retry, key, kernel, entry, fault, attempt_rec, on_retry);
-            attempts = done.attempts;
             if done.result.is_ok() {
                 absorb_structural(rec, &done.rec, &mut clock);
             }
-            Some(done.result)
+            (Some(done.result), done.attempts)
         }
     };
     let verify = match &primary {
