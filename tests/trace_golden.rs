@@ -64,29 +64,101 @@ const CLEAN_GOLDENS: [(&str, u64); 12] = [
     ("spmv_sell", 0xf0dad42bfc41301f),
 ];
 
-/// One fault per kernel that hosts any: the class injected (seed
+/// Every (kernel, class) pair the registry hosts, in registry order and,
+/// per kernel, in [`FaultClass::ALL`] order then the mid-run flip: the
+/// class injected (seed
 /// `0x5eed`) and the FNV-1a of the run's outcome text followed by its
 /// traced JSONL. The runs use `s = 8`, so the HiSM image has two levels
-/// and a retargeted pointer reaches guarded memory; every class but the
-/// dense kernel's value-only flip ends in `mem.oob` instants.
+/// and a retargeted pointer reaches guarded memory. A
+/// [`FaultClass::MidRunBitFlip`] row arms the kernel's `arm_sdc` payload
+/// on the engine instead of corrupting the prepared input.
 #[rustfmt::skip]
-const FAULTED_GOLDENS: [(&str, FaultClass, u64); 11] = [
+const FAULTED_GOLDENS: [(&str, FaultClass, u64); 60] = [
+    ("transpose_hism", FaultClass::BitFlip, 0x323ef613b853478d),
     ("transpose_hism", FaultClass::PointerRetarget, 0x246a38b4aecfdfe0),
+    ("transpose_hism", FaultClass::LengthCorruption, 0x3699a6f5f27c424e),
+    ("transpose_hism", FaultClass::Truncate, 0xdc6e367f00372150),
+    ("transpose_hism", FaultClass::PosGarbage, 0x7fa3bf5473c0495f),
+    ("transpose_hism", FaultClass::ValueCorruption, 0xa4203e8706510374),
+    ("transpose_hism", FaultClass::MidRunBitFlip, 0x5b3ebcee93bfc90f),
+    ("transpose_crs", FaultClass::BitFlip, 0x1ec11170fede877c),
+    ("transpose_crs", FaultClass::PointerRetarget, 0x336407b16d4ef1c8),
+    ("transpose_crs", FaultClass::LengthCorruption, 0x9ea078d7fe25aca2),
+    ("transpose_crs", FaultClass::Truncate, 0x262984b829672f14),
     ("transpose_crs", FaultClass::PosGarbage, 0x595e81f214ff9dff),
+    ("transpose_crs", FaultClass::ValueCorruption, 0x22cdff6ba841e473),
+    ("transpose_crs_scalar", FaultClass::BitFlip, 0xc9ed62b066060d2a),
+    ("transpose_crs_scalar", FaultClass::PointerRetarget, 0xd4af889e349e2267),
+    ("transpose_crs_scalar", FaultClass::LengthCorruption, 0x2227960c3f924c05),
+    ("transpose_crs_scalar", FaultClass::Truncate, 0xd4fcfd5912f65f78),
     ("transpose_crs_scalar", FaultClass::PosGarbage, 0x76e4dacf99452b17),
+    ("transpose_crs_scalar", FaultClass::ValueCorruption, 0xd8b0a43409df89aa),
     ("transpose_dense", FaultClass::BitFlip, 0x886538885a0b4047),
+    ("transpose_dense", FaultClass::Truncate, 0x02de652e40bbc4b7),
+    ("spmv_hism", FaultClass::BitFlip, 0xea67080cf3acff0c),
+    ("spmv_hism", FaultClass::PointerRetarget, 0x1eda10a63eed655c),
+    ("spmv_hism", FaultClass::LengthCorruption, 0x3699a6f5f27c424e),
+    ("spmv_hism", FaultClass::Truncate, 0xdc6e367f00372150),
     ("spmv_hism", FaultClass::PosGarbage, 0x931b4f0f42ed9e86),
+    ("spmv_hism", FaultClass::ValueCorruption, 0xfba247c5242c55a7),
+    ("spmv_crs", FaultClass::BitFlip, 0xa465184c2c0b9097),
+    ("spmv_crs", FaultClass::PointerRetarget, 0x35bdfab8d2c22a13),
+    ("spmv_crs", FaultClass::LengthCorruption, 0x6a3390dfd20b2af3),
+    ("spmv_crs", FaultClass::Truncate, 0x6174a03b55263b8e),
     ("spmv_crs", FaultClass::PosGarbage, 0xcf5b5d43f2371fb6),
+    ("spmv_crs", FaultClass::ValueCorruption, 0x6a7a4048f7568b69),
+    ("transpose_coo", FaultClass::BitFlip, 0x21577efe9254225b),
+    ("transpose_coo", FaultClass::Truncate, 0x2454bfbbde78a0b2),
     ("transpose_coo", FaultClass::PosGarbage, 0xf761497044e520e5),
+    ("transpose_csc", FaultClass::BitFlip, 0x6fc3c6cd593a5b02),
+    ("transpose_csc", FaultClass::PointerRetarget, 0xd5ee85530986ed55),
+    ("transpose_csc", FaultClass::LengthCorruption, 0x52ad3d23f19f9ded),
+    ("transpose_csc", FaultClass::Truncate, 0x5052bbbceabdd75c),
     ("transpose_csc", FaultClass::PosGarbage, 0xcef73579fb996ce8),
+    ("transpose_csc", FaultClass::ValueCorruption, 0x5e8a323280b1f555),
+    ("transpose_jd", FaultClass::BitFlip, 0x9efa41953ced3018),
+    ("transpose_jd", FaultClass::PointerRetarget, 0x3e86f846e6d45903),
+    ("transpose_jd", FaultClass::LengthCorruption, 0x3e86f846e6d45903),
+    ("transpose_jd", FaultClass::Truncate, 0x3e86f846e6d45903),
     ("transpose_jd", FaultClass::PosGarbage, 0x4f56b44787897d3a),
+    ("transpose_jd", FaultClass::ValueCorruption, 0xb2b3eaaf71b6a399),
+    ("transpose_sell", FaultClass::BitFlip, 0x50b15b8bc4d94b28),
+    ("transpose_sell", FaultClass::PointerRetarget, 0x8c9cc103b207d635),
+    ("transpose_sell", FaultClass::LengthCorruption, 0xd69ab128d3ca7bfe),
+    ("transpose_sell", FaultClass::Truncate, 0x2fe89eb03cfaa216),
     ("transpose_sell", FaultClass::PosGarbage, 0xc24d74a587d57a7b),
+    ("transpose_sell", FaultClass::ValueCorruption, 0x48a088fb9293f8bd),
+    ("spmv_sell", FaultClass::BitFlip, 0x07381af09652cfbd),
+    ("spmv_sell", FaultClass::PointerRetarget, 0x8c9cc103b207d635),
+    ("spmv_sell", FaultClass::LengthCorruption, 0xd69ab128d3ca7bfe),
+    ("spmv_sell", FaultClass::Truncate, 0x2fe89eb03cfaa216),
     ("spmv_sell", FaultClass::PosGarbage, 0x677cae807d9e4b4c),
+    ("spmv_sell", FaultClass::ValueCorruption, 0xaf7c7fe1a6ca7f04),
 ];
 
-/// The traced JSONL and outcome of one faulted run on an `s = 8` machine.
-fn faulted_run(name: &str, class: FaultClass, coo: &Coo) -> (String, hism_stm::obs::TraceData) {
-    let ctx = ExecCtx {
+/// FNV-1a of the `Debug` text of every injected fault record (the
+/// armed flip for [`FaultClass::MidRunBitFlip`]) of the runs above, one
+/// per line in table order: pins each corruptor's draws — the entry,
+/// bit and bogus value it picked — even where the run fails the same way
+/// for several classes.
+const FAULT_RECORDS_GOLDEN: u64 = 0x8db59785bbd96de1;
+
+/// Every class a kernel can host: the pre-run classes, then the mid-run
+/// flip.
+fn all_classes() -> impl Iterator<Item = FaultClass> {
+    FaultClass::ALL
+        .into_iter()
+        .chain([FaultClass::MidRunBitFlip])
+}
+
+/// The fault record, outcome and traced JSONL of one faulted run on an
+/// `s = 8` machine, or `None` when the kernel does not host `class`.
+fn faulted_run(
+    name: &str,
+    class: FaultClass,
+    coo: &Coo,
+) -> Option<(String, String, hism_stm::obs::TraceData)> {
+    let mut ctx = ExecCtx {
         vp: VpConfig {
             section_size: 8,
             ..VpConfig::paper()
@@ -97,14 +169,21 @@ fn faulted_run(name: &str, class: FaultClass, coo: &Coo) -> (String, hism_stm::o
     };
     let mut kernel = registry::create(name).unwrap();
     kernel.prepare(coo, &ctx).unwrap();
-    kernel
-        .inject_fault(class, 0x5eed)
-        .unwrap_or_else(|e| panic!("{name}/{class}: {e}"));
+    let record = if class == FaultClass::MidRunBitFlip {
+        ctx.vp.mid_run_flip = Some(kernel.arm_sdc(0x5eed)?);
+        format!("{:?}", ctx.vp.mid_run_flip)
+    } else {
+        match kernel.inject_fault(class, 0x5eed) {
+            Ok(rec) => format!("{rec:?}"),
+            Err(KernelError::FaultUnsupported { .. }) => return None,
+            Err(e) => panic!("{name}/{class}: {e}"),
+        }
+    };
     let outcome = match kernel.run(&ctx) {
         Ok(r) => format!("ok {:#018x}", r.output_digest),
         Err(e) => format!("err {e}"),
     };
-    (outcome, ctx.obs.snapshot())
+    Some((record, outcome, ctx.obs.snapshot()))
 }
 
 #[test]
@@ -114,17 +193,31 @@ fn traced_jsonl_matches_its_golden_digests() {
         .iter()
         .map(|&name| (name, fnv1a(traced_run(name, &coo).to_jsonl().as_bytes())))
         .collect();
-    let faulted: Vec<(&str, FaultClass, u64)> = FAULTED_GOLDENS
-        .iter()
-        .map(|&(name, class, _)| {
-            let (outcome, data) = faulted_run(name, class, &coo);
-            if name != "transpose_dense" {
-                assert!(data.counter("mem.oob_events") > 0, "{name}: no mem.oob");
+    let mut faulted: Vec<(&str, FaultClass, u64)> = Vec::new();
+    let mut records = String::new();
+    for &name in registry::names() {
+        for class in all_classes() {
+            let Some((record, outcome, data)) = faulted_run(name, class, &coo) else {
+                continue;
+            };
+            // A garbage column (a retargeted pointer for the HiSM
+            // transpose) reaches guarded memory on every simulated kernel.
+            let reaches_guard = match name {
+                "transpose_hism" => class == FaultClass::PointerRetarget,
+                "transpose_dense" => false,
+                _ => class == FaultClass::PosGarbage,
+            };
+            if reaches_guard {
+                assert!(
+                    data.counter("mem.oob_events") > 0,
+                    "{name}/{class}: no mem.oob"
+                );
             }
             let bytes = format!("{outcome}\n{}", data.to_jsonl());
-            (name, class, fnv1a(bytes.as_bytes()))
-        })
-        .collect();
+            faulted.push((name, class, fnv1a(bytes.as_bytes())));
+            records += &format!("{record}\n");
+        }
+    }
     let rendered: Vec<String> = clean
         .iter()
         .map(|(k, d)| format!("    (\"{k}\", {d:#018x}),"))
@@ -137,19 +230,11 @@ fn traced_jsonl_matches_its_golden_digests() {
     let now = rendered.join("\n");
     assert_eq!(clean, CLEAN_GOLDENS, "trace digests moved; now:\n{now}");
     assert_eq!(faulted, FAULTED_GOLDENS, "trace digests moved; now:\n{now}");
-    // Every kernel that hosts a fault has its faulted trace pinned.
-    for &name in registry::names() {
-        let pinned = FAULTED_GOLDENS.iter().any(|g| g.0 == name);
-        let hosts = FaultClass::ALL.into_iter().any(|class| {
-            let mut kernel = registry::create(name).unwrap();
-            kernel.prepare(&coo, &ExecCtx::paper()).unwrap();
-            !matches!(
-                kernel.inject_fault(class, 0x5eed),
-                Err(KernelError::FaultUnsupported { .. })
-            )
-        });
-        assert_eq!(pinned, hosts, "{name}: faulted trace pinning");
-    }
+    let got = fnv1a(records.as_bytes());
+    assert_eq!(
+        got, FAULT_RECORDS_GOLDEN,
+        "fault records moved ({got:#018x}):\n{records}"
+    );
 }
 
 #[test]
