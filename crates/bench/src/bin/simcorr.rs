@@ -66,21 +66,10 @@ fn run_leg(entry: &SuiteEntry, kernel: &str, backend: Backend, reps: usize) -> R
     Ok(best.expect("at least one rep"))
 }
 
-/// `--reps N` / `--reps=N` / `STM_SIMCORR_REPS=N` (default 3).
+/// `--reps N` / `--reps=N` / `STM_SIMCORR_REPS=N` (default 3). A value
+/// that is not a count exits with status 2.
 fn reps_from_env() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--reps" {
-            return args.next().and_then(|n| n.parse().ok()).unwrap_or(3);
-        }
-        if let Some(n) = a.strip_prefix("--reps=") {
-            return n.parse().unwrap_or(3);
-        }
-    }
-    std::env::var("STM_SIMCORR_REPS")
-        .ok()
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(3)
+    stm_bench::parsed_or_env("--reps", "STM_SIMCORR_REPS").unwrap_or(3)
 }
 
 const HEADERS: [&str; 9] = [

@@ -91,16 +91,19 @@ fn flag_or_env(flag: &str, var: &str) -> Option<String> {
     arg_value(flag).or_else(|| std::env::var(var).ok())
 }
 
+/// [`parsed`] `flag`, else the environment variable `var` parsed as `T`;
+/// `None` when neither is set. An unparsable value exits with status 2,
+/// naming the flag or variable it came from.
+pub fn parsed_or_env<T: std::str::FromStr>(flag: &str, var: &str) -> Option<T> {
+    parsed(flag).or_else(|| std::env::var(var).ok().map(|raw| parse_or_exit(var, &raw)))
+}
+
 /// Parses the worker-thread count from the CLI args / environment:
 /// `--jobs N`, `--jobs=N` or `STM_JOBS=N`. `None` (no flag) lets the
 /// harness use the machine's parallelism; `--jobs 1` forces serial runs.
 /// A value that is not a count exits with status 2.
 pub fn jobs_from_env() -> Option<usize> {
-    parsed("--jobs").or_else(|| {
-        std::env::var("STM_JOBS")
-            .ok()
-            .map(|raw| parse_or_exit("STM_JOBS", &raw))
-    })
+    parsed_or_env("--jobs", "STM_JOBS")
 }
 
 /// Parses the trace output directory from the CLI args / environment:

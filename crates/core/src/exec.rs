@@ -1,11 +1,14 @@
-//! The kernel execution layer: a uniform [`Kernel`] trait over every
-//! simulated kernel, an [`ExecCtx`] bundling the machine configuration
-//! (vector processor, STM, timing model), and a [`KernelReport`] carrying
-//! the timed result plus a digest of the functional output.
+//! The kernel execution layer: an [`ExecCtx`] bundling the machine
+//! configuration (vector processor, STM, timing model), and a
+//! [`KernelReport`] carrying the timed result plus a digest of the
+//! functional output.
 //!
-//! Kernels are constructed by name through [`crate::kernels::registry`],
-//! so harnesses, benchmark binaries and tests select kernels with a
-//! string instead of importing each kernel function directly:
+//! Kernels are constructed by name through [`crate::kernels::registry`]
+//! as one concrete [`Kernel`](crate::Kernel) built from a row of the
+//! kernel table, so harnesses, benchmark binaries and tests select
+//! kernels with a string instead of importing each kernel function
+//! directly. Every kernel has the same prepare → run → verify
+//! lifecycle:
 //!
 //! ```
 //! use stm_core::kernels::registry;
@@ -29,7 +32,7 @@
 use crate::report::TransposeReport;
 use crate::unit::StmConfig;
 use std::fmt;
-use stm_hism::{FaultClass, FaultRecord, HismImage, ImageError};
+use stm_hism::{FaultClass, HismImage, ImageError};
 use stm_obs::Recorder;
 use stm_sparse::hash::Fnv1a;
 use stm_sparse::{Coo, Csr, Dense, FormatError, Value};
@@ -59,8 +62,8 @@ pub struct ExecCtx {
     /// Execution backend: the cycle-accurate simulator (the default) or
     /// the host-native scalar leg ([`Backend::Scalar`]; [`Backend::Simd`]
     /// runs the same code). Host-capable kernels dispatch on it in
-    /// [`Kernel::run`]; kernels without a host implementation ignore it
-    /// and always simulate.
+    /// [`Kernel::run`](crate::Kernel::run); kernels without a host
+    /// implementation ignore it and always simulate.
     pub backend: Backend,
 }
 
@@ -108,11 +111,12 @@ impl Default for ExecCtx {
 /// The lifecycle stage a kernel failure occurred in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Host-side input construction ([`Kernel::prepare`]).
+    /// Host-side input construction
+    /// ([`Kernel::prepare`](crate::Kernel::prepare)).
     Prepare,
-    /// Simulated execution ([`Kernel::run`]).
+    /// Simulated execution ([`Kernel::run`](crate::Kernel::run)).
     Run,
-    /// Oracle comparison ([`Kernel::verify`]).
+    /// Oracle comparison ([`Kernel::verify`](crate::Kernel::verify)).
     Verify,
 }
 
@@ -135,8 +139,8 @@ impl fmt::Display for Stage {
 pub enum KernelError {
     /// No kernel registered under this name.
     Unknown(String),
-    /// [`Kernel::run`] was called before a successful
-    /// [`Kernel::prepare`].
+    /// [`Kernel::run`](crate::Kernel::run) was called before a
+    /// successful [`Kernel::prepare`](crate::Kernel::prepare).
     NotPrepared,
     /// The execution context or kernel configuration is inconsistent.
     Config(String),
@@ -398,8 +402,8 @@ impl KernelOutput {
     }
 }
 
-/// The complete result of one [`Kernel::run`]: the timed report, the
-/// functional output and its digest.
+/// The complete result of one [`Kernel::run`](crate::Kernel::run): the
+/// timed report, the functional output and its digest.
 #[derive(Debug, Clone)]
 pub struct KernelReport {
     /// Name of the kernel that produced this report.
@@ -410,69 +414,6 @@ pub struct KernelReport {
     pub output_digest: u64,
     /// The functional result.
     pub output: KernelOutput,
-}
-
-/// A simulated kernel with a uniform prepare → run → verify lifecycle.
-///
-/// * [`prepare`](Kernel::prepare) builds the kernel's input format from a
-///   COO matrix (HiSM image, CSR arrays, dense array, SpMV operand
-///   vector) and validates it against the context. Pure host-side work —
-///   no simulated cycles are charged.
-/// * [`run`](Kernel::run) executes the kernel on the simulated machine
-///   described by the context and returns the timed report, or a typed
-///   error ([`KernelError::NotPrepared`] without a successful `prepare`,
-///   [`KernelError::MemFault`]/[`KernelError::Corrupt`]/… when the
-///   prepared input turns out to be corrupted).
-/// * [`verify`](Kernel::verify) checks a functional output against the
-///   host-side oracle for the original matrix.
-/// * [`inject_fault`](Kernel::inject_fault) corrupts the *prepared* input
-///   in place for robustness testing; kernels that cannot host a class
-///   return [`KernelError::FaultUnsupported`].
-pub trait Kernel {
-    /// The registry name of this kernel (e.g. `"transpose_hism"`).
-    fn name(&self) -> &'static str;
-
-    /// Converts `coo` into the kernel's input format and stores it.
-    fn prepare(&mut self, coo: &Coo, ctx: &ExecCtx) -> Result<(), KernelError>;
-
-    /// Executes the prepared input on the context's machine.
-    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError>;
-
-    /// Checks `out` against the host oracle for `coo`.
-    fn verify(&self, coo: &Coo, out: &KernelOutput) -> Result<(), KernelError>;
-
-    /// Applies one deterministic fault of `class` to the prepared input
-    /// (call after [`Kernel::prepare`], before [`Kernel::run`]). The
-    /// default implementation hosts nothing.
-    fn inject_fault(&mut self, class: FaultClass, _seed: u64) -> Result<FaultRecord, KernelError> {
-        Err(KernelError::FaultUnsupported {
-            kernel: self.name(),
-            class,
-        })
-    }
-
-    /// Approximate size in bytes of the prepared input (what `prepare`
-    /// built), used for the per-stage byte counters in traces. 0 until a
-    /// successful [`Kernel::prepare`], and 0 for kernels that don't
-    /// override it.
-    fn prepared_bytes(&self) -> u64 {
-        0
-    }
-
-    /// Picks a seeded *silent-data-corruption* payload for this kernel:
-    /// a mid-run single-bit flip of a simulated-memory word that carries
-    /// matrix content (arm it via [`crate::exec::ExecCtx`]'s
-    /// `vp.mid_run_flip` before [`Kernel::run`]). Unlike
-    /// [`Kernel::inject_fault`] — which corrupts the *prepared* input,
-    /// where sealed-image checksums and structural validation can catch
-    /// it — a mid-run flip lands after every input check has passed and
-    /// is silent by construction: only comparing output digests across
-    /// independent executions can see it. `None` means the kernel does
-    /// not run on simulated memory (or cannot target content words) and
-    /// hosts no SDC.
-    fn arm_sdc(&self, _seed: u64) -> Option<stm_vpsim::MidRunFlip> {
-        None
-    }
 }
 
 /// The deterministic SpMV operand vector the harness and benchmark

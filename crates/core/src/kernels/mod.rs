@@ -20,8 +20,8 @@
 //!
 //! Each kernel is one function taking the machine as an
 //! [`ExecCtx`]; the nine that drive the vector engine share one run
-//! skeleton, `simulate`. Every kernel is also registered behind the
-//! [`crate::exec::Kernel`] trait in [`registry`], so harnesses select
+//! skeleton, `simulate`. Every kernel is also a row of the kernel table
+//! in [`registry`], built as a [`crate::Kernel`], so harnesses select
 //! kernels by name instead of importing these functions directly.
 
 pub mod coo_transpose;

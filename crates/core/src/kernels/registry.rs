@@ -1,19 +1,25 @@
-//! The kernel registry: every simulated kernel behind the
-//! [`Kernel`] trait, constructible by name.
+//! The kernel registry: every simulated kernel as one row of a kernel
+//! table, constructible by name as a [`Kernel`].
 //!
 //! This is the only place that maps kernel names to implementations —
 //! benchmark binaries, the batch harness and tests all go through
 //! [`create`] instead of importing kernel functions directly, so adding a
-//! kernel means adding one adapter struct and one `match` arm here.
+//! kernel means adding one row to the table here. A row holds only what
+//! differs between kernels: the name, how to prepare the input, the
+//! simulated leg, the optional host leg, the output variant, the verify
+//! oracle, the fallback and the faults it hosts. [`NAMES`] and
+//! [`HOST_CAPABLE`] are read off the table at compile time.
 //!
-//! Every adapter also implements [`Kernel::inject_fault`], corrupting its
-//! *prepared* input (HiSM image, CRS arrays, COO entries) so the
-//! robustness suite can prove each kernel degrades into a typed
-//! [`KernelError`] rather than a panic or a silently wrong answer.
+//! A kernel's prepared input is one of six storage formats (HiSM image,
+//! CSR, the dense kernel's COO, COO triplets, JD and SELL-C-σ arrays).
+//! Each format owns its fault corruptor, so [`Kernel::inject_fault`] can
+//! corrupt the *prepared* input and the robustness suite can prove each
+//! kernel degrades into a typed [`KernelError`] rather than a panic or a
+//! silently wrong answer. The four array formats share one corruptor for
+//! the index and value corruptions they have in common.
 
 pub use crate::exec::{
-    spmv_input, Backend, ExecCtx, Kernel, KernelError, KernelFailure, KernelOutput, KernelReport,
-    Stage,
+    spmv_input, Backend, ExecCtx, KernelError, KernelFailure, KernelOutput, KernelReport, Stage,
 };
 
 use crate::kernels::coo_transpose::CooArrays;
@@ -25,131 +31,351 @@ use crate::kernels::{
 };
 use crate::obs::{record_lifecycle, record_phases};
 use crate::report::{Phase, TransposeReport};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use stm_hism::{build, faults, FaultClass, FaultRecord, HismImage};
 use stm_host as host;
+use stm_obs::{Category, Lane};
 use stm_sparse::rng::StdRng;
 use stm_sparse::{Coo, Csc, Csr, Jd, Sell, SellConfig, SparseFormat, Value};
 
-/// All registered kernel names, in canonical order.
-pub const NAMES: [&str; 12] = [
-    "transpose_hism",
-    "transpose_crs",
-    "transpose_crs_scalar",
-    "transpose_dense",
-    "spmv_hism",
-    "spmv_crs",
-    "transpose_ref",
-    "transpose_coo",
-    "transpose_csc",
-    "transpose_jd",
-    "transpose_sell",
-    "spmv_sell",
+/// A leg's functional output and timed report.
+type Leg = Result<(KernelOutput, TransposeReport), KernelError>;
+
+/// A host leg's functional output and the `(rows, cols, nnz)` shape its
+/// nominal cost is charged on.
+type HostLeg = Result<(KernelOutput, (usize, usize, usize)), KernelError>;
+
+/// One row of the kernel table: everything that differs between two
+/// registered kernels.
+#[derive(Debug)]
+struct Row {
+    /// The registry name.
+    name: &'static str,
+    /// Builds the prepared input from a COO matrix. Pure host-side work:
+    /// no simulated cycles are charged.
+    prepare: fn(&Coo, &ExecCtx) -> Result<Prepared, KernelError>,
+    /// The simulated leg; SpMV legs multiply by the operand `x`.
+    sim: fn(&ExecCtx, &Prepared, &[Value]) -> Leg,
+    /// The host-native leg in `stm-host`, for the [`HOST_CAPABLE`]
+    /// kernels.
+    host: Option<Host>,
+    /// The output variant; a `Vector` kernel is an SpMV kernel and also
+    /// prepares the operand `x` ([`spmv_input`]).
+    output: Output,
+    /// The oracle an output is checked against. It shares no code with
+    /// the legs it judges.
+    verify: fn(&Coo, &[Value], &KernelOutput) -> Result<(), KernelError>,
+    /// See [`fallback_for`].
+    fallback: Option<&'static str>,
+    /// What the robustness suite may corrupt.
+    faults: Faults,
+}
+
+/// A host-native leg: its trace span and the `stm-host` call.
+#[derive(Debug)]
+struct Host {
+    span: &'static str,
+    run: fn(&ExecCtx, &Prepared, &[Value]) -> HostLeg,
+}
+
+/// The [`KernelOutput`] variant a kernel produces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Output {
+    Hism,
+    Csr,
+    Dense,
+    Vector,
+}
+
+/// What a kernel lets the robustness suite corrupt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Faults {
+    /// Nothing: a fallback that could itself be corrupted would be
+    /// worthless.
+    None,
+    /// The prepared input, through its format's corruptor.
+    Input,
+    /// The prepared input, and simulated memory mid-run
+    /// ([`Kernel::arm_sdc`]).
+    InputAndMidRun,
+}
+
+/// The kernel table, in canonical order.
+const TABLE: &[Row; 12] = &[
+    // The recursive HiSM transposition (paper Fig. 6/7) through the STM.
+    Row {
+        name: "transpose_hism",
+        prepare: prepare_hism,
+        sim: |ctx, p, _| out(KernelOutput::Hism, transpose_hism(ctx, p.hism()?)),
+        host: Some(Host {
+            span: "host.transpose_hism",
+            run: |ctx, p, _| {
+                let image = p.hism()?;
+                let (out, nnz) = host::hism::transpose_hism(image, ctx.stm.s).map_err(host_err)?;
+                let shape = (image.root.rows as usize, image.root.cols as usize, nnz);
+                Ok((KernelOutput::Hism(out), shape))
+            },
+        }),
+        output: Output::Hism,
+        verify: verify_hism_transpose,
+        fallback: Some("transpose_ref"),
+        faults: Faults::InputAndMidRun,
+    },
+    // The vectorized CRS baseline (Pissanetsky, paper Fig. 9).
+    Row {
+        name: "transpose_crs",
+        prepare: prepare_csr,
+        sim: |ctx, p, _| out(KernelOutput::Csr, transpose_crs(ctx, p.csr()?)),
+        host: Some(Host {
+            span: "host.transpose_crs",
+            run: |_, p, _| {
+                let csr = p.csr()?;
+                let out = host::csr::transpose_csr(csr).map_err(host_err)?;
+                Ok((KernelOutput::Csr(out), (csr.rows(), csr.cols(), csr.nnz())))
+            },
+        }),
+        output: Output::Csr,
+        verify: verify_csr_transpose,
+        fallback: Some("transpose_crs_scalar"),
+        faults: Faults::Input,
+    },
+    // The fully scalar CRS baseline on the 4-way scalar core.
+    Row {
+        name: "transpose_crs_scalar",
+        prepare: prepare_csr,
+        sim: |ctx, p, _| out(KernelOutput::Csr, transpose_crs_scalar(ctx, p.csr()?)),
+        host: None,
+        output: Output::Csr,
+        verify: verify_csr_transpose,
+        fallback: None,
+        faults: Faults::Input,
+    },
+    // The trivial dense strided transpose of the paper's Section II.
+    Row {
+        name: "transpose_dense",
+        prepare: |coo, _| Ok(Prepared::Dense(coo.clone())),
+        sim: |ctx, p, _| out(KernelOutput::Dense, transpose_dense(ctx, p.dense()?)),
+        host: None,
+        output: Output::Dense,
+        verify: verify_dense_transpose,
+        fallback: None,
+        faults: Faults::Input,
+    },
+    // Simulated SpMV over the HiSM format.
+    Row {
+        name: "spmv_hism",
+        prepare: prepare_hism,
+        sim: |ctx, p, x| out(KernelOutput::Vector, spmv_hism(ctx, p.hism()?, x)),
+        host: Some(Host {
+            span: "host.spmv_hism",
+            run: |ctx, p, x| {
+                let image = p.hism()?;
+                let (y, nnz) =
+                    host::hism::spmv_hism(image, x, ctx.vp.section_size).map_err(host_err)?;
+                let shape = (image.root.rows as usize, image.root.cols as usize, nnz);
+                Ok((KernelOutput::Vector(y), shape))
+            },
+        }),
+        output: Output::Vector,
+        verify: verify_spmv,
+        fallback: None,
+        faults: Faults::Input,
+    },
+    // Simulated SpMV over the CSR format (the conventional baseline).
+    Row {
+        name: "spmv_crs",
+        prepare: prepare_csr,
+        sim: |ctx, p, x| out(KernelOutput::Vector, spmv_crs(ctx, p.csr()?, x)),
+        host: Some(Host {
+            span: "host.spmv_crs",
+            run: |ctx, p, x| {
+                let csr = p.csr()?;
+                let y = host::csr::spmv_csr(csr, x, ctx.vp.section_size).map_err(host_err)?;
+                Ok((KernelOutput::Vector(y), (csr.rows(), csr.cols(), csr.nnz())))
+            },
+        }),
+        output: Output::Vector,
+        verify: verify_spmv,
+        fallback: None,
+        faults: Faults::Input,
+    },
+    // The trusted software reference transpose — the degradation target
+    // the resilient soak pipeline falls back to when `transpose_hism`'s
+    // circuit breaker trips (see [`fallback_for`]). The transposition
+    // runs entirely on the host (the same Pissanetsky oracle the
+    // verifiers use) and is charged one nominal scalar phase, so the
+    // deadline watchdog can never fire here and no fault class is hosted.
+    Row {
+        name: "transpose_ref",
+        prepare: prepare_csr,
+        sim: |ctx, p, _| {
+            let csr = p.csr()?;
+            let shape = (csr.rows(), csr.cols(), csr.nnz());
+            let report = nominal_report(
+                ctx,
+                (Lane::Scalar, Category::Scalar),
+                "host.reference",
+                "host-reference",
+                shape,
+                None,
+            );
+            Ok((KernelOutput::Csr(csr.transpose_pissanetsky()), report))
+        },
+        host: None,
+        output: Output::Csr,
+        verify: verify_csr_transpose,
+        fallback: None,
+        faults: Faults::None,
+    },
+    // Simulated transposition straight from COO triplets (no row-pointer
+    // construction on the host side).
+    Row {
+        name: "transpose_coo",
+        prepare: |coo, _| {
+            let mut canon = coo.clone();
+            canon.canonicalize();
+            Ok(Prepared::Coo(CooArrays {
+                rows: canon.rows(),
+                cols: canon.cols(),
+                entries: canon.iter().copied().collect(),
+            }))
+        },
+        sim: |ctx, p, _| out(KernelOutput::Csr, transpose_coo(ctx, p.coo()?)),
+        host: None,
+        output: Output::Csr,
+        verify: verify_csr_transpose,
+        fallback: Some("transpose_ref"),
+        faults: Faults::Input,
+    },
+    // Transposition from CSC storage. CSC's arrays *are* the CSR arrays
+    // of the transpose, so the kernel prepares the CSC of `A` read as the
+    // CSR of `Aᵀ` and runs the Pissanetsky pipeline on it, yielding `A`
+    // itself — which is exactly `Aᵀ` in CSC clothing.
+    Row {
+        name: "transpose_csc",
+        prepare: |coo, _| Ok(Prepared::Csr(Csc::from_coo(coo).into_csr_of_transpose()?)),
+        sim: |ctx, p, _| out(KernelOutput::Csr, transpose_crs(ctx, p.csr()?)),
+        host: None,
+        output: Output::Csr,
+        verify: verify_csc_transpose,
+        fallback: None,
+        faults: Faults::Input,
+    },
+    // Simulated transposition from Jagged Diagonal storage (regroup to
+    // CRS in simulated memory, then the standard pipeline).
+    Row {
+        name: "transpose_jd",
+        prepare: |coo, _| Ok(Prepared::Jd(JdArrays::from_jd(&Jd::from_coo(coo)))),
+        sim: |ctx, p, _| out(KernelOutput::Csr, transpose_jd(ctx, p.jd()?)),
+        host: None,
+        output: Output::Csr,
+        verify: verify_csr_transpose,
+        fallback: Some("transpose_ref"),
+        faults: Faults::Input,
+    },
+    // Simulated transposition from SELL-C-σ storage.
+    Row {
+        name: "transpose_sell",
+        prepare: prepare_sell,
+        sim: |ctx, p, _| out(KernelOutput::Csr, transpose_sell(ctx, p.sell()?)),
+        host: Some(Host {
+            span: "host.transpose_sell",
+            run: |_, p, _| {
+                let sa = p.sell()?;
+                let out = host::sell::transpose_sell(&sell_view(sa)).map_err(host_err)?;
+                Ok((KernelOutput::Csr(out), sell_shape(sa)))
+            },
+        }),
+        output: Output::Csr,
+        verify: verify_csr_transpose,
+        fallback: Some("transpose_ref"),
+        faults: Faults::Input,
+    },
+    // Simulated SpMV over SELL-C-σ (the format's showcase kernel: the
+    // active-lane prefix keeps padding off the memory ports).
+    Row {
+        name: "spmv_sell",
+        prepare: prepare_sell,
+        sim: |ctx, p, x| out(KernelOutput::Vector, spmv_sell(ctx, p.sell()?, x)),
+        host: Some(Host {
+            span: "host.spmv_sell",
+            run: |ctx, p, x| {
+                let sa = p.sell()?;
+                let y = host::sell::spmv_sell(&sell_view(sa), x, ctx.vp.section_size)
+                    .map_err(host_err)?;
+                Ok((KernelOutput::Vector(y), sell_shape(sa)))
+            },
+        }),
+        output: Output::Vector,
+        verify: verify_spmv,
+        fallback: None,
+        faults: Faults::Input,
+    },
 ];
+
+/// All registered kernel names, in canonical order.
+pub const NAMES: [&str; 12] = {
+    let mut names = [""; 12];
+    let mut i = 0;
+    while i < TABLE.len() {
+        names[i] = TABLE[i].name;
+        i += 1;
+    }
+    names
+};
 
 /// All registered kernel names, in canonical order.
 pub fn names() -> &'static [&'static str] {
     &NAMES
 }
 
+/// The table row registered under `name`.
+fn row(name: &str) -> Option<&'static Row> {
+    TABLE.iter().find(|row| row.name == name)
+}
+
 /// The graceful-degradation map used by the resilient soak pipeline: the
 /// registry kernel to run instead of `name` once its circuit breaker has
-/// tripped (or its run has failed). The HiSM+STM transpose degrades to
-/// the trusted software reference, the vectorized CRS baseline to its
-/// fully scalar sibling; kernels without an entry have no fallback.
+/// tripped (or its run has failed). The HiSM+STM transpose and the other
+/// format transposes degrade to the trusted software reference, the
+/// vectorized CRS baseline to its fully scalar sibling; kernels without
+/// an entry have no fallback.
 pub fn fallback_for(name: &str) -> Option<&'static str> {
-    match name {
-        "transpose_hism" => Some("transpose_ref"),
-        "transpose_crs" => Some("transpose_crs_scalar"),
-        "transpose_coo" | "transpose_jd" | "transpose_sell" => Some("transpose_ref"),
-        _ => None,
-    }
+    row(name)?.fallback
 }
 
 /// The kernels with a host-native implementation in `stm-host` — the
 /// kernels whose simulated and host legs must agree digest for digest.
 /// Kernels not listed here ignore [`ExecCtx::backend`] and always
 /// simulate.
-pub const HOST_CAPABLE: [&str; 6] = [
-    "transpose_hism",
-    "transpose_crs",
-    "spmv_hism",
-    "spmv_crs",
-    "transpose_sell",
-    "spmv_sell",
-];
+pub const HOST_CAPABLE: [&str; 6] = {
+    let mut names = [""; 6];
+    let (mut i, mut n) = (0, 0);
+    while i < TABLE.len() {
+        if TABLE[i].host.is_some() {
+            names[n] = TABLE[i].name;
+            n += 1;
+        }
+        i += 1;
+    }
+    assert!(n == names.len(), "HOST_CAPABLE must list every host leg");
+    names
+};
 
 /// Whether the named kernel dispatches to the host backend when
 /// [`ExecCtx::backend`] asks for one.
 pub fn host_capable(name: &str) -> bool {
-    HOST_CAPABLE.contains(&name)
-}
-
-/// Maps a host-kernel failure onto the registry's typed errors.
-fn host_err(e: host::HostError) -> KernelError {
-    match e {
-        host::HostError::Corrupt(m) => KernelError::Corrupt(m),
-        host::HostError::Config(m) => KernelError::Config(m),
-    }
-}
-
-/// Builds the report for a host-native leg: the same nominal linear cost
-/// model `transpose_ref` charges (two passes over the entries plus one
-/// over each dimension, mapped through the timing model) so simulated
-/// cycles stay deterministic, plus the measured wall-clock in
-/// `wall_ns`. Emits a `Lane::Host` span when tracing is on.
-fn host_report(
-    ctx: &ExecCtx,
-    span: &'static str,
-    shape: (usize, usize, usize),
-    wall: std::time::Duration,
-) -> TransposeReport {
-    let (rows, cols, nnz) = shape;
-    let nominal = 8 + 2 * nnz as u64 + rows as u64 + cols as u64;
-    let cycles = ctx.timing.model().scalar_cycles(nominal);
-    let report = TransposeReport {
-        cycles,
-        nnz,
-        engine: Default::default(),
-        scalar: None,
-        stm: None,
-        phases: vec![Phase { name: span, cycles }],
-        fu_busy: Default::default(),
-        stalls: stm_vpsim::StallBreakdown::scalar_only(ctx.vp.mem_ports, cycles),
-        wall_ns: Some(wall.as_nanos().min(u64::MAX as u128) as u64),
-    };
-    if ctx.obs.is_enabled() {
-        ctx.obs.complete(
-            stm_obs::Lane::Host,
-            stm_obs::Category::Host,
-            span,
-            0,
-            cycles,
-            nnz as u64,
-        );
-    }
-    record_phases(&ctx.obs, &report.phases);
-    report
+    row(name).is_some_and(|row| row.host.is_some())
 }
 
 /// Constructs the kernel registered under `name`, or `None` if the name
 /// is unknown. See [`NAMES`] for the registered set.
-pub fn create(name: &str) -> Option<Box<dyn Kernel>> {
-    match name {
-        "transpose_hism" => Some(Box::new(TransposeHism::default())),
-        "transpose_crs" => Some(Box::new(TransposeCrs::default())),
-        "transpose_crs_scalar" => Some(Box::new(TransposeCrsScalar::default())),
-        "transpose_dense" => Some(Box::new(TransposeDense::default())),
-        "spmv_hism" => Some(Box::new(SpmvHism::default())),
-        "spmv_crs" => Some(Box::new(SpmvCrs::default())),
-        "transpose_ref" => Some(Box::new(TransposeRef::default())),
-        "transpose_coo" => Some(Box::new(TransposeCoo::default())),
-        "transpose_csc" => Some(Box::new(TransposeCsc::default())),
-        "transpose_jd" => Some(Box::new(TransposeJd::default())),
-        "transpose_sell" => Some(Box::new(TransposeSell::default())),
-        "spmv_sell" => Some(Box::new(SpmvSell::default())),
-        _ => None,
-    }
+pub fn create(name: &str) -> Option<Kernel> {
+    row(name).map(|row| Kernel {
+        row,
+        input: None,
+        x: Vec::new(),
+    })
 }
 
 /// Prepare + run + verify in one call — the common harness path.
@@ -176,16 +402,330 @@ pub fn run_verified(name: &str, coo: &Coo, ctx: &ExecCtx) -> Result<KernelReport
     Ok(report)
 }
 
-fn wrap(kernel: &'static str, report: TransposeReport, output: KernelOutput) -> KernelReport {
-    KernelReport {
-        kernel,
-        report,
-        output_digest: output.digest(),
-        output,
+/// A registered kernel with a uniform prepare → run → verify lifecycle:
+/// its row of the kernel table plus the input [`Kernel::prepare`] built.
+///
+/// * [`prepare`](Kernel::prepare) builds the kernel's input format from a
+///   COO matrix (HiSM image, CSR arrays, dense array, SpMV operand
+///   vector) and validates it against the context. Pure host-side work —
+///   no simulated cycles are charged.
+/// * [`run`](Kernel::run) executes the kernel on the simulated machine
+///   described by the context and returns the timed report, or a typed
+///   error ([`KernelError::NotPrepared`] without a successful `prepare`,
+///   [`KernelError::MemFault`]/[`KernelError::Corrupt`]/… when the
+///   prepared input turns out to be corrupted).
+/// * [`verify`](Kernel::verify) checks a functional output against the
+///   host-side oracle for the original matrix.
+/// * [`inject_fault`](Kernel::inject_fault) corrupts the *prepared* input
+///   in place for robustness testing; kernels that cannot host a class
+///   return [`KernelError::FaultUnsupported`].
+#[derive(Debug)]
+pub struct Kernel {
+    row: &'static Row,
+    input: Option<Prepared>,
+    /// The SpMV operand; empty for the transposes.
+    x: Vec<Value>,
+}
+
+impl Kernel {
+    /// The registry name of this kernel (e.g. `"transpose_hism"`).
+    pub fn name(&self) -> &'static str {
+        self.row.name
+    }
+
+    /// Converts `coo` into the kernel's input format and stores it.
+    pub fn prepare(&mut self, coo: &Coo, ctx: &ExecCtx) -> Result<(), KernelError> {
+        self.input = Some((self.row.prepare)(coo, ctx)?);
+        if self.row.output == Output::Vector {
+            self.x = spmv_input(coo.cols());
+        }
+        Ok(())
+    }
+
+    /// Executes the prepared input on the context's machine — on the
+    /// host when [`ExecCtx::backend`] asks for it and the kernel has a
+    /// host leg.
+    pub fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
+        let input = self.input.as_ref().ok_or(KernelError::NotPrepared)?;
+        let (output, report) = match &self.row.host {
+            Some(leg) if ctx.backend.is_host() => {
+                let t0 = Instant::now();
+                let (output, shape) = (leg.run)(ctx, input, &self.x)?;
+                let wall = Some(t0.elapsed());
+                let report = nominal_report(
+                    ctx,
+                    (Lane::Host, Category::Host),
+                    leg.span,
+                    leg.span,
+                    shape,
+                    wall,
+                );
+                (output, report)
+            }
+            _ => (self.row.sim)(ctx, input, &self.x)?,
+        };
+        Ok(KernelReport {
+            kernel: self.row.name,
+            report,
+            output_digest: output.digest(),
+            output,
+        })
+    }
+
+    /// Checks `out` against the host oracle for `coo`.
+    pub fn verify(&self, coo: &Coo, out: &KernelOutput) -> Result<(), KernelError> {
+        (self.row.verify)(coo, &self.x, out)
+    }
+
+    /// Applies one deterministic fault of `class` to the prepared input
+    /// (call after [`Kernel::prepare`], before [`Kernel::run`]).
+    pub fn inject_fault(
+        &mut self,
+        class: FaultClass,
+        seed: u64,
+    ) -> Result<FaultRecord, KernelError> {
+        let input = self.input.as_mut().ok_or(KernelError::NotPrepared)?;
+        let spmv = self.row.output == Output::Vector;
+        let record = match self.row.faults {
+            Faults::None => None,
+            _ => input.corrupt(class, seed, spmv.then_some(&self.x)),
+        };
+        record.ok_or(KernelError::FaultUnsupported {
+            kernel: self.row.name,
+            class,
+        })
+    }
+
+    /// Approximate size in bytes of the prepared input (what `prepare`
+    /// built), used for the per-stage byte counters in traces. 0 until a
+    /// successful [`Kernel::prepare`].
+    pub fn prepared_bytes(&self) -> u64 {
+        self.input
+            .as_ref()
+            .map_or(0, |input| input.bytes() + 4 * self.x.len() as u64)
+    }
+
+    /// Picks a seeded *silent-data-corruption* payload for this kernel:
+    /// a mid-run single-bit flip of a simulated-memory word that carries
+    /// matrix content (arm it via [`ExecCtx`]'s `vp.mid_run_flip` before
+    /// [`Kernel::run`]). Unlike [`Kernel::inject_fault`] — which corrupts
+    /// the *prepared* input, where sealed-image checksums and structural
+    /// validation can catch it — a mid-run flip lands after every input
+    /// check has passed and is silent by construction: only comparing
+    /// output digests across independent executions can see it. `None`
+    /// means the kernel hosts no SDC; only `transpose_hism` does.
+    pub fn arm_sdc(&self, seed: u64) -> Option<stm_vpsim::MidRunFlip> {
+        let Some(Prepared::Hism(image)) = &self.input else {
+            return None;
+        };
+        if self.row.faults != Faults::InputAndMidRun {
+            return None;
+        }
+        // The simulated kernel loads the image at memory address 0, so
+        // image word addresses are memory addresses. Target a leaf value
+        // word: the transpose copies value bits verbatim, so the flip —
+        // when the engine reads the word after it fires — lands in the
+        // output unchanged by any arithmetic. (It can still be *masked*
+        // when the strip streaming that word was already loaded; callers
+        // asserting detection must pick manifesting seeds.)
+        let sites = image.value_sites().ok()?;
+        if sites.is_empty() {
+            return None;
+        }
+        let mut r = StdRng::seed_from_u64(seed ^ 0x5dc_f11b);
+        let word = sites[r.gen_range(0..sites.len())];
+        let bit = (r.next_u64() % 32) as u32;
+        Some(stm_vpsim::MidRunFlip {
+            after_cycle: 0,
+            word,
+            bit,
+        })
     }
 }
 
-fn spmv_verify(coo: &Coo, x: &[Value], out: &KernelOutput) -> Result<(), KernelError> {
+/// Wraps a kernel function's typed result as a [`Leg`].
+fn out<T>(variant: fn(T) -> KernelOutput, run: Result<(T, TransposeReport), KernelError>) -> Leg {
+    run.map(|(output, report)| (variant(output), report))
+}
+
+/// Maps a host-kernel failure onto the registry's typed errors.
+fn host_err(e: host::HostError) -> KernelError {
+    match e {
+        host::HostError::Corrupt(m) => KernelError::Corrupt(m),
+        host::HostError::Config(m) => KernelError::Config(m),
+    }
+}
+
+/// The report of a leg that runs on the host: a nominal linear cost (two
+/// passes over the entries plus one over each dimension, mapped through
+/// the timing model so the ideal bound stays below the paper machine)
+/// keeps simulated cycles deterministic and the stall-conservation
+/// invariants true. Host legs also carry the measured wall-clock. Emits a
+/// `span` on `lane` when tracing is on.
+fn nominal_report(
+    ctx: &ExecCtx,
+    (lane, category): (Lane, Category),
+    span: &'static str,
+    phase: &'static str,
+    (rows, cols, nnz): (usize, usize, usize),
+    wall: Option<Duration>,
+) -> TransposeReport {
+    let nominal = 8 + 2 * nnz as u64 + rows as u64 + cols as u64;
+    let cycles = ctx.timing.model().scalar_cycles(nominal);
+    let report = TransposeReport {
+        cycles,
+        nnz,
+        engine: Default::default(),
+        scalar: None,
+        stm: None,
+        phases: vec![Phase {
+            name: phase,
+            cycles,
+        }],
+        fu_busy: Default::default(),
+        stalls: stm_vpsim::StallBreakdown::scalar_only(ctx.vp.mem_ports, cycles),
+        wall_ns: wall.map(|w| w.as_nanos().min(u64::MAX as u128) as u64),
+    };
+    if ctx.obs.is_enabled() {
+        ctx.obs
+            .complete(lane, category, span, 0, cycles, nnz as u64);
+    }
+    record_phases(&ctx.obs, &report.phases);
+    report
+}
+
+fn prepare_hism(coo: &Coo, ctx: &ExecCtx) -> Result<Prepared, KernelError> {
+    ctx.validate().map_err(KernelError::Config)?;
+    let h = build::from_coo(coo, ctx.stm.s)?;
+    Ok(Prepared::Hism(HismImage::encode(&h)))
+}
+
+fn prepare_csr(coo: &Coo, _: &ExecCtx) -> Result<Prepared, KernelError> {
+    Ok(Prepared::Csr(Csr::from_coo(coo)))
+}
+
+/// Builds the SELL-C-σ arrays for the machine at hand: chunks as tall as
+/// the vector section, σ = 8 chunks of sort window.
+fn prepare_sell(coo: &Coo, ctx: &ExecCtx) -> Result<Prepared, KernelError> {
+    let c = ctx.vp.section_size;
+    let sell = Sell::from_coo_with(coo, SellConfig { c, sigma: 8 * c })?;
+    Ok(Prepared::Sell(SellArrays::from_sell(&sell)))
+}
+
+/// Borrows the SELL arrays as the view the host backend consumes.
+fn sell_view(sa: &SellArrays) -> host::sell::SellView<'_> {
+    host::sell::SellView {
+        rows: sa.rows,
+        cols: sa.cols,
+        c: sa.c,
+        perm: &sa.perm,
+        chunk_ptr: &sa.chunk_ptr,
+        chunk_len: &sa.chunk_len,
+        row_len: &sa.row_len,
+        col_idx: &sa.col_idx,
+        values: &sa.values,
+    }
+}
+
+/// The `(rows, cols, nnz)` a SELL host leg is charged on.
+fn sell_shape(sa: &SellArrays) -> (usize, usize, usize) {
+    (sa.rows, sa.cols, sa.row_len.iter().sum())
+}
+
+fn verify_hism_transpose(coo: &Coo, _: &[Value], out: &KernelOutput) -> Result<(), KernelError> {
+    let img = out
+        .as_hism()
+        .ok_or_else(|| KernelError::Mismatch("transpose_hism produces Hism outputs".into()))?;
+    let got = img.decode()?;
+    // The oracle is stm-sparse's Pissanetsky transpose, which shares
+    // no code with either HiSM leg. Every decoded entry must claim a
+    // distinct oracle entry with identical value bits; with equal
+    // counts that makes the match a bijection, so duplicates and
+    // explicit zeros in the output are rejected, not summed away.
+    let want = Csr::from_coo(coo).transpose_pissanetsky();
+    let mismatch = |what: String| {
+        Err(KernelError::Mismatch(format!(
+            "decoded HiSM transpose differs from host oracle: {what}"
+        )))
+    };
+    if got.shape() != want.shape() || got.nnz() != want.nnz() {
+        return mismatch(format!(
+            "{:?} with {} entries, expected {:?} with {}",
+            got.shape(),
+            got.nnz(),
+            want.shape(),
+            want.nnz()
+        ));
+    }
+    // `got.nnz()` counts the decoded leaf entries `iter` walks.
+    let mut claimed = vec![0u64; want.nnz().div_ceil(64)];
+    for (r, c, v) in got.iter() {
+        let slot = (r < want.rows())
+            .then(|| {
+                let (cols, vals) = want.row(r);
+                let k = cols.binary_search(&c).ok()?;
+                (vals[k].to_bits() == v.to_bits()).then(|| want.row_ptr()[r] + k)
+            })
+            .flatten();
+        let Some(slot) = slot else {
+            return mismatch(format!("entry ({r}, {c}) = {v} is not in the oracle"));
+        };
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        if claimed[word] & bit != 0 {
+            return mismatch(format!("entry ({r}, {c}) appears twice"));
+        }
+        claimed[word] |= bit;
+    }
+    Ok(())
+}
+
+fn verify_csr_transpose(coo: &Coo, _: &[Value], out: &KernelOutput) -> Result<(), KernelError> {
+    let got = out
+        .as_csr()
+        .ok_or_else(|| KernelError::Mismatch("CRS kernels produce Csr outputs".into()))?;
+    // Through the format trait (Csr overrides it with Pissanetsky), so
+    // every CSR-output kernel verifies against the same oracle the
+    // format layer exposes.
+    if *got == SparseFormat::transpose(&Csr::from_coo(coo))? {
+        Ok(())
+    } else {
+        Err(KernelError::Mismatch(
+            "CRS transpose differs from host oracle".into(),
+        ))
+    }
+}
+
+/// The CSC kernel's output must equal `Csr::from_coo(A)` bit for bit:
+/// those arrays read as CSC are canonical `Aᵀ`.
+fn verify_csc_transpose(coo: &Coo, _: &[Value], out: &KernelOutput) -> Result<(), KernelError> {
+    let got = out
+        .as_csr()
+        .ok_or_else(|| KernelError::Mismatch("transpose_csc produces Csr outputs".into()))?;
+    if *got == Csr::from_coo(coo) {
+        Ok(())
+    } else {
+        Err(KernelError::Mismatch(
+            "CSC transpose differs from host oracle".into(),
+        ))
+    }
+}
+
+fn verify_dense_transpose(coo: &Coo, _: &[Value], out: &KernelOutput) -> Result<(), KernelError> {
+    let KernelOutput::Dense(got) = out else {
+        return Err(KernelError::Mismatch(
+            "transpose_dense produces Dense outputs".into(),
+        ));
+    };
+    if got.to_coo() == coo.transpose_canonical() {
+        Ok(())
+    } else {
+        Err(KernelError::Mismatch(
+            "dense transpose differs from host oracle".into(),
+        ))
+    }
+}
+
+fn verify_spmv(coo: &Coo, x: &[Value], out: &KernelOutput) -> Result<(), KernelError> {
     let y = out
         .as_vector()
         .ok_or_else(|| KernelError::Mismatch("spmv kernels produce Vector outputs".into()))?;
@@ -207,524 +747,120 @@ fn spmv_verify(coo: &Coo, x: &[Value], out: &KernelOutput) -> Result<(), KernelE
     Ok(())
 }
 
-fn config_err(msg: String) -> KernelError {
-    KernelError::Config(msg)
+/// A kernel's prepared input, one variant per storage format. Each
+/// variant sizes itself ([`Prepared::bytes`]) and owns its corruptor
+/// ([`Prepared::corrupt`]).
+#[derive(Debug)]
+enum Prepared {
+    /// An encoded HiSM image.
+    Hism(HismImage),
+    /// CSR arrays (for the CSC kernel, the CSR of `Aᵀ`).
+    Csr(Csr),
+    /// The COO matrix the dense kernel materialises.
+    Dense(Coo),
+    /// Canonical COO triplets.
+    Coo(CooArrays),
+    /// Jagged Diagonal arrays.
+    Jd(JdArrays),
+    /// SELL-C-σ arrays.
+    Sell(SellArrays),
 }
 
-/// Approximate byte size of prepared CSR arrays (row pointers + column
-/// indices + values, one 32-bit word each).
-fn csr_bytes(csr: &Csr) -> u64 {
-    4 * (csr.row_ptr().len() + csr.col_idx().len() + csr.values().len()) as u64
-}
-
-/// Picks a seeded index of a nonzero value word — the target set for
-/// [`FaultClass::ValueCorruption`], where a sign-bit flip is guaranteed
-/// to change the output bit pattern of every downstream kernel while
-/// leaving all structure (and therefore every typed check) intact.
-fn pick_nonzero_value(values: &[f32], r: &mut StdRng) -> Option<usize> {
-    let live: Vec<usize> = (0..values.len()).filter(|&k| values[k] != 0.0).collect();
-    if live.is_empty() {
-        None
-    } else {
-        Some(live[r.gen_range(0..live.len())])
+/// The accessors a row's legs read their input through. A row's legs
+/// read the variant its own `prepare` builds, so another variant never
+/// reaches them; it reads as not prepared.
+impl Prepared {
+    fn hism(&self) -> Result<&HismImage, KernelError> {
+        match self {
+            Prepared::Hism(image) => Ok(image),
+            _ => Err(KernelError::NotPrepared),
+        }
     }
-}
 
-/// [`FaultClass::ValueCorruption`] for the SpMV kernels: flips the sign
-/// bit of the candidate value with the largest `|a·x|` weight — the
-/// dominant term of the product. A random value flip can legitimately
-/// round away inside the f32 row accumulation (or multiply a zero of
-/// `x`), but negating the globally dominant term always survives into
-/// the output bits, keeping the class digest-detectable. `cands` pairs a
-/// value index with the column it multiplies.
-fn flip_dominant_term(
-    values: &mut [f32],
-    cands: &[(usize, usize)],
-    x: &[Value],
-    kernel: &'static str,
-) -> Result<FaultRecord, KernelError> {
-    let best = cands
-        .iter()
-        .map(|&(k, c)| {
-            let w = (values[k].abs() as f64) * x.get(c).map_or(0.0, |e| e.abs() as f64);
-            (k, w)
-        })
-        .filter(|&(_, w)| w > 0.0 && w.is_finite())
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(b.0.cmp(&a.0)));
-    let Some((k, _)) = best else {
-        return Err(KernelError::FaultUnsupported {
-            kernel,
-            class: FaultClass::ValueCorruption,
-        });
-    };
-    values[k] = f32::from_bits(values[k].to_bits() ^ 1 << 31);
-    Ok(FaultRecord {
-        class: FaultClass::ValueCorruption,
-        word: None,
-        detail: format!("sign-flipped the dominant SpMV term at value {k} (structure untouched)"),
-    })
-}
+    fn csr(&self) -> Result<&Csr, KernelError> {
+        match self {
+            Prepared::Csr(csr) => Ok(csr),
+            _ => Err(KernelError::NotPrepared),
+        }
+    }
 
-/// Shared fault injector for the CRS-input kernels: corrupts the prepared
-/// CSR arrays in the image of the HiSM fault taxonomy, rebuilding the
-/// matrix through `Csr::from_parts_unchecked` (the invariants are broken
-/// on purpose).
-fn inject_csr(
-    csr: &mut Csr,
-    kernel: &'static str,
-    class: FaultClass,
-    seed: u64,
-) -> Result<FaultRecord, KernelError> {
-    let mut r = StdRng::seed_from_u64(seed ^ 0xc5_5712 ^ class.name().len() as u64);
-    let unsupported = Err(KernelError::FaultUnsupported { kernel, class });
-    let (rows, cols, nnz) = (csr.rows(), csr.cols(), csr.nnz());
-    let mut row_ptr = csr.row_ptr().to_vec();
-    let mut col_idx = csr.col_idx().to_vec();
-    let mut values = csr.values().to_vec();
-    let detail;
-    match class {
-        FaultClass::BitFlip => {
-            if nnz == 0 {
-                return unsupported;
+    fn dense(&self) -> Result<&Coo, KernelError> {
+        match self {
+            Prepared::Dense(coo) => Ok(coo),
+            _ => Err(KernelError::NotPrepared),
+        }
+    }
+
+    fn coo(&self) -> Result<&CooArrays, KernelError> {
+        match self {
+            Prepared::Coo(ca) => Ok(ca),
+            _ => Err(KernelError::NotPrepared),
+        }
+    }
+
+    fn jd(&self) -> Result<&JdArrays, KernelError> {
+        match self {
+            Prepared::Jd(jda) => Ok(jda),
+            _ => Err(KernelError::NotPrepared),
+        }
+    }
+
+    fn sell(&self) -> Result<&SellArrays, KernelError> {
+        match self {
+            Prepared::Sell(sa) => Ok(sa),
+            _ => Err(KernelError::NotPrepared),
+        }
+    }
+
+    /// Approximate byte size, one 32-bit word per array element.
+    fn bytes(&self) -> u64 {
+        match self {
+            Prepared::Hism(image) => 4 * (image.words.len() as u64 + 6),
+            Prepared::Csr(csr) => {
+                4 * (csr.row_ptr().len() + csr.col_idx().len() + csr.values().len()) as u64
             }
-            // A value-word flip can hide inside the SpMV verify tolerance
-            // (or be masked by a zero in x), so flip an index word, and a
-            // bit high enough that the index is guaranteed out of range.
-            let k = r.gen_range(0..nnz);
-            let lo = (cols.max(1) as u32).next_power_of_two().trailing_zeros();
-            let bit = (lo + (r.next_u64() % 4) as u32).min(30);
-            col_idx[k] ^= 1usize << bit;
-            detail = format!("flipped bit {bit} of JA[{k}]");
-        }
-        FaultClass::PointerRetarget => {
-            if rows == 0 {
-                return unsupported;
+            // The kernel materialises the full dense array in simulated
+            // memory.
+            Prepared::Dense(coo) => 4 * (coo.rows() * coo.cols()) as u64,
+            Prepared::Coo(ca) => 12 * ca.entries.len() as u64,
+            Prepared::Jd(j) => {
+                4 * (j.perm.len() + j.jd_ptr.len() + j.col_idx.len() + j.values.len()) as u64
             }
-            let k = r.gen_range(1..rows + 1);
-            let bogus = nnz + 1 + (r.next_u64() % 1024) as usize;
-            row_ptr[k] = bogus;
-            detail = format!("row pointer IA[{k}] retargeted to {bogus} (nnz {nnz})");
+            Prepared::Sell(sa) => 4 * sa.words(),
         }
-        FaultClass::LengthCorruption => {
-            if rows == 0 {
-                return unsupported;
+    }
+
+    /// Applies one seeded fault of `class`, in the image of the HiSM
+    /// fault taxonomy; `None` if this input cannot host it. `x` is the
+    /// SpMV operand of an SpMV kernel, whose value corruption negates
+    /// the dominant term instead of a random value.
+    fn corrupt(
+        &mut self,
+        class: FaultClass,
+        seed: u64,
+        x: Option<&[Value]>,
+    ) -> Option<FaultRecord> {
+        let detail = match self {
+            Prepared::Hism(image) => {
+                return match x {
+                    // Weight sites by the |a·x| term they feed, so the flip
+                    // can neither multiply a zero of x nor round away in
+                    // the sum.
+                    Some(x) if class == FaultClass::ValueCorruption => {
+                        faults::inject_value_corruption(image, |_, c, v| {
+                            v.abs() as f64 * x.get(c as usize).map_or(0.0, |e| e.abs() as f64)
+                        })
+                    }
+                    _ => faults::inject(image, class, seed),
+                };
             }
-            let bogus = nnz + 1 + (r.next_u64() % 1024) as usize;
-            row_ptr[rows] = bogus;
-            detail = format!("row pointer IA[{rows}] (total length) set to {bogus}");
-        }
-        FaultClass::Truncate => {
-            if nnz == 0 {
-                return unsupported;
-            }
-            col_idx.pop();
-            values.pop();
-            detail = format!("dropped the last of {nnz} entries, row pointers unchanged");
-        }
-        FaultClass::PosGarbage => {
-            if nnz == 0 {
-                return unsupported;
-            }
-            let k = r.gen_range(0..nnz);
-            let bogus = cols + 1 + (r.next_u64() % 512) as usize;
-            col_idx[k] = bogus;
-            detail = format!("column index JA[{k}] set to {bogus} (cols {cols})");
-        }
-        FaultClass::ValueCorruption => {
-            let k = pick_nonzero_value(&values, &mut r)
-                .ok_or(KernelError::FaultUnsupported { kernel, class })?;
-            values[k] = f32::from_bits(values[k].to_bits() ^ 1 << 31);
-            detail = format!("flipped the sign bit of AN[{k}] (structure untouched)");
-        }
-        // Mid-run memory corruption lives in the simulator engine, not in
-        // host-side prepared arrays.
-        FaultClass::MidRunBitFlip => return unsupported,
-    }
-    *csr = Csr::from_parts_unchecked(rows, cols, row_ptr, col_idx, values);
-    Ok(FaultRecord {
-        class,
-        word: None,
-        detail,
-    })
-}
-
-/// The recursive HiSM transposition (paper Fig. 6/7) through the STM.
-#[derive(Debug, Default)]
-struct TransposeHism {
-    image: Option<HismImage>,
-}
-
-impl Kernel for TransposeHism {
-    fn name(&self) -> &'static str {
-        "transpose_hism"
-    }
-
-    fn prepare(&mut self, coo: &Coo, ctx: &ExecCtx) -> Result<(), KernelError> {
-        ctx.validate().map_err(config_err)?;
-        let h = build::from_coo(coo, ctx.stm.s)?;
-        self.image = Some(HismImage::encode(&h));
-        Ok(())
-    }
-
-    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
-        let image = self.image.as_ref().ok_or(KernelError::NotPrepared)?;
-        if ctx.backend.is_host() {
-            let t0 = Instant::now();
-            let (out, nnz) = host::hism::transpose_hism(image, ctx.stm.s).map_err(host_err)?;
-            let shape = (image.root.rows as usize, image.root.cols as usize, nnz);
-            let report = host_report(ctx, "host.transpose_hism", shape, t0.elapsed());
-            return Ok(wrap(self.name(), report, KernelOutput::Hism(out)));
-        }
-        let (out, report) = transpose_hism(ctx, image)?;
-        Ok(wrap(self.name(), report, KernelOutput::Hism(out)))
-    }
-
-    fn prepared_bytes(&self) -> u64 {
-        self.image
-            .as_ref()
-            .map_or(0, |img| 4 * (img.words.len() as u64 + 6))
-    }
-
-    fn verify(&self, coo: &Coo, out: &KernelOutput) -> Result<(), KernelError> {
-        let img = out
-            .as_hism()
-            .ok_or_else(|| KernelError::Mismatch("transpose_hism produces Hism outputs".into()))?;
-        let got = img.decode()?;
-        // The oracle is stm-sparse's Pissanetsky transpose, which shares
-        // no code with either HiSM leg. Every decoded entry must claim a
-        // distinct oracle entry with identical value bits; with equal
-        // counts that makes the match a bijection, so duplicates and
-        // explicit zeros in the output are rejected, not summed away.
-        let want = Csr::from_coo(coo).transpose_pissanetsky();
-        let mismatch = |what: String| {
-            Err(KernelError::Mismatch(format!(
-                "decoded HiSM transpose differs from host oracle: {what}"
-            )))
-        };
-        if got.shape() != want.shape() || got.nnz() != want.nnz() {
-            return mismatch(format!(
-                "{:?} with {} entries, expected {:?} with {}",
-                got.shape(),
-                got.nnz(),
-                want.shape(),
-                want.nnz()
-            ));
-        }
-        // `got.nnz()` counts the decoded leaf entries `iter` walks.
-        let mut claimed = vec![0u64; want.nnz().div_ceil(64)];
-        for (r, c, v) in got.iter() {
-            let slot = (r < want.rows())
-                .then(|| {
-                    let (cols, vals) = want.row(r);
-                    let k = cols.binary_search(&c).ok()?;
-                    (vals[k].to_bits() == v.to_bits()).then(|| want.row_ptr()[r] + k)
-                })
-                .flatten();
-            let Some(slot) = slot else {
-                return mismatch(format!("entry ({r}, {c}) = {v} is not in the oracle"));
-            };
-            let (word, bit) = (slot / 64, 1u64 << (slot % 64));
-            if claimed[word] & bit != 0 {
-                return mismatch(format!("entry ({r}, {c}) appears twice"));
-            }
-            claimed[word] |= bit;
-        }
-        Ok(())
-    }
-
-    fn inject_fault(&mut self, class: FaultClass, seed: u64) -> Result<FaultRecord, KernelError> {
-        let image = self.image.as_mut().ok_or(KernelError::NotPrepared)?;
-        faults::inject(image, class, seed).ok_or(KernelError::FaultUnsupported {
-            kernel: "transpose_hism",
-            class,
-        })
-    }
-
-    fn arm_sdc(&self, seed: u64) -> Option<stm_vpsim::MidRunFlip> {
-        // The simulated kernel loads the image at memory address 0, so
-        // image word addresses are memory addresses. Target a leaf value
-        // word: the transpose copies value bits verbatim, so the flip —
-        // when the engine reads the word after it fires — lands in the
-        // output unchanged by any arithmetic. (It can still be *masked*
-        // when the strip streaming that word was already loaded; callers
-        // asserting detection must pick manifesting seeds.)
-        let image = self.image.as_ref()?;
-        let sites = image.value_sites().ok()?;
-        if sites.is_empty() {
-            return None;
-        }
-        let mut r = StdRng::seed_from_u64(seed ^ 0x5dc_f11b);
-        let word = sites[r.gen_range(0..sites.len())];
-        let bit = (r.next_u64() % 32) as u32;
-        Some(stm_vpsim::MidRunFlip {
-            after_cycle: 0,
-            word,
-            bit,
-        })
-    }
-}
-
-/// The vectorized CRS baseline (Pissanetsky, paper Fig. 9).
-#[derive(Debug, Default)]
-struct TransposeCrs {
-    csr: Option<Csr>,
-}
-
-impl Kernel for TransposeCrs {
-    fn name(&self) -> &'static str {
-        "transpose_crs"
-    }
-
-    fn prepare(&mut self, coo: &Coo, _ctx: &ExecCtx) -> Result<(), KernelError> {
-        self.csr = Some(Csr::from_coo(coo));
-        Ok(())
-    }
-
-    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
-        let csr = self.csr.as_ref().ok_or(KernelError::NotPrepared)?;
-        if ctx.backend.is_host() {
-            let t0 = Instant::now();
-            let out = host::csr::transpose_csr(csr).map_err(host_err)?;
-            let shape = (csr.rows(), csr.cols(), csr.nnz());
-            let report = host_report(ctx, "host.transpose_crs", shape, t0.elapsed());
-            return Ok(wrap(self.name(), report, KernelOutput::Csr(out)));
-        }
-        let (out, report) = transpose_crs(ctx, csr)?;
-        Ok(wrap(self.name(), report, KernelOutput::Csr(out)))
-    }
-
-    fn prepared_bytes(&self) -> u64 {
-        self.csr.as_ref().map_or(0, csr_bytes)
-    }
-
-    fn verify(&self, coo: &Coo, out: &KernelOutput) -> Result<(), KernelError> {
-        verify_csr_transpose(coo, out)
-    }
-
-    fn inject_fault(&mut self, class: FaultClass, seed: u64) -> Result<FaultRecord, KernelError> {
-        let csr = self.csr.as_mut().ok_or(KernelError::NotPrepared)?;
-        inject_csr(csr, "transpose_crs", class, seed)
-    }
-}
-
-/// The fully scalar CRS baseline on the 4-way scalar core.
-#[derive(Debug, Default)]
-struct TransposeCrsScalar {
-    csr: Option<Csr>,
-}
-
-impl Kernel for TransposeCrsScalar {
-    fn name(&self) -> &'static str {
-        "transpose_crs_scalar"
-    }
-
-    fn prepare(&mut self, coo: &Coo, _ctx: &ExecCtx) -> Result<(), KernelError> {
-        self.csr = Some(Csr::from_coo(coo));
-        Ok(())
-    }
-
-    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
-        let csr = self.csr.as_ref().ok_or(KernelError::NotPrepared)?;
-        let (out, report) = transpose_crs_scalar(ctx, csr)?;
-        Ok(wrap(self.name(), report, KernelOutput::Csr(out)))
-    }
-
-    fn prepared_bytes(&self) -> u64 {
-        self.csr.as_ref().map_or(0, csr_bytes)
-    }
-
-    fn verify(&self, coo: &Coo, out: &KernelOutput) -> Result<(), KernelError> {
-        verify_csr_transpose(coo, out)
-    }
-
-    fn inject_fault(&mut self, class: FaultClass, seed: u64) -> Result<FaultRecord, KernelError> {
-        let csr = self.csr.as_mut().ok_or(KernelError::NotPrepared)?;
-        inject_csr(csr, "transpose_crs_scalar", class, seed)
-    }
-}
-
-fn verify_csr_transpose(coo: &Coo, out: &KernelOutput) -> Result<(), KernelError> {
-    let got = out
-        .as_csr()
-        .ok_or_else(|| KernelError::Mismatch("CRS kernels produce Csr outputs".into()))?;
-    // Through the format trait (Csr overrides it with Pissanetsky), so
-    // every CSR-output kernel verifies against the same oracle the
-    // format layer exposes.
-    if *got == SparseFormat::transpose(&Csr::from_coo(coo))? {
-        Ok(())
-    } else {
-        Err(KernelError::Mismatch(
-            "CRS transpose differs from host oracle".into(),
-        ))
-    }
-}
-
-/// The trusted software reference transpose — the degradation target the
-/// resilient soak pipeline falls back to when `transpose_hism`'s circuit
-/// breaker trips (see [`fallback_for`]).
-///
-/// The transposition runs entirely on the host (the same Pissanetsky
-/// oracle the verifiers use); simulated cycles are charged as one scalar
-/// phase with a nominal linear cost, so reports stay comparable and the
-/// stall-conservation invariants hold. Because no simulated engine runs,
-/// the deadline watchdog can never fire here and no fault class is
-/// hosted — a fallback that could itself wedge or be corrupted would be
-/// worthless.
-#[derive(Debug, Default)]
-struct TransposeRef {
-    csr: Option<Csr>,
-}
-
-impl Kernel for TransposeRef {
-    fn name(&self) -> &'static str {
-        "transpose_ref"
-    }
-
-    fn prepare(&mut self, coo: &Coo, _ctx: &ExecCtx) -> Result<(), KernelError> {
-        self.csr = Some(Csr::from_coo(coo));
-        Ok(())
-    }
-
-    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
-        let csr = self.csr.as_ref().ok_or(KernelError::NotPrepared)?;
-        let out = csr.transpose_pissanetsky();
-        let (rows, cols, nnz) = (csr.rows(), csr.cols(), csr.nnz());
-        // Nominal host cost: two passes over the entries plus one over
-        // each dimension — mapped through the timing model so the ideal
-        // bound stays below the paper machine.
-        let nominal = 8 + 2 * nnz as u64 + rows as u64 + cols as u64;
-        let cycles = ctx.timing.model().scalar_cycles(nominal);
-        let report = TransposeReport {
-            wall_ns: None,
-            cycles,
-            nnz,
-            engine: Default::default(),
-            scalar: None,
-            stm: None,
-            phases: vec![Phase {
-                name: "host-reference",
-                cycles,
-            }],
-            fu_busy: Default::default(),
-            stalls: stm_vpsim::StallBreakdown::scalar_only(ctx.vp.mem_ports, cycles),
-        };
-        if ctx.obs.is_enabled() {
-            ctx.obs.complete(
-                stm_obs::Lane::Scalar,
-                stm_obs::Category::Scalar,
-                "host.reference",
-                0,
-                cycles,
-                nnz as u64,
-            );
-        }
-        record_phases(&ctx.obs, &report.phases);
-        Ok(wrap(self.name(), report, KernelOutput::Csr(out)))
-    }
-
-    fn prepared_bytes(&self) -> u64 {
-        self.csr.as_ref().map_or(0, csr_bytes)
-    }
-
-    fn verify(&self, coo: &Coo, out: &KernelOutput) -> Result<(), KernelError> {
-        verify_csr_transpose(coo, out)
-    }
-
-    fn inject_fault(&mut self, class: FaultClass, _seed: u64) -> Result<FaultRecord, KernelError> {
-        if self.csr.is_none() {
-            return Err(KernelError::NotPrepared);
-        }
-        // The trusted fallback deliberately hosts no faults.
-        Err(KernelError::FaultUnsupported {
-            kernel: "transpose_ref",
-            class,
-        })
-    }
-}
-
-/// The trivial dense strided transpose of the paper's Section II.
-#[derive(Debug, Default)]
-struct TransposeDense {
-    coo: Option<Coo>,
-}
-
-impl Kernel for TransposeDense {
-    fn name(&self) -> &'static str {
-        "transpose_dense"
-    }
-
-    fn prepare(&mut self, coo: &Coo, _ctx: &ExecCtx) -> Result<(), KernelError> {
-        self.coo = Some(coo.clone());
-        Ok(())
-    }
-
-    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
-        let coo = self.coo.as_ref().ok_or(KernelError::NotPrepared)?;
-        let (out, report) = transpose_dense(ctx, coo)?;
-        Ok(wrap(self.name(), report, KernelOutput::Dense(out)))
-    }
-
-    fn prepared_bytes(&self) -> u64 {
-        // The kernel materialises the full dense array in simulated memory.
-        self.coo
-            .as_ref()
-            .map_or(0, |coo| 4 * (coo.rows() * coo.cols()) as u64)
-    }
-
-    fn verify(&self, coo: &Coo, out: &KernelOutput) -> Result<(), KernelError> {
-        let got = match out {
-            KernelOutput::Dense(d) => d,
-            _ => {
-                return Err(KernelError::Mismatch(
-                    "transpose_dense produces Dense outputs".into(),
-                ))
-            }
-        };
-        if got.to_coo() == coo.transpose_canonical() {
-            Ok(())
-        } else {
-            Err(KernelError::Mismatch(
-                "dense transpose differs from host oracle".into(),
-            ))
-        }
-    }
-
-    fn inject_fault(&mut self, class: FaultClass, seed: u64) -> Result<FaultRecord, KernelError> {
-        let coo = self.coo.as_mut().ok_or(KernelError::NotPrepared)?;
-        let unsupported = Err(KernelError::FaultUnsupported {
-            kernel: "transpose_dense",
-            class,
-        });
-        let mut r = StdRng::seed_from_u64(seed ^ 0xde_55e1 ^ class.name().len() as u64);
-        let entries = coo.entries().to_vec();
-        if entries.is_empty() {
-            return unsupported;
-        }
-        // COO has no pointers or lengths vector to corrupt, and its
-        // insertion API enforces coordinate bounds — only value-level
-        // faults apply.
-        let (kept, detail) = match class {
-            FaultClass::BitFlip => {
-                let k = r.gen_range(0..entries.len());
-                let bit = (r.next_u64() % 32) as u32;
-                let mut kept = entries;
-                kept[k].2 = f32::from_bits(kept[k].2.to_bits() ^ (1 << bit));
-                (kept, format!("flipped bit {bit} of entry {k}"))
-            }
-            FaultClass::Truncate => {
-                let n = entries.len();
-                let mut kept = entries;
-                kept.pop();
-                (kept, format!("dropped the last of {n} entries"))
-            }
-            _ => return unsupported,
-        };
-        let mut corrupted = Coo::new(coo.rows(), coo.cols());
-        for (rr, cc, v) in kept {
-            corrupted.push(rr, cc, v);
-        }
-        *coo = corrupted;
-        Ok(FaultRecord {
+            Prepared::Csr(csr) => corrupt_csr(csr, class, seed, x),
+            Prepared::Dense(coo) => corrupt_dense(coo, class, seed),
+            Prepared::Coo(ca) => corrupt_coo(ca, class, seed),
+            Prepared::Jd(jda) => corrupt_jd(jda, class, seed),
+            Prepared::Sell(sa) => corrupt_sell(sa, class, seed, x),
+        }?;
+        Some(FaultRecord {
             class,
             word: None,
             detail,
@@ -732,567 +868,314 @@ impl Kernel for TransposeDense {
     }
 }
 
-/// Simulated SpMV over the HiSM format.
-#[derive(Debug, Default)]
-struct SpmvHism {
-    image: Option<HismImage>,
-    x: Vec<Value>,
+/// The seeded stream one injection of `class` draws from.
+fn fault_rng(salt: u64, class: FaultClass, seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ salt ^ class.name().len() as u64)
 }
 
-impl Kernel for SpmvHism {
-    fn name(&self) -> &'static str {
-        "spmv_hism"
-    }
-
-    fn prepare(&mut self, coo: &Coo, ctx: &ExecCtx) -> Result<(), KernelError> {
-        ctx.validate().map_err(config_err)?;
-        let h = build::from_coo(coo, ctx.stm.s)?;
-        self.image = Some(HismImage::encode(&h));
-        self.x = spmv_input(coo.cols());
-        Ok(())
-    }
-
-    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
-        let image = self.image.as_ref().ok_or(KernelError::NotPrepared)?;
-        if ctx.backend.is_host() {
-            let t0 = Instant::now();
-            let (y, nnz) =
-                host::hism::spmv_hism(image, &self.x, ctx.vp.section_size).map_err(host_err)?;
-            let shape = (image.root.rows as usize, image.root.cols as usize, nnz);
-            let report = host_report(ctx, "host.spmv_hism", shape, t0.elapsed());
-            return Ok(wrap(self.name(), report, KernelOutput::Vector(y)));
-        }
-        let (y, report) = spmv_hism(ctx, image, &self.x)?;
-        Ok(wrap(self.name(), report, KernelOutput::Vector(y)))
-    }
-
-    fn prepared_bytes(&self) -> u64 {
-        self.image
-            .as_ref()
-            .map_or(0, |img| 4 * (img.words.len() + 6 + self.x.len()) as u64)
-    }
-
-    fn verify(&self, coo: &Coo, out: &KernelOutput) -> Result<(), KernelError> {
-        spmv_verify(coo, &self.x, out)
-    }
-
-    fn inject_fault(&mut self, class: FaultClass, seed: u64) -> Result<FaultRecord, KernelError> {
-        let image = self.image.as_mut().ok_or(KernelError::NotPrepared)?;
-        let unsupported = KernelError::FaultUnsupported {
-            kernel: "spmv_hism",
-            class,
-        };
-        if class == FaultClass::ValueCorruption {
-            // Weight sites by the |a·x| term they feed, so the flip can
-            // neither multiply a zero of x nor round away in the sum.
-            let x = &self.x;
-            return faults::inject_value_corruption(image, |_, c, v| {
-                v.abs() as f64 * x.get(c as usize).map_or(0.0, |e| e.abs() as f64)
-            })
-            .ok_or(unsupported);
-        }
-        faults::inject(image, class, seed).ok_or(unsupported)
-    }
+/// How an array format seeds its corruptor and names, in fault records,
+/// the words [`corrupt_entries`] hits.
+struct Words {
+    /// Per-format salt of [`fault_rng`].
+    salt: u64,
+    /// Index word `k`, as a bit-flip target.
+    index: fn(usize) -> String,
+    /// Index word `k`, as a garbage-position target.
+    garbage: fn(usize) -> String,
+    /// Value word `k`; `None` if the format hosts no value corruption.
+    value: Option<fn(usize) -> String>,
+    /// What a truncation drops the last of.
+    truncated: &'static str,
 }
 
-/// Simulated SpMV over the CSR format (the conventional baseline).
-#[derive(Debug, Default)]
-struct SpmvCrs {
-    csr: Option<Csr>,
-    x: Vec<Value>,
-}
+const CSR_WORDS: Words = Words {
+    salt: 0xc5_5712,
+    index: |k| format!("JA[{k}]"),
+    garbage: |k| format!("column index JA[{k}]"),
+    value: Some(|k| format!("AN[{k}]")),
+    truncated: "entries, row pointers unchanged",
+};
 
-impl Kernel for SpmvCrs {
-    fn name(&self) -> &'static str {
-        "spmv_crs"
-    }
+const COO_WORDS: Words = Words {
+    salt: 0xc0_07a1,
+    index: |k| format!("entry {k}'s column"),
+    garbage: |k| format!("entry {k}'s column"),
+    value: None,
+    truncated: "triplets",
+};
 
-    fn prepare(&mut self, coo: &Coo, _ctx: &ExecCtx) -> Result<(), KernelError> {
-        self.csr = Some(Csr::from_coo(coo));
-        self.x = spmv_input(coo.cols());
-        Ok(())
-    }
+const JD_WORDS: Words = Words {
+    salt: 0x1d_77a9,
+    index: |k| format!("diagonal column {k}"),
+    garbage: |k| format!("diagonal column {k}"),
+    value: Some(|k| format!("diagonal value {k}")),
+    truncated: "entries, jd_ptr unchanged",
+};
 
-    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
-        let csr = self.csr.as_ref().ok_or(KernelError::NotPrepared)?;
-        if ctx.backend.is_host() {
-            let t0 = Instant::now();
-            let y = host::csr::spmv_csr(csr, &self.x, ctx.vp.section_size).map_err(host_err)?;
-            let shape = (csr.rows(), csr.cols(), csr.nnz());
-            let report = host_report(ctx, "host.spmv_crs", shape, t0.elapsed());
-            return Ok(wrap(self.name(), report, KernelOutput::Vector(y)));
-        }
-        let (y, report) = spmv_crs(ctx, csr, &self.x)?;
-        Ok(wrap(self.name(), report, KernelOutput::Vector(y)))
-    }
+const SELL_WORDS: Words = Words {
+    salt: 0x5e_11c5,
+    index: |k| format!("active cell {k}'s column"),
+    garbage: |k| format!("active cell {k}'s column"),
+    value: Some(|k| format!("active cell {k}'s value")),
+    truncated: "cells, chunk_ptr unchanged",
+};
 
-    fn prepared_bytes(&self) -> u64 {
-        self.csr
-            .as_ref()
-            .map_or(0, |csr| csr_bytes(csr) + 4 * self.x.len() as u64)
-    }
-
-    fn verify(&self, coo: &Coo, out: &KernelOutput) -> Result<(), KernelError> {
-        spmv_verify(coo, &self.x, out)
-    }
-
-    fn inject_fault(&mut self, class: FaultClass, seed: u64) -> Result<FaultRecord, KernelError> {
-        let csr = self.csr.as_mut().ok_or(KernelError::NotPrepared)?;
-        if class == FaultClass::ValueCorruption {
-            let (rows, cols, nnz) = (csr.rows(), csr.cols(), csr.nnz());
-            let row_ptr = csr.row_ptr().to_vec();
-            let col_idx = csr.col_idx().to_vec();
-            let mut values = csr.values().to_vec();
-            let cands: Vec<(usize, usize)> = (0..nnz).map(|k| (k, col_idx[k])).collect();
-            let rec = flip_dominant_term(&mut values, &cands, &self.x, "spmv_crs")?;
-            *csr = Csr::from_parts_unchecked(rows, cols, row_ptr, col_idx, values);
-            return Ok(rec);
-        }
-        inject_csr(csr, "spmv_crs", class, seed)
-    }
-}
-
-/// A column index with a bit flipped high enough to be out of range —
-/// the index-word bit-flip shared by the triplet/JD/SELL injectors
-/// (mirrors the CRS injector's choice: value flips can hide inside the
-/// verify tolerance).
-fn flip_col_high(col: usize, cols: usize, r: &mut StdRng) -> (usize, u32) {
-    let lo = (cols.max(1) as u32).next_power_of_two().trailing_zeros();
-    let bit = (lo + (r.next_u64() % 4) as u32).min(30);
-    (col ^ (1usize << bit), bit)
-}
-
-/// Fault injector for the raw COO triplets. The format has no pointer or
-/// length arrays, so only entry-level classes apply (the same reduced
-/// surface as `transpose_dense`).
-fn inject_coo_arrays(
-    ca: &mut CooArrays,
-    kernel: &'static str,
+/// The corruptions every array format shares, over its column-index and
+/// value arrays: a bit flip of an index word, a garbage index, a dropped
+/// last entry and a value sign flip. Index and value faults target one of
+/// `cells` (SELL passes its active cells only: corrupting padding would
+/// be invisible by construction and prove nothing). Returns the record's
+/// detail, or `None` if the format cannot host `class` here.
+fn corrupt_entries(
+    words: &Words,
+    idx: &mut Vec<usize>,
+    vals: &mut Vec<Value>,
+    cells: &[usize],
+    cols: usize,
     class: FaultClass,
-    seed: u64,
-) -> Result<FaultRecord, KernelError> {
-    let mut r = StdRng::seed_from_u64(seed ^ 0xc0_07a1 ^ class.name().len() as u64);
-    let unsupported = Err(KernelError::FaultUnsupported { kernel, class });
-    let nnz = ca.entries.len();
-    if nnz == 0 {
-        return unsupported;
+    r: &mut StdRng,
+) -> Option<String> {
+    if cells.is_empty() {
+        return None;
     }
-    let detail = match class {
+    Some(match class {
         FaultClass::BitFlip => {
-            let k = r.gen_range(0..nnz);
-            let (col, bit) = flip_col_high(ca.entries[k].1, ca.cols, &mut r);
-            ca.entries[k].1 = col;
-            format!("flipped bit {bit} of entry {k}'s column")
-        }
-        FaultClass::Truncate => {
-            ca.entries.pop();
-            format!("dropped the last of {nnz} triplets")
+            // A value-word flip can hide inside the SpMV verify tolerance
+            // (or be masked by a zero in x), so flip an index word, and a
+            // bit high enough that the index is guaranteed out of range.
+            let k = cells[r.gen_range(0..cells.len())];
+            let lo = (cols.max(1) as u32).next_power_of_two().trailing_zeros();
+            let bit = (lo + (r.next_u64() % 4) as u32).min(30);
+            idx[k] ^= 1usize << bit;
+            format!("flipped bit {bit} of {}", (words.index)(k))
         }
         FaultClass::PosGarbage => {
-            let k = r.gen_range(0..nnz);
-            let bogus = ca.cols + 1 + (r.next_u64() % 512) as usize;
-            ca.entries[k].1 = bogus;
-            format!("entry {k}'s column set to {bogus} (cols {})", ca.cols)
+            let k = cells[r.gen_range(0..cells.len())];
+            let bogus = cols + 1 + (r.next_u64() % 512) as usize;
+            idx[k] = bogus;
+            format!("{} set to {bogus} (cols {cols})", (words.garbage)(k))
         }
-        _ => return unsupported,
-    };
-    Ok(FaultRecord {
-        class,
-        word: None,
-        detail,
+        FaultClass::Truncate => {
+            let n = idx.len();
+            idx.pop();
+            vals.pop();
+            format!("dropped the last of {n} {}", words.truncated)
+        }
+        FaultClass::ValueCorruption => {
+            // A sign-bit flip of a nonzero value is guaranteed to change
+            // the output bit pattern of every downstream kernel while
+            // leaving all structure (and therefore every typed check)
+            // intact.
+            let value = words.value?;
+            let live: Vec<usize> = cells.iter().copied().filter(|&k| vals[k] != 0.0).collect();
+            if live.is_empty() {
+                return None;
+            }
+            let k = live[r.gen_range(0..live.len())];
+            vals[k] = f32::from_bits(vals[k].to_bits() ^ 1 << 31);
+            format!("flipped the sign bit of {} (structure untouched)", value(k))
+        }
+        // Pointer and length faults are format-specific; mid-run memory
+        // corruption lives in the simulator engine, not in host-side
+        // prepared arrays.
+        _ => return None,
     })
 }
 
-/// Fault injector for the JD arrays — the full taxonomy applies: the
-/// format has column indices (bit flips, garbage), diagonal pointers
-/// (retarget, length) and data arrays (truncation).
-fn inject_jd_arrays(
-    jda: &mut JdArrays,
-    kernel: &'static str,
-    class: FaultClass,
-    seed: u64,
-) -> Result<FaultRecord, KernelError> {
-    let mut r = StdRng::seed_from_u64(seed ^ 0x1d_77a9 ^ class.name().len() as u64);
-    let unsupported = Err(KernelError::FaultUnsupported { kernel, class });
-    let nnz = jda.col_idx.len();
-    if nnz == 0 {
-        return unsupported;
+/// [`FaultClass::ValueCorruption`] for the SpMV kernels: flips the sign
+/// bit of the candidate value with the largest `|a·x|` weight — the
+/// dominant term of the product. A random value flip can legitimately
+/// round away inside the f32 row accumulation (or multiply a zero of
+/// `x`), but negating the globally dominant term always survives into
+/// the output bits, keeping the class digest-detectable. Candidates are
+/// `cells`, each multiplying `x` at its column index.
+fn flip_dominant_term(
+    vals: &mut [Value],
+    idx: &[usize],
+    cells: &[usize],
+    x: &[Value],
+) -> Option<String> {
+    let (k, _) = cells
+        .iter()
+        .map(|&k| {
+            let w = (vals[k].abs() as f64) * x.get(idx[k]).map_or(0.0, |e| e.abs() as f64);
+            (k, w)
+        })
+        .filter(|&(_, w)| w > 0.0 && w.is_finite())
+        .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))?;
+    vals[k] = f32::from_bits(vals[k].to_bits() ^ 1 << 31);
+    Some(format!(
+        "sign-flipped the dominant SpMV term at value {k} (structure untouched)"
+    ))
+}
+
+/// The CSR corruptor, rebuilding the matrix through
+/// `Csr::from_parts_unchecked` (the invariants are broken on purpose).
+fn corrupt_csr(csr: &mut Csr, class: FaultClass, seed: u64, x: Option<&[Value]>) -> Option<String> {
+    let mut r = fault_rng(CSR_WORDS.salt, class, seed);
+    let nnz = csr.nnz();
+    let (rows, cols, mut row_ptr, mut col_idx, mut values) = csr.clone().into_parts();
+    let every: Vec<usize> = (0..nnz).collect();
+    let detail = match (class, x) {
+        (FaultClass::ValueCorruption, Some(x)) => {
+            flip_dominant_term(&mut values, &col_idx, &every, x)
+        }
+        (FaultClass::PointerRetarget | FaultClass::LengthCorruption, _) if rows == 0 => None,
+        (FaultClass::PointerRetarget, _) => {
+            let k = r.gen_range(1..rows + 1);
+            let bogus = nnz + 1 + (r.next_u64() % 1024) as usize;
+            row_ptr[k] = bogus;
+            Some(format!(
+                "row pointer IA[{k}] retargeted to {bogus} (nnz {nnz})"
+            ))
+        }
+        (FaultClass::LengthCorruption, _) => {
+            let bogus = nnz + 1 + (r.next_u64() % 1024) as usize;
+            row_ptr[rows] = bogus;
+            Some(format!(
+                "row pointer IA[{rows}] (total length) set to {bogus}"
+            ))
+        }
+        _ => corrupt_entries(
+            &CSR_WORDS,
+            &mut col_idx,
+            &mut values,
+            &every,
+            cols,
+            class,
+            &mut r,
+        ),
+    }?;
+    *csr = Csr::from_parts_unchecked(rows, cols, row_ptr, col_idx, values);
+    Some(detail)
+}
+
+/// The dense kernel's corruptor. COO has no pointers or lengths vector
+/// to corrupt, and its insertion API enforces coordinate bounds — only
+/// value-level faults apply.
+fn corrupt_dense(coo: &mut Coo, class: FaultClass, seed: u64) -> Option<String> {
+    let mut r = fault_rng(0xde_55e1, class, seed);
+    let mut entries = coo.entries().to_vec();
+    if entries.is_empty() {
+        return None;
     }
-    let n_diag = jda.jd_ptr.len() - 1;
     let detail = match class {
         FaultClass::BitFlip => {
-            let k = r.gen_range(0..nnz);
-            let (col, bit) = flip_col_high(jda.col_idx[k], jda.cols, &mut r);
-            jda.col_idx[k] = col;
-            format!("flipped bit {bit} of diagonal column {k}")
+            let k = r.gen_range(0..entries.len());
+            let bit = (r.next_u64() % 32) as u32;
+            entries[k].2 = f32::from_bits(entries[k].2.to_bits() ^ (1 << bit));
+            format!("flipped bit {bit} of entry {k}")
         }
+        FaultClass::Truncate => {
+            let n = entries.len();
+            entries.pop();
+            format!("dropped the last of {n} entries")
+        }
+        _ => return None,
+    };
+    let mut corrupted = Coo::new(coo.rows(), coo.cols());
+    for (row, col, v) in entries {
+        corrupted.push(row, col, v);
+    }
+    *coo = corrupted;
+    Some(detail)
+}
+
+/// The COO-triplet corruptor. The format has no pointer or length
+/// arrays, so only the shared entry-level classes apply.
+fn corrupt_coo(ca: &mut CooArrays, class: FaultClass, seed: u64) -> Option<String> {
+    let mut r = fault_rng(COO_WORDS.salt, class, seed);
+    let (coords, mut vals): (Vec<(usize, usize)>, Vec<Value>) =
+        ca.entries.iter().map(|&(i, j, v)| ((i, j), v)).unzip();
+    let (rows, mut idx): (Vec<usize>, Vec<usize>) = coords.into_iter().unzip();
+    let every: Vec<usize> = (0..idx.len()).collect();
+    let detail = corrupt_entries(
+        &COO_WORDS, &mut idx, &mut vals, &every, ca.cols, class, &mut r,
+    )?;
+    ca.entries = rows
+        .into_iter()
+        .zip(idx)
+        .zip(vals)
+        .map(|((i, j), v)| (i, j, v))
+        .collect();
+    Some(detail)
+}
+
+/// The JD corruptor — the full taxonomy applies: the format has column
+/// indices (bit flips, garbage), diagonal pointers (retarget, length)
+/// and data arrays (truncation).
+fn corrupt_jd(jda: &mut JdArrays, class: FaultClass, seed: u64) -> Option<String> {
+    let mut r = fault_rng(JD_WORDS.salt, class, seed);
+    let nnz = jda.col_idx.len();
+    if nnz == 0 {
+        return None;
+    }
+    let n_diag = jda.jd_ptr.len() - 1;
+    match class {
         FaultClass::PointerRetarget => {
             let k = 1 + (r.next_u64() as usize) % n_diag;
             let bogus = nnz + 1 + (r.next_u64() % 1024) as usize;
             jda.jd_ptr[k] = bogus;
-            format!("diagonal pointer jd_ptr[{k}] retargeted to {bogus} (nnz {nnz})")
+            Some(format!(
+                "diagonal pointer jd_ptr[{k}] retargeted to {bogus} (nnz {nnz})"
+            ))
         }
         FaultClass::LengthCorruption => {
             let bogus = nnz + 1 + (r.next_u64() % 1024) as usize;
             jda.jd_ptr[n_diag] = bogus;
-            format!("jd_ptr[{n_diag}] (total length) set to {bogus}")
+            Some(format!("jd_ptr[{n_diag}] (total length) set to {bogus}"))
         }
-        FaultClass::Truncate => {
-            jda.col_idx.pop();
-            jda.values.pop();
-            format!("dropped the last of {nnz} entries, jd_ptr unchanged")
-        }
-        FaultClass::PosGarbage => {
-            let k = r.gen_range(0..nnz);
-            let bogus = jda.cols + 1 + (r.next_u64() % 512) as usize;
-            jda.col_idx[k] = bogus;
-            format!("diagonal column {k} set to {bogus} (cols {})", jda.cols)
-        }
-        FaultClass::ValueCorruption => {
-            let k = pick_nonzero_value(&jda.values, &mut r)
-                .ok_or(KernelError::FaultUnsupported { kernel, class })?;
-            jda.values[k] = f32::from_bits(jda.values[k].to_bits() ^ 1 << 31);
-            format!("flipped the sign bit of diagonal value {k} (structure untouched)")
-        }
-        FaultClass::MidRunBitFlip => return unsupported,
-    };
-    Ok(FaultRecord {
-        class,
-        word: None,
-        detail,
-    })
+        _ => corrupt_entries(
+            &JD_WORDS,
+            &mut jda.col_idx,
+            &mut jda.values,
+            &(0..nnz).collect::<Vec<_>>(),
+            jda.cols,
+            class,
+            &mut r,
+        ),
+    }
 }
 
-/// Fault injector shared by the two SELL kernels. Index corruptions
-/// target *active* cells only — corrupting padding would be invisible by
-/// construction and prove nothing.
-fn inject_sell_arrays(
+/// The SELL corruptor, shared by the two SELL kernels. Every fault
+/// targets *active* cells only.
+fn corrupt_sell(
     sa: &mut SellArrays,
-    kernel: &'static str,
     class: FaultClass,
     seed: u64,
-) -> Result<FaultRecord, KernelError> {
-    let mut r = StdRng::seed_from_u64(seed ^ 0x5e_11c5 ^ class.name().len() as u64);
-    let unsupported = Err(KernelError::FaultUnsupported { kernel, class });
+    x: Option<&[Value]>,
+) -> Option<String> {
+    let mut r = fault_rng(SELL_WORDS.salt, class, seed);
     let active = sa.active_cells();
     if active.is_empty() {
-        return unsupported;
+        return None;
     }
-    let detail = match class {
-        FaultClass::BitFlip => {
-            let cell = active[r.gen_range(0..active.len())];
-            let (col, bit) = flip_col_high(sa.col_idx[cell], sa.cols, &mut r);
-            sa.col_idx[cell] = col;
-            format!("flipped bit {bit} of active cell {cell}'s column")
+    match (class, x) {
+        (FaultClass::ValueCorruption, Some(x)) => {
+            flip_dominant_term(&mut sa.values, &sa.col_idx, &active, x)
         }
-        FaultClass::PointerRetarget => {
+        (FaultClass::PointerRetarget, _) => {
             let chunks = sa.chunk_len.len();
             let k = 1 + (r.next_u64() as usize) % chunks;
             let bogus = sa.col_idx.len() + 1 + (r.next_u64() % 1024) as usize;
             sa.chunk_ptr[k] = bogus;
-            format!("chunk pointer [{k}] retargeted to {bogus}")
+            Some(format!("chunk pointer [{k}] retargeted to {bogus}"))
         }
-        FaultClass::LengthCorruption => {
+        (FaultClass::LengthCorruption, _) => {
             let p = r.gen_range(0..sa.row_len.len());
             let bogus = sa.row_len[p] + sa.col_idx.len() + 1;
             sa.row_len[p] = bogus;
-            format!("row length at position {p} inflated to {bogus}")
+            Some(format!("row length at position {p} inflated to {bogus}"))
         }
-        FaultClass::Truncate => {
-            let n = sa.col_idx.len();
-            sa.col_idx.pop();
-            sa.values.pop();
-            format!("dropped the last of {n} cells, chunk_ptr unchanged")
-        }
-        FaultClass::PosGarbage => {
-            let cell = active[r.gen_range(0..active.len())];
-            let bogus = sa.cols + 1 + (r.next_u64() % 512) as usize;
-            sa.col_idx[cell] = bogus;
-            format!(
-                "active cell {cell}'s column set to {bogus} (cols {})",
-                sa.cols
-            )
-        }
-        FaultClass::ValueCorruption => {
-            // Among *active* cells only: padding values are dead by
-            // construction and corrupting one would prove nothing.
-            let live: Vec<usize> = active
-                .iter()
-                .copied()
-                .filter(|&c| sa.values[c] != 0.0)
-                .collect();
-            if live.is_empty() {
-                return unsupported;
-            }
-            let cell = live[r.gen_range(0..live.len())];
-            sa.values[cell] = f32::from_bits(sa.values[cell].to_bits() ^ 1 << 31);
-            format!("flipped the sign bit of active cell {cell}'s value (structure untouched)")
-        }
-        FaultClass::MidRunBitFlip => return unsupported,
-    };
-    Ok(FaultRecord {
-        class,
-        word: None,
-        detail,
-    })
-}
-
-/// Simulated transposition straight from COO triplets (no row-pointer
-/// construction on the host side).
-#[derive(Debug, Default)]
-struct TransposeCoo {
-    ca: Option<CooArrays>,
-}
-
-impl Kernel for TransposeCoo {
-    fn name(&self) -> &'static str {
-        "transpose_coo"
-    }
-
-    fn prepare(&mut self, coo: &Coo, _ctx: &ExecCtx) -> Result<(), KernelError> {
-        let mut canon = coo.clone();
-        canon.canonicalize();
-        self.ca = Some(CooArrays {
-            rows: canon.rows(),
-            cols: canon.cols(),
-            entries: canon.iter().copied().collect(),
-        });
-        Ok(())
-    }
-
-    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
-        let ca = self.ca.as_ref().ok_or(KernelError::NotPrepared)?;
-        let (out, report) = transpose_coo(ctx, ca)?;
-        Ok(wrap(self.name(), report, KernelOutput::Csr(out)))
-    }
-
-    fn prepared_bytes(&self) -> u64 {
-        self.ca
-            .as_ref()
-            .map_or(0, |ca| 12 * ca.entries.len() as u64)
-    }
-
-    fn verify(&self, coo: &Coo, out: &KernelOutput) -> Result<(), KernelError> {
-        verify_csr_transpose(coo, out)
-    }
-
-    fn inject_fault(&mut self, class: FaultClass, seed: u64) -> Result<FaultRecord, KernelError> {
-        let ca = self.ca.as_mut().ok_or(KernelError::NotPrepared)?;
-        inject_coo_arrays(ca, "transpose_coo", class, seed)
-    }
-}
-
-/// Transposition from CSC storage. CSC's arrays *are* the CSR arrays of
-/// the transpose, so the kernel runs the Pissanetsky pipeline on that
-/// dual: the stored CSC of `A` is the CSR of `Aᵀ`, and transposing it
-/// yields `A` itself — which is exactly `Aᵀ` in CSC clothing. The
-/// verifier pins that down: the output must equal `Csr::from_coo(A)`
-/// bit for bit (those arrays read as CSC are canonical `Aᵀ`).
-#[derive(Debug, Default)]
-struct TransposeCsc {
-    /// The stored CSC of `A`, reinterpreted as the CSR of `Aᵀ`.
-    dual: Option<Csr>,
-}
-
-impl Kernel for TransposeCsc {
-    fn name(&self) -> &'static str {
-        "transpose_csc"
-    }
-
-    fn prepare(&mut self, coo: &Coo, _ctx: &ExecCtx) -> Result<(), KernelError> {
-        self.dual = Some(Csc::from_coo(coo).into_csr_of_transpose()?);
-        Ok(())
-    }
-
-    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
-        let dual = self.dual.as_ref().ok_or(KernelError::NotPrepared)?;
-        let (out, report) = transpose_crs(ctx, dual)?;
-        Ok(wrap(self.name(), report, KernelOutput::Csr(out)))
-    }
-
-    fn prepared_bytes(&self) -> u64 {
-        self.dual.as_ref().map_or(0, csr_bytes)
-    }
-
-    fn verify(&self, coo: &Coo, out: &KernelOutput) -> Result<(), KernelError> {
-        let got = out
-            .as_csr()
-            .ok_or_else(|| KernelError::Mismatch("transpose_csc produces Csr outputs".into()))?;
-        if *got == Csr::from_coo(coo) {
-            Ok(())
-        } else {
-            Err(KernelError::Mismatch(
-                "CSC transpose differs from host oracle".into(),
-            ))
-        }
-    }
-
-    fn inject_fault(&mut self, class: FaultClass, seed: u64) -> Result<FaultRecord, KernelError> {
-        let dual = self.dual.as_mut().ok_or(KernelError::NotPrepared)?;
-        inject_csr(dual, "transpose_csc", class, seed)
-    }
-}
-
-/// Simulated transposition from Jagged Diagonal storage (regroup to CRS
-/// in simulated memory, then the standard pipeline).
-#[derive(Debug, Default)]
-struct TransposeJd {
-    jda: Option<JdArrays>,
-}
-
-impl Kernel for TransposeJd {
-    fn name(&self) -> &'static str {
-        "transpose_jd"
-    }
-
-    fn prepare(&mut self, coo: &Coo, _ctx: &ExecCtx) -> Result<(), KernelError> {
-        self.jda = Some(JdArrays::from_jd(&Jd::from_coo(coo)));
-        Ok(())
-    }
-
-    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
-        let jda = self.jda.as_ref().ok_or(KernelError::NotPrepared)?;
-        let (out, report) = transpose_jd(ctx, jda)?;
-        Ok(wrap(self.name(), report, KernelOutput::Csr(out)))
-    }
-
-    fn prepared_bytes(&self) -> u64 {
-        self.jda.as_ref().map_or(0, |j| {
-            4 * (j.perm.len() + j.jd_ptr.len() + j.col_idx.len() + j.values.len()) as u64
-        })
-    }
-
-    fn verify(&self, coo: &Coo, out: &KernelOutput) -> Result<(), KernelError> {
-        verify_csr_transpose(coo, out)
-    }
-
-    fn inject_fault(&mut self, class: FaultClass, seed: u64) -> Result<FaultRecord, KernelError> {
-        let jda = self.jda.as_mut().ok_or(KernelError::NotPrepared)?;
-        inject_jd_arrays(jda, "transpose_jd", class, seed)
-    }
-}
-
-/// Builds the SELL-C-σ arrays for the machine at hand: chunks as tall as
-/// the vector section, σ = 8 chunks of sort window.
-fn prepare_sell(coo: &Coo, ctx: &ExecCtx) -> Result<SellArrays, KernelError> {
-    let c = ctx.vp.section_size;
-    let sell = Sell::from_coo_with(coo, SellConfig { c, sigma: 8 * c })?;
-    Ok(SellArrays::from_sell(&sell))
-}
-
-/// Borrows the SELL arrays as the view the host backend consumes.
-fn sell_view(sa: &SellArrays) -> host::sell::SellView<'_> {
-    host::sell::SellView {
-        rows: sa.rows,
-        cols: sa.cols,
-        c: sa.c,
-        perm: &sa.perm,
-        chunk_ptr: &sa.chunk_ptr,
-        chunk_len: &sa.chunk_len,
-        row_len: &sa.row_len,
-        col_idx: &sa.col_idx,
-        values: &sa.values,
-    }
-}
-
-/// Simulated transposition from SELL-C-σ storage.
-#[derive(Debug, Default)]
-struct TransposeSell {
-    sa: Option<SellArrays>,
-}
-
-impl Kernel for TransposeSell {
-    fn name(&self) -> &'static str {
-        "transpose_sell"
-    }
-
-    fn prepare(&mut self, coo: &Coo, ctx: &ExecCtx) -> Result<(), KernelError> {
-        self.sa = Some(prepare_sell(coo, ctx)?);
-        Ok(())
-    }
-
-    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
-        let sa = self.sa.as_ref().ok_or(KernelError::NotPrepared)?;
-        if ctx.backend.is_host() {
-            let t0 = Instant::now();
-            let out = host::sell::transpose_sell(&sell_view(sa)).map_err(host_err)?;
-            let shape = (sa.rows, sa.cols, sa.row_len.iter().sum());
-            let report = host_report(ctx, "host.transpose_sell", shape, t0.elapsed());
-            return Ok(wrap(self.name(), report, KernelOutput::Csr(out)));
-        }
-        let (out, report) = transpose_sell(ctx, sa)?;
-        Ok(wrap(self.name(), report, KernelOutput::Csr(out)))
-    }
-
-    fn prepared_bytes(&self) -> u64 {
-        self.sa.as_ref().map_or(0, |sa| 4 * sa.words())
-    }
-
-    fn verify(&self, coo: &Coo, out: &KernelOutput) -> Result<(), KernelError> {
-        verify_csr_transpose(coo, out)
-    }
-
-    fn inject_fault(&mut self, class: FaultClass, seed: u64) -> Result<FaultRecord, KernelError> {
-        let sa = self.sa.as_mut().ok_or(KernelError::NotPrepared)?;
-        inject_sell_arrays(sa, "transpose_sell", class, seed)
-    }
-}
-
-/// Simulated SpMV over SELL-C-σ (the format's showcase kernel: the
-/// active-lane prefix keeps padding off the memory ports).
-#[derive(Debug, Default)]
-struct SpmvSell {
-    sa: Option<SellArrays>,
-    x: Vec<Value>,
-}
-
-impl Kernel for SpmvSell {
-    fn name(&self) -> &'static str {
-        "spmv_sell"
-    }
-
-    fn prepare(&mut self, coo: &Coo, ctx: &ExecCtx) -> Result<(), KernelError> {
-        self.sa = Some(prepare_sell(coo, ctx)?);
-        self.x = spmv_input(coo.cols());
-        Ok(())
-    }
-
-    fn run(&mut self, ctx: &ExecCtx) -> Result<KernelReport, KernelError> {
-        let sa = self.sa.as_ref().ok_or(KernelError::NotPrepared)?;
-        if ctx.backend.is_host() {
-            let t0 = Instant::now();
-            let y = host::sell::spmv_sell(&sell_view(sa), &self.x, ctx.vp.section_size)
-                .map_err(host_err)?;
-            let shape = (sa.rows, sa.cols, sa.row_len.iter().sum());
-            let report = host_report(ctx, "host.spmv_sell", shape, t0.elapsed());
-            return Ok(wrap(self.name(), report, KernelOutput::Vector(y)));
-        }
-        let (y, report) = spmv_sell(ctx, sa, &self.x)?;
-        Ok(wrap(self.name(), report, KernelOutput::Vector(y)))
-    }
-
-    fn prepared_bytes(&self) -> u64 {
-        self.sa
-            .as_ref()
-            .map_or(0, |sa| 4 * (sa.words() + self.x.len() as u64))
-    }
-
-    fn verify(&self, coo: &Coo, out: &KernelOutput) -> Result<(), KernelError> {
-        spmv_verify(coo, &self.x, out)
-    }
-
-    fn inject_fault(&mut self, class: FaultClass, seed: u64) -> Result<FaultRecord, KernelError> {
-        let sa = self.sa.as_mut().ok_or(KernelError::NotPrepared)?;
-        if class == FaultClass::ValueCorruption {
-            // Active cells only, weighted by the |a·x| term each feeds.
-            let cands: Vec<(usize, usize)> = sa
-                .active_cells()
-                .into_iter()
-                .map(|cell| (cell, sa.col_idx[cell]))
-                .collect();
-            return flip_dominant_term(&mut sa.values, &cands, &self.x, "spmv_sell");
-        }
-        inject_sell_arrays(sa, "spmv_sell", class, seed)
+        _ => corrupt_entries(
+            &SELL_WORDS,
+            &mut sa.col_idx,
+            &mut sa.values,
+            &active,
+            sa.cols,
+            class,
+            &mut r,
+        ),
     }
 }
 
@@ -1489,6 +1372,38 @@ mod tests {
     fn kernel_names_match_registry_keys() {
         for &name in names() {
             assert_eq!(create(name).unwrap().name(), name);
+        }
+        // Both lists are read off the table; downstream tools rely on
+        // their order.
+        assert_eq!(
+            HOST_CAPABLE,
+            [
+                "transpose_hism",
+                "transpose_crs",
+                "spmv_hism",
+                "spmv_crs",
+                "transpose_sell",
+                "spmv_sell"
+            ]
+        );
+        assert_eq!(
+            NAMES[..3],
+            ["transpose_hism", "transpose_crs", "transpose_crs_scalar"]
+        );
+    }
+
+    #[test]
+    fn every_kernel_produces_its_declared_output_variant() {
+        let coo = gen::random::uniform(20, 24, 60, 8);
+        for row in TABLE {
+            let report = run_verified(row.name, &coo, &ExecCtx::paper()).unwrap();
+            let produced = match report.output {
+                KernelOutput::Hism(_) => Output::Hism,
+                KernelOutput::Csr(_) => Output::Csr,
+                KernelOutput::Dense(_) => Output::Dense,
+                KernelOutput::Vector(_) => Output::Vector,
+            };
+            assert_eq!(produced, row.output, "{}", row.name);
         }
     }
 

@@ -1,9 +1,9 @@
 //! Simulated kernels over the SELL-C-σ format: transposition and SpMV.
 //!
 //! Both kernels run on the flattened [`SellArrays`] image of a
-//! [`stm_sparse::Sell`] matrix (the registry adapter keeps the raw
-//! arrays so the fault injector can corrupt them like every other
-//! prepared input).
+//! [`stm_sparse::Sell`] matrix (the registry keeps the raw arrays so
+//! the fault injector can corrupt them like every other prepared
+//! input).
 //!
 //! * [`transpose_sell`] walks the *original* rows in ascending order
 //!   through the inverse permutation, gathering each row's entries with

@@ -31,9 +31,9 @@
 //!   `icm`/`v_stcr`/`v_ldcc` instructions;
 //! * [`kernels`] — the recursive HiSM transposition (paper Fig. 6/7) and
 //!   the vectorized CRS baseline (paper Fig. 9), both functional + timed;
-//! * [`exec`] — the [`exec::Kernel`] trait, [`exec::ExecCtx`] machine
-//!   context and the by-name registry ([`kernels::registry`]) harnesses
-//!   construct kernels through;
+//! * [`exec`] — the [`exec::ExecCtx`] machine context, typed errors and
+//!   kernel reports; the by-name registry ([`kernels::registry`]) builds
+//!   every kernel as one [`Kernel`] from a row of its kernel table;
 //! * [`report`] — cycle/utilization reporting shared by the harness.
 
 #![forbid(unsafe_code)]
@@ -50,6 +50,7 @@ pub mod sxs;
 pub mod unit;
 
 pub use coproc::StmCoprocessor;
-pub use exec::{ExecCtx, Kernel, KernelOutput, KernelReport};
+pub use exec::{ExecCtx, KernelOutput, KernelReport};
+pub use kernels::registry::Kernel;
 pub use report::{StmStats, TransposeReport};
 pub use unit::{StmConfig, StmUnit};

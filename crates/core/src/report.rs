@@ -2,7 +2,7 @@
 
 use stm_vpsim::scalar::ScalarRunStats;
 use stm_vpsim::stats::{EngineStats, StallBreakdown};
-use stm_vpsim::trace::FuBusy;
+use stm_vpsim::FuBusy;
 
 /// Accumulated STM-unit statistics over a kernel run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -37,8 +37,8 @@ pub enum FaultClass {
     /// Flip a seeded bit of a value word in *simulated memory* after a
     /// configured cycle count, mid-run. Not an image mutation — the
     /// vector-processor engine hosts it (`stm_vpsim::MidRunFlip`), so
-    /// [`inject`] reports it unsupported; kernel adapters arm it on the
-    /// engine instead. Deliberately outside [`FaultClass::ALL`]: the
+    /// [`inject`] reports it unsupported; the kernel registry arms it on
+    /// the engine instead. Deliberately outside [`FaultClass::ALL`]: the
     /// pre-run sweeps cannot host it.
     MidRunBitFlip,
 }

@@ -12,7 +12,7 @@
 //! output digests.
 //!
 //! The crate deliberately depends only on `stm-sparse` and `stm-hism`:
-//! `stm-core` layers the `Kernel`-trait adapters, nominal cycle
+//! `stm-core`'s kernel table layers the host legs, nominal cycle
 //! accounting and observability on top. It contains no `unsafe` code.
 
 #![forbid(unsafe_code)]

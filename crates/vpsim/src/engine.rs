@@ -9,10 +9,9 @@
 
 use crate::config::{MidRunFlip, VpConfig};
 use crate::mem::Memory;
-use crate::stats::{EngineStats, StallBreakdown, StallCauses};
+use crate::stats::{EngineStats, FuBusy, StallBreakdown, StallCauses};
 use crate::stream::{Ready, Stream};
 use crate::timing::{TimingKind, TimingModel};
-use crate::trace::{FuBusy, Trace, TraceEvent};
 use stm_obs::{Category, Lane, Recorder};
 
 /// Typed abort payload: the engine exceeded its configured cycle budget
@@ -205,7 +204,6 @@ pub struct Engine {
     mem_acct: Vec<PortAcct>,
     /// Stall accounts of the ALU and STM ports.
     fu_acct: [PortAcct; 2],
-    trace: Option<Trace>,
     /// The armed-but-not-yet-fired mid-run bit flip, if any (disarmed
     /// once it fires).
     armed_flip: Option<MidRunFlip>,
@@ -245,7 +243,6 @@ impl Engine {
             stall_end: 0,
             mem_acct: vec![PortAcct::default(); ports],
             fu_acct: [PortAcct::default(); 2],
-            trace: None,
             armed_flip,
             obs: Recorder::disabled(),
             timing: timing.model(),
@@ -256,16 +253,6 @@ impl Engine {
     /// The timing model this engine runs under.
     pub fn timing(&self) -> &'static dyn TimingModel {
         self.timing
-    }
-
-    /// Turns on instruction tracing, keeping at most `capacity` events.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
-    }
-
-    /// The instruction trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 
     /// Installs a structured-event recorder: every retired instruction
@@ -519,16 +506,6 @@ impl Engine {
             self.horizon = self.horizon.max(last + 1);
             self.busy_acct.add(fu, occupancy);
         }
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent {
-                op,
-                fu,
-                issue,
-                first_done: completion.first().copied().unwrap_or(issue),
-                last_done: completion.last().copied().unwrap_or(issue),
-                elements: completion.len(),
-            });
-        }
         if self.obs.is_enabled() {
             let (lane, cat) = match fu {
                 Fu::Mem => (Lane::Mem(port as u8), Category::Mem),
@@ -598,7 +575,7 @@ impl Engine {
 
     /// Generic stream execution on a functional unit — also the hook the
     /// STM coprocessor in `stm-core` uses to time its instructions.
-    /// `op` is the mnemonic recorded in the instruction trace. Returns
+    /// `op` is the mnemonic its recorder span carries. Returns
     /// the completion times, held in the engine's completion buffer
     /// until the next instruction.
     pub fn run_stream(&mut self, op: &'static str, fu: Fu, s: Stream, ready: Ready<'_>) -> &[u64] {

@@ -38,12 +38,10 @@ pub mod scalar;
 pub mod stats;
 pub mod stream;
 pub mod timing;
-pub mod trace;
 
 pub use config::{MidRunFlip, VpConfig};
 pub use engine::{DeadlineExceeded, Engine, Fu, VReg};
 pub use mem::{Allocator, MemFault, Memory, OobPolicy, POISON_WORD};
-pub use stats::{EngineStats, StallBreakdown, StallCauses};
+pub use stats::{EngineStats, FuBusy, StallBreakdown, StallCauses};
 pub use stream::{Ready, Stream};
 pub use timing::{IdealTiming, PaperTiming, TimingKind, TimingModel};
-pub use trace::{FuBusy, Trace, TraceEvent};

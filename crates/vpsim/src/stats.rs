@@ -1,4 +1,7 @@
-//! Cycle and instruction accounting for the vector engine.
+//! Cycle, instruction and per-unit busy accounting for the vector
+//! engine.
+
+use crate::engine::Fu;
 
 /// Aggregate statistics of one engine run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -83,7 +86,7 @@ impl StallCauses {
     }
 
     /// Occupancy of the port (busy + chain wait) — the quantity the
-    /// engine's coarse [`crate::trace::FuBusy`] accounting tracks.
+    /// engine's coarse [`FuBusy`] accounting tracks.
     pub fn occupancy(&self) -> u64 {
         self.busy + self.chain_wait
     }
@@ -151,9 +154,56 @@ impl StallBreakdown {
     }
 }
 
+/// Per-functional-unit busy-cycle accounting.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FuBusy {
+    /// Busy cycles of the vector memory port.
+    pub mem: u64,
+    /// Busy cycles of the vector ALU.
+    pub alu: u64,
+    /// Busy cycles of the STM.
+    pub stm: u64,
+}
+
+impl FuBusy {
+    /// Adds `cycles` to the unit's account.
+    pub fn add(&mut self, fu: Fu, cycles: u64) {
+        match fu {
+            Fu::Mem => self.mem += cycles,
+            Fu::Alu => self.alu += cycles,
+            Fu::Stm => self.stm += cycles,
+        }
+    }
+
+    /// Utilization of a unit over a run of `total` cycles (0 when idle).
+    pub fn utilization(&self, fu: Fu, total: u64) -> f64 {
+        if total == 0 {
+            return 0.0;
+        }
+        let busy = match fu {
+            Fu::Mem => self.mem,
+            Fu::Alu => self.alu,
+            Fu::Stm => self.stm,
+        };
+        busy as f64 / total as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn busy_accounting_and_utilization() {
+        let mut b = FuBusy::default();
+        b.add(Fu::Mem, 30);
+        b.add(Fu::Mem, 10);
+        b.add(Fu::Stm, 5);
+        assert_eq!(b.mem, 40);
+        assert!((b.utilization(Fu::Mem, 80) - 0.5).abs() < 1e-12);
+        assert_eq!(b.utilization(Fu::Alu, 80), 0.0);
+        assert_eq!(b.utilization(Fu::Mem, 0), 0.0);
+    }
 
     #[test]
     fn merge_adds_fields() {

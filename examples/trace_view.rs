@@ -1,14 +1,15 @@
-//! Pipeline-level view of one block transposition: enables the engine's
-//! instruction trace, runs the STM write/read phases by hand (the
-//! Fig. 7 instruction sequence), and prints every instruction with its
-//! issue/completion cycles — showing the chaining, the fill-before-read
-//! barrier, and the 3-stage pipelines at work.
+//! Pipeline-level view of one block transposition: installs a recorder
+//! on the engine, runs the STM write/read phases by hand (the Fig. 7
+//! instruction sequence), and prints every retired instruction's span
+//! with its issue and last-completion cycles — showing the chaining, the
+//! fill-before-read barrier, and the 3-stage pipelines at work.
 //!
 //! ```sh
 //! cargo run --release --example trace_view
 //! ```
 
 use hism_stm::hism::{build, HismImage};
+use hism_stm::obs::{EventKind, Recorder};
 use hism_stm::sparse::Coo;
 use hism_stm::stm::coproc::StmCoprocessor;
 use hism_stm::stm::StmConfig;
@@ -38,7 +39,8 @@ fn main() {
     let mut mem = Memory::new();
     mem.write_block(0, &image.words);
     let mut e = Engine::new(vp, mem);
-    e.enable_trace(64);
+    let rec = Recorder::enabled_default();
+    e.set_recorder(rec.clone());
     let mut stm = StmCoprocessor::new(StmConfig { s: 8, b: 4, l: 4 });
 
     // The Fig. 7 sequence for one block (single section: len <= s).
@@ -50,7 +52,17 @@ fn main() {
     e.v_st_pair(0, &vals_t, &pos_t); //        v_stb  vr1, vr2
 
     println!("transposing one 8x8 block ({len} entries) with B=4, L=4:\n");
-    println!("{}", e.trace().expect("tracing enabled").render());
+    println!("      op       lane     issue      last  elems");
+    for ev in rec.snapshot().events {
+        if let EventKind::Complete { dur, elements } = ev.kind {
+            let last = ev.ts + dur.max(1) - 1;
+            let lane = ev.lane.label();
+            println!(
+                "{:>8}  {lane:>9}  {:>8}  {last:>8}  {elements:>5}",
+                ev.name, ev.ts
+            );
+        }
+    }
     println!("total: {} cycles", e.cycles());
     println!(
         "memory port busy {} cycles, STM busy {} cycles",
