@@ -35,7 +35,7 @@ use crate::kernels::scan::scan_add_inplace;
 use crate::report::{Phase, TransposeReport};
 use stm_sparse::Csr;
 use stm_vpsim::scalar::run_scalar;
-use stm_vpsim::{Allocator, Engine, Memory, VpConfig};
+use stm_vpsim::{Allocator, Engine, Memory, Replay, VpConfig};
 
 /// Word addresses of the CRS arrays in simulated memory.
 #[derive(Debug, Clone, Copy)]
@@ -110,6 +110,74 @@ pub fn decode_result(
 /// and `IA(i+1)` (two likely-hit scalar loads) plus the loop control.
 fn row_overhead(cfg: &VpConfig) -> u64 {
     cfg.loop_overhead + 2 * cfg.scalar_cache.hit_latency
+}
+
+/// One row of the scatter loop (Fig. 9 lines 6–12), strip-mined into
+/// sections of at most `s` entries, on the engine.
+fn scatter_row(
+    e: &mut Engine,
+    vp_cfg: &VpConfig,
+    layout: &CrsLayout,
+    i: u32,
+    row: std::ops::Range<usize>,
+) {
+    e.scalar_cycles(row_overhead(vp_cfg));
+    let mut jp = row.start;
+    while jp < row.end {
+        let vl = vp_cfg.section_size.min(row.end - jp);
+        let vr0 = e.v_ld(layout.ja + jp as u32, vl); // j
+        let vr1 = e.v_ld_idx(layout.iat, &vr0); // k = IAT[j]
+        let vr2 = e.v_set_imm(vl, i);
+        e.v_st_idx(&vr2, layout.jat, &vr1); // JAT[k] = i
+        let vr3 = e.v_ld(layout.an + jp as u32, vl);
+        e.v_st_idx(&vr3, layout.ant, &vr1); // ANT[k] = AN[jp]
+        let vr4 = e.v_add_imm(&vr1, 1);
+        e.v_st_idx(&vr4, layout.iat, &vr0); // IAT[j] = k + 1
+        e.loop_overhead();
+        jp += vl;
+    }
+}
+
+/// Buffers [`scatter_row_functional`] reuses across rows.
+#[derive(Default)]
+struct Scratch {
+    j: Vec<u32>,
+    k: Vec<u32>,
+    an: Vec<u32>,
+}
+
+/// The functional work of [`scatter_row`] without its timing: the same
+/// guarded memory accesses in the same order, so a corrupt column index
+/// faults (and counts out-of-bounds events) exactly as the timed row
+/// does. Per strip: the gather of every `IAT[j]` before any store, `AN`
+/// loaded after the `JAT` stores and before the `ANT` stores, and later
+/// lanes overwriting earlier ones.
+fn scatter_row_functional(
+    mem: &mut Memory,
+    layout: &CrsLayout,
+    i: u32,
+    row: std::ops::Range<usize>,
+    s: usize,
+    b: &mut Scratch,
+) {
+    let mut jp = row.start;
+    while jp < row.end {
+        let vl = s.min(row.end - jp);
+        mem.read_block_into(layout.ja + jp as u32, vl, &mut b.j);
+        b.k.clear();
+        b.k.extend(b.j.iter().map(|&j| mem.read(layout.iat.wrapping_add(j))));
+        for &k in &b.k {
+            mem.write(layout.jat.wrapping_add(k), i);
+        }
+        mem.read_block_into(layout.an + jp as u32, vl, &mut b.an);
+        for (&k, &v) in b.k.iter().zip(&b.an) {
+            mem.write(layout.ant.wrapping_add(k), v);
+        }
+        for (&j, &k) in b.j.iter().zip(&b.k) {
+            mem.write(layout.iat.wrapping_add(j), k.wrapping_add(1));
+        }
+        jp += vl;
+    }
 }
 
 /// Simulates the CRS transposition of `csr`. Returns the transposed
@@ -191,7 +259,11 @@ pub(crate) fn run_phases(
         cycles: t2 - t1,
     });
 
-    // Phase 3: the vectorized scatter loop.
+    // Phase 3: the vectorized scatter loop. A row's timing depends only
+    // on its length and the engine's relative timing state, so rows
+    // replay memoized timing and run only their functional work.
+    let mut replay = Replay::new();
+    let mut scratch = Scratch::default();
     for i in 0..rows {
         let iaa = e.mem().read(layout.ia + i as u32) as usize;
         let iab = e.mem().read(layout.ia + i as u32 + 1) as usize;
@@ -203,21 +275,12 @@ pub(crate) fn run_phases(
                 i + 1
             )));
         }
-        e.scalar_cycles(row_overhead(vp_cfg));
-        let mut jp = iaa;
-        while jp < iab {
-            let vl = s.min(iab - jp);
-            let vr0 = e.v_ld(layout.ja + jp as u32, vl); // j
-            let vr1 = e.v_ld_idx(layout.iat, &vr0); // k = IAT[j]
-            let vr2 = e.v_set_imm(vl, i as u32);
-            e.v_st_idx(&vr2, layout.jat, &vr1); // JAT[k] = i
-            let vr3 = e.v_ld(layout.an + jp as u32, vl);
-            e.v_st_idx(&vr3, layout.ant, &vr1); // ANT[k] = AN[jp]
-            let vr4 = e.v_add_imm(&vr1, 1);
-            e.v_st_idx(&vr4, layout.iat, &vr0); // IAT[j] = k + 1
-            e.loop_overhead();
-            jp += vl;
-        }
+        replay.run(
+            e,
+            &[(iab - iaa) as u64],
+            |mem| scatter_row_functional(mem, layout, i as u32, iaa..iab, s, &mut scratch),
+            |e| scatter_row(e, vp_cfg, layout, i as u32, iaa..iab),
+        );
     }
     let t3 = e.cycles();
     phases.push(Phase {
@@ -306,6 +369,34 @@ mod tests {
             a.cycles_per_nnz(),
             b.cycles_per_nnz()
         );
+    }
+
+    #[test]
+    fn replayed_rows_fault_like_timed_rows() {
+        // Garbage column indices in late rows of a banded matrix: those
+        // rows replay their timing, and their out-of-bounds gathers and
+        // scatters must count and fault exactly as timed rows do.
+        let csr = Csr::from_coo(&gen::structured::tridiagonal(200));
+        let run = |rec: stm_obs::Recorder| {
+            let mut mem = Memory::new();
+            let mut alloc = Allocator::new(64);
+            let layout = load_csr(&mut mem, &mut alloc, &csr);
+            for k in [400u32, 401, 520] {
+                mem.write(layout.ja + k, 0x4000_0000 + k);
+            }
+            mem.guard(alloc.watermark(), stm_vpsim::OobPolicy::Trap);
+            let vp = VpConfig::paper();
+            let mut e = Engine::new(vp.clone(), mem);
+            e.set_recorder(rec);
+            let ran = run_phases(&mut e, &vp, &layout, 200, 200, csr.nnz()).is_ok();
+            let words = e.mem().read_block(0, alloc.watermark() as usize);
+            (ran, e.cycles(), e.stats_snapshot(), e.mem_fault(), words)
+        };
+        let replayed = run(stm_obs::Recorder::disabled());
+        let timed = run(stm_obs::Recorder::enabled(1 << 16));
+        assert!(replayed.2.mem_oob_events > 0);
+        assert!(replayed.3.is_some());
+        assert_eq!(replayed, timed);
     }
 
     #[test]

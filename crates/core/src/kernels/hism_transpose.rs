@@ -28,7 +28,7 @@ use crate::exec::{ExecCtx, KernelError};
 use crate::report::TransposeReport;
 use stm_hism::image::{HismImage, RootDesc, WORDS_PER_ENTRY};
 use stm_hism::ImageError;
-use stm_vpsim::{Engine, Memory};
+use stm_vpsim::{Engine, Memory, Replay};
 
 /// Scalar cycles charged per child-block recursion step: loading the
 /// pointer and length words (two likely-hit scalar loads) plus call
@@ -77,6 +77,7 @@ pub fn transpose_hism(
         let walked = transpose_block(
             e,
             &mut stm,
+            &mut Leaves::default(),
             image.root.addr,
             image.root.len as usize,
             image.root.levels - 1,
@@ -164,6 +165,7 @@ pub fn image_nnz(image: &HismImage) -> Result<usize, ImageError> {
 fn transpose_block(
     e: &mut Engine,
     stm: &mut StmCoprocessor,
+    leaves: &mut Leaves,
     addr: u32,
     len: usize,
     level: u32,
@@ -188,34 +190,57 @@ fn transpose_block(
             "blockarray at word {addr} ({len} entries) exceeds the address space"
         )));
     }
+    if level == 0 {
+        return leaves.session(e, stm, addr, len);
+    }
     let s = stm.cfg().s;
     let lens_base = addr + WORDS_PER_ENTRY * len as u32;
 
-    if level > 0 {
-        // Lengths pass (Fig. 6 lines 11-18, run first — see module docs):
-        // permute the lengths vector through the s x s memory using the
-        // pre-transposition positions from the blockarray.
-        stm.icm(e);
-        let mut off = 0usize;
-        while off < len {
-            let vl = s.min(len - off); // ssvl
-            let (_ptrs, pos) = e.v_ld_pair(addr + WORDS_PER_ENTRY * off as u32, vl);
-            let lens = e.v_ld(lens_base + off as u32, vl);
-            stm.v_stcr(e, &lens, &pos).map_err(KernelError::Corrupt)?;
-            e.loop_overhead();
-            off += vl;
-        }
-        let mut off = 0usize;
-        while off < len {
-            let vl = s.min(len - off);
-            let (lens_t, _pos_t) = stm.v_ldcc(e, vl);
-            e.v_st(lens_base + off as u32, &lens_t);
-            e.loop_overhead();
-            off += vl;
-        }
+    // Lengths pass (Fig. 6 lines 11-18, run first — see module docs):
+    // permute the lengths vector through the s x s memory using the
+    // pre-transposition positions from the blockarray.
+    stm.icm(e);
+    let mut off = 0usize;
+    while off < len {
+        let vl = s.min(len - off); // ssvl
+        let (_ptrs, pos) = e.v_ld_pair(addr + WORDS_PER_ENTRY * off as u32, vl);
+        let lens = e.v_ld(lens_base + off as u32, vl);
+        stm.v_stcr(e, &lens, &pos).map_err(KernelError::Corrupt)?;
+        e.loop_overhead();
+        off += vl;
+    }
+    let mut off = 0usize;
+    while off < len {
+        let vl = s.min(len - off);
+        let (lens_t, _pos_t) = stm.v_ldcc(e, vl);
+        e.v_st(lens_base + off as u32, &lens_t);
+        e.loop_overhead();
+        off += vl;
     }
 
-    // Element/pointer pass (Fig. 6 lines 2-9 = the Fig. 7 vector code).
+    element_pass(e, stm, addr, len)?;
+
+    // Recurse into every child (Fig. 6 lines 19-23). The pointer and
+    // length words were just rewritten in transposed order, so the
+    // (pointer, length) pairing read here is consistent.
+    for k in 0..len {
+        let ptr = e.mem().read(addr + WORDS_PER_ENTRY * k as u32);
+        let clen = e.mem().read(lens_base + k as u32) as usize;
+        e.scalar_cycles(CHILD_CALL_OVERHEAD);
+        transpose_block(e, stm, leaves, ptr, clen, level - 1, budget)?;
+    }
+    Ok(())
+}
+
+/// The element/pointer pass of one block (Fig. 6 lines 2-9 = the Fig. 7
+/// vector code): a whole STM session, `icm` to the last drain.
+fn element_pass(
+    e: &mut Engine,
+    stm: &mut StmCoprocessor,
+    addr: u32,
+    len: usize,
+) -> Result<(), KernelError> {
+    let s = stm.cfg().s;
     stm.icm(e);
     let mut off = 0usize;
     while off < len {
@@ -234,22 +259,82 @@ fn transpose_block(
         off += vl;
     }
     // Stop before chasing pointers that were read out of bounds.
-    if let Some(f) = e.mem_fault() {
-        return Err(f.into());
+    match e.mem_fault() {
+        Some(f) => Err(f.into()),
+        None => Ok(()),
     }
+}
 
-    if level > 0 {
-        // Recurse into every child (Fig. 6 lines 19-23). The pointer and
-        // length words were just rewritten in transposed order, so the
-        // (pointer, length) pairing read here is consistent.
-        for k in 0..len {
-            let ptr = e.mem().read(addr + WORDS_PER_ENTRY * k as u32);
-            let clen = e.mem().read(lens_base + k as u32) as usize;
-            e.scalar_cycles(CHILD_CALL_OVERHEAD);
-            transpose_block(e, stm, ptr, clen, level - 1, budget)?;
+/// Timing replay of the level-0 block sessions of one run.
+///
+/// A leaf session's timing depends only on its entry count, the buffer
+/// transfers its `v_stcr`/`v_ldcc` instructions form, and the engine's
+/// relative timing state, so a session recorded once replays afterwards
+/// and only its functional work runs ([`StmCoprocessor::plan_session`]).
+/// Planning costs a functional pass over the block, so a session is
+/// planned only when its entry count was sighted from the same state
+/// before, never among a run's first [`Leaves::TIMED_FIRST`] sessions,
+/// and not at all once planned misses lead hits by
+/// [`Leaves::MISS_LEAD`].
+#[derive(Default)]
+struct Leaves {
+    replay: Replay,
+    /// Leaf sessions so far.
+    sessions: u64,
+    key: Vec<u64>,
+    words: Vec<u32>,
+    drained: Vec<u32>,
+}
+
+impl Leaves {
+    /// Planned misses past hits at which planning stops for the run: a
+    /// planned miss costs a functional pass on top of the timed one.
+    const MISS_LEAD: u64 = 16;
+
+    /// Leaf sessions every run times before it starts sighting and
+    /// planning: a run with fewer leaves cannot win back what its first
+    /// recordings and planned misses cost.
+    const TIMED_FIRST: u64 = 64;
+
+    /// One leaf block session at `addr` of `len` entries: replayed when
+    /// a recorded session matches, else timed on the engine (and
+    /// recorded when it was planned).
+    fn session(
+        &mut self,
+        e: &mut Engine,
+        stm: &mut StmCoprocessor,
+        addr: u32,
+        len: usize,
+    ) -> Result<(), KernelError> {
+        self.sessions += 1;
+        let planning = self.sessions > Self::TIMED_FIRST
+            && self.replay.misses() < self.replay.hits() + Self::MISS_LEAD;
+        let Some(state) = self.replay.state(e).filter(|_| planning) else {
+            return element_pass(e, stm, addr, len);
+        };
+        let words = WORDS_PER_ENTRY as usize * len;
+        if !self.replay.sighted(&[len as u64], &state) || !e.mem().in_bounds(addr, words) {
+            return element_pass(e, stm, addr, len);
         }
+        e.mem().read_block_into(addr, words, &mut self.words);
+        let Some(planned) = stm.plan_session(&self.words, &mut self.drained) else {
+            return element_pass(e, stm, addr, len);
+        };
+        self.key.clear();
+        self.key.push(len as u64);
+        self.key.extend_from_slice(stm.transfers());
+        if self.replay.replay(e, &self.key, &state) {
+            e.mem_mut().write_block(addr, &self.drained);
+            stm.commit_planned(planned);
+            return Ok(());
+        }
+        let mark = self.replay.start(e);
+        element_pass(e, stm, addr, len)?;
+        if let Some(mark) = mark {
+            self.replay.record(e, &mark, &self.key);
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -82,6 +82,28 @@ impl PortAcct {
         }
     }
 
+    /// The buckets charged since the `earlier` snapshot of this account
+    /// (`last_end` is timing state, not a bucket, and stays 0).
+    fn since(&self, earlier: &PortAcct) -> PortAcct {
+        PortAcct {
+            busy: self.busy - earlier.busy,
+            chain_wait: self.chain_wait - earlier.chain_wait,
+            port_wait: self.port_wait - earlier.port_wait,
+            stm_wait: self.stm_wait - earlier.stm_wait,
+            scalar_wait: self.scalar_wait - earlier.scalar_wait,
+            last_end: 0,
+        }
+    }
+
+    /// Adds the buckets of `delta` (a [`PortAcct::since`] difference).
+    fn merge(&mut self, delta: &PortAcct) {
+        self.busy += delta.busy;
+        self.chain_wait += delta.chain_wait;
+        self.port_wait += delta.port_wait;
+        self.stm_wait += delta.stm_wait;
+        self.scalar_wait += delta.scalar_wait;
+    }
+
     /// Folds the account into a [`StallCauses`] row over a run of
     /// `total` cycles, leaving the uncovered remainder as `idle`.
     fn causes(&self, total: u64) -> StallCauses {
@@ -100,6 +122,63 @@ impl PortAcct {
             idle: total.saturating_sub(attributed),
         }
     }
+}
+
+/// The engine's timing state relative to its issue clock: the memory
+/// port's, the ALU's and the STM's busy-until times, the completion
+/// horizon, and the three ports' stall-account `last_end` edges, each as
+/// its distance past the clock, clamped at 0.
+///
+/// Clamping is exact: the engine reads each of these times only as
+/// `max(t, clock)` for a clock at or after the current one (at issue,
+/// in [`Engine::cycles`] and in the stall charge) and otherwise only
+/// overwrites or raises them (DESIGN §3 lists the sites), so a time
+/// already in the past behaves like the clock itself. Two bodies
+/// started in equal states with equal instruction shapes therefore time
+/// identically, shifted by their start clocks. See [`crate::replay`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TimingState([u64; STATE_WORDS]);
+
+/// Words in a [`TimingState`].
+const STATE_WORDS: usize = 7;
+
+impl TimingState {
+    /// The state as words (for memo keys).
+    pub fn words(&self) -> &[u64] {
+        &self.0
+    }
+}
+
+/// The engine at the start of a timed loop body, which
+/// [`crate::replay::Replay::record`] measures the body's effect against.
+#[derive(Debug, Clone)]
+pub struct TimingMark {
+    pub(crate) state: TimingState,
+    clock: u64,
+    stall_end: u64,
+    stats: EngineStats,
+    busy: FuBusy,
+    accts: [PortAcct; 3],
+}
+
+/// What one loop body did to the engine's timing, relative to where it
+/// started: replaying it from an equal [`TimingState`] leaves the engine
+/// exactly as timing the body would.
+#[derive(Debug, Clone)]
+pub(crate) struct TimingRecord {
+    /// Issue-clock advance.
+    advance: u64,
+    /// Final state, relative to the final clock.
+    end: [u64; STATE_WORDS],
+    /// [`Engine::cycles`] at the end, relative to the start clock.
+    cycles: u64,
+    /// End of the body's last front-end stall relative to the start
+    /// clock, when it stalled at all.
+    stall_end: Option<u64>,
+    stats: EngineStats,
+    busy: FuBusy,
+    /// Stall-bucket deltas of the memory port, the ALU and the STM.
+    accts: [PortAcct; 3],
 }
 
 /// Functional-unit ports of the machine.
@@ -332,6 +411,91 @@ impl Engine {
     /// The first out-of-bounds access the guarded memory recorded, if any.
     pub fn mem_fault(&self) -> Option<crate::mem::MemFault> {
         self.mem.fault()
+    }
+
+    /// The timing state relative to the issue clock, or `None` where
+    /// replaying a recorded body would not be exact: under a live
+    /// recorder (replay emits no spans), with a mid-run flip still armed
+    /// (it fires at a watchdog point inside some body), and with more
+    /// than one memory port (port choice reads the raw busy order).
+    pub fn timing_state(&self) -> Option<TimingState> {
+        if self.obs.is_enabled() || self.armed_flip.is_some() || self.mem_busy.len() != 1 {
+            return None;
+        }
+        Some(TimingState(self.relative_times()))
+    }
+
+    /// The state's times, each as its clamped distance past the clock.
+    fn relative_times(&self) -> [u64; STATE_WORDS] {
+        [
+            self.mem_busy[0],
+            self.busy[0],
+            self.busy[1],
+            self.horizon,
+            self.mem_acct[0].last_end,
+            self.fu_acct[0].last_end,
+            self.fu_acct[1].last_end,
+        ]
+        .map(|t| t.saturating_sub(self.clock))
+    }
+
+    /// Marks the start of a loop body to record (`None` when replay is
+    /// off; see [`Engine::timing_state`]).
+    pub(crate) fn timing_mark(&self) -> Option<TimingMark> {
+        Some(TimingMark {
+            state: self.timing_state()?,
+            clock: self.clock,
+            stall_end: self.stall_end,
+            stats: self.stats,
+            busy: self.busy_acct,
+            accts: [self.mem_acct[0], self.fu_acct[0], self.fu_acct[1]],
+        })
+    }
+
+    /// What the body timed since `mark` did to the engine.
+    pub(crate) fn timing_record(&self, mark: &TimingMark) -> TimingRecord {
+        let accts = [self.mem_acct[0], self.fu_acct[0], self.fu_acct[1]];
+        TimingRecord {
+            advance: self.clock - mark.clock,
+            end: self.relative_times(),
+            cycles: self.cycles() - mark.clock,
+            stall_end: (self.stall_end != mark.stall_end).then(|| self.stall_end - mark.clock),
+            stats: self.stats.since(&mark.stats),
+            busy: self.busy_acct.since(&mark.busy),
+            accts: std::array::from_fn(|k| accts[k].since(&mark.accts[k])),
+        }
+    }
+
+    /// Applies `rec`, recorded from the current [`TimingState`], as if
+    /// its body had been timed here. Refused (returns false, changes
+    /// nothing) when the body would cross the cycle budget: the caller
+    /// then times it, so the watchdog fires where it always does.
+    pub(crate) fn replay_timing(&mut self, rec: &TimingRecord) -> bool {
+        let start = self.clock;
+        if self
+            .cfg
+            .cycle_budget
+            .is_some_and(|b| start + rec.cycles > b)
+        {
+            return false;
+        }
+        self.clock = start + rec.advance;
+        let [mem, alu, stm, horizon, mem_end, alu_end, stm_end] = rec.end.map(|t| self.clock + t);
+        self.mem_busy[0] = mem;
+        self.busy = [alu, stm];
+        self.horizon = horizon;
+        self.mem_acct[0].last_end = mem_end;
+        self.fu_acct[0].last_end = alu_end;
+        self.fu_acct[1].last_end = stm_end;
+        if let Some(t) = rec.stall_end {
+            self.stall_end = start + t;
+        }
+        self.stats.merge(&rec.stats);
+        self.busy_acct.merge(&rec.busy);
+        self.mem_acct[0].merge(&rec.accts[0]);
+        self.fu_acct[0].merge(&rec.accts[1]);
+        self.fu_acct[1].merge(&rec.accts[2]);
+        true
     }
 
     /// Charges the front-end stall `[start, end)` tagged `kind` to every

@@ -34,14 +34,16 @@
 pub mod config;
 pub mod engine;
 pub mod mem;
+pub mod replay;
 pub mod scalar;
 pub mod stats;
 pub mod stream;
 pub mod timing;
 
 pub use config::{MidRunFlip, VpConfig};
-pub use engine::{DeadlineExceeded, Engine, Fu, VReg};
+pub use engine::{DeadlineExceeded, Engine, Fu, TimingMark, TimingState, VReg};
 pub use mem::{Allocator, MemFault, Memory, OobPolicy, POISON_WORD};
+pub use replay::Replay;
 pub use stats::{EngineStats, FuBusy, StallBreakdown, StallCauses};
 pub use stream::{Ready, Stream};
 pub use timing::{IdealTiming, PaperTiming, TimingKind, TimingModel};

@@ -177,10 +177,25 @@ impl Memory {
     /// the guard and the store is one slice copy; any other block is
     /// read word by word, so each out-of-bounds word records its fault.
     pub fn read_block(&self, addr: u32, n: usize) -> Vec<u32> {
+        let mut out = Vec::with_capacity(n);
+        self.read_block_into(addr, n, &mut out);
+        out
+    }
+
+    /// [`Memory::read_block`] into `out` (cleared first), for callers
+    /// that reuse one buffer.
+    pub fn read_block_into(&self, addr: u32, n: usize, out: &mut Vec<u32>) {
+        out.clear();
         match self.unguarded(addr, n) {
-            Some(r) if r.end <= self.words.len() => self.words[r].to_vec(),
-            _ => (0..n).map(|k| self.read(addr + k as u32)).collect(),
+            Some(r) if r.end <= self.words.len() => out.extend_from_slice(&self.words[r]),
+            _ => out.extend((0..n).map(|k| self.read(addr + k as u32))),
         }
+    }
+
+    /// True when every word of `[addr, addr + n)` is inside the guard
+    /// (or no guard is armed): accesses to it record no fault.
+    pub fn in_bounds(&self, addr: u32, n: usize) -> bool {
+        self.unguarded(addr, n).is_some()
     }
 
     /// Writes a block of consecutive words starting at `addr`. A block

@@ -44,6 +44,23 @@ impl EngineStats {
         self.scalar_cycles += other.scalar_cycles;
         self.mem_oob_events += other.mem_oob_events;
     }
+
+    /// What accrued since the `earlier` snapshot of the same run: the
+    /// field-wise difference, which [`EngineStats::merge`] adds back.
+    pub(crate) fn since(&self, earlier: &EngineStats) -> EngineStats {
+        EngineStats {
+            instructions: self.instructions - earlier.instructions,
+            mem_contig_ops: self.mem_contig_ops - earlier.mem_contig_ops,
+            mem_indexed_ops: self.mem_indexed_ops - earlier.mem_indexed_ops,
+            alu_ops: self.alu_ops - earlier.alu_ops,
+            stm_ops: self.stm_ops - earlier.stm_ops,
+            mem_words: self.mem_words - earlier.mem_words,
+            elements: self.elements - earlier.elements,
+            overhead_cycles: self.overhead_cycles - earlier.overhead_cycles,
+            scalar_cycles: self.scalar_cycles - earlier.scalar_cycles,
+            mem_oob_events: self.mem_oob_events - earlier.mem_oob_events,
+        }
+    }
 }
 
 /// Where the cycles of one functional-unit port went, partitioned into
@@ -173,6 +190,22 @@ impl FuBusy {
             Fu::Alu => self.alu += cycles,
             Fu::Stm => self.stm += cycles,
         }
+    }
+
+    /// Busy cycles accrued since the `earlier` snapshot.
+    pub(crate) fn since(&self, earlier: &FuBusy) -> FuBusy {
+        FuBusy {
+            mem: self.mem - earlier.mem,
+            alu: self.alu - earlier.alu,
+            stm: self.stm - earlier.stm,
+        }
+    }
+
+    /// Adds another account to this one.
+    pub(crate) fn merge(&mut self, other: &FuBusy) {
+        self.mem += other.mem;
+        self.alu += other.alu;
+        self.stm += other.stm;
     }
 
     /// Utilization of a unit over a run of `total` cycles (0 when idle).
