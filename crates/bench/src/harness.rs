@@ -27,7 +27,7 @@
 use crate::resilient::RetryPolicy;
 use crate::trace::{export_trace, TraceRollup};
 use stm_core::kernels::registry::{
-    self, Backend, ExecCtx, KernelError, KernelFailure, KernelReport, Stage,
+    self, Backend, ExecCtx, KernelError, KernelFailure, KernelReport, Oracle, Stage,
 };
 use stm_core::{StmConfig, TransposeReport};
 use stm_dsab::{FormatDecision, FormatKind, FormatSel, SuiteEntry};
@@ -312,6 +312,7 @@ pub(crate) fn attempt(
     cfg: &RunConfig,
     kernel: &str,
     entry: &SuiteEntry,
+    oracle: &Oracle,
     fault: Option<&FaultSpec>,
     rec: &Recorder,
 ) -> Result<KernelReport, KernelFailure> {
@@ -349,7 +350,7 @@ pub(crate) fn attempt(
     let report = isolate(kernel, Stage::Run, || k.run(&ctx))?;
     if cfg.verify {
         isolate(kernel, Stage::Verify, || {
-            k.verify(&entry.coo, &report.output)
+            k.verify_with(oracle, &report.output)
         })?;
     }
     stm_core::obs::record_lifecycle(&ctx.obs, &report, k.prepared_bytes());
@@ -372,7 +373,8 @@ pub(crate) struct KernelRun {
 /// `on_retry` and sleeps the policy's backoff for `key`. Every attempt
 /// records into a fresh recorder from `new_rec`: an abandoned attempt's
 /// events and counters must never leak into the trace (or the roll-ups)
-/// of the attempt that produced the reported numbers.
+/// of the attempt that produced the reported numbers. Verification
+/// checks against `oracle`, the host oracle of `entry`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn attempt_with_retry(
     cfg: &RunConfig,
@@ -380,6 +382,7 @@ pub(crate) fn attempt_with_retry(
     key: u64,
     kernel: &str,
     entry: &SuiteEntry,
+    oracle: &Oracle,
     fault: Option<&FaultSpec>,
     new_rec: impl Fn() -> Recorder,
     mut on_retry: impl FnMut(),
@@ -394,7 +397,7 @@ pub(crate) fn attempt_with_retry(
     loop {
         attempts += 1;
         let rec = new_rec();
-        let result = attempt(cfg, kernel, entry, fault, &rec);
+        let result = attempt(cfg, kernel, entry, oracle, fault, &rec);
         match &result {
             Err(f) if attempts < max_attempts && retry.should_retry(&f.error, injected) => {
                 on_retry();
@@ -418,6 +421,7 @@ fn run_kernel_inner(
     cfg: &RunConfig,
     kernel: &str,
     entry: &SuiteEntry,
+    oracle: &Oracle,
     fault: Option<&FaultSpec>,
 ) -> KernelRun {
     let new_rec = || {
@@ -433,6 +437,7 @@ fn run_kernel_inner(
         0,
         kernel,
         entry,
+        oracle,
         fault,
         new_rec,
         || {},
@@ -448,25 +453,30 @@ pub fn run_kernel(
     kernel: &str,
     entry: &SuiteEntry,
 ) -> Result<KernelReport, KernelFailure> {
-    run_kernel_inner(cfg, kernel, entry, None).result
+    run_kernel_inner(cfg, kernel, entry, &Oracle::new(&entry.coo), None).result
 }
 
 /// Runs a matrix's HiSM, CRS and (optional) format legs side by side.
-/// The legs share nothing (each builds its own input, engine and
-/// recorder), so the CRS and format legs run on scoped threads of their
-/// own beside the HiSM leg; a panic on a leg thread is re-raised here.
+/// Each leg builds its own input, engine and recorder; the only thing
+/// they share is the matrix's host oracle, built once by whichever leg
+/// verifies first. So the CRS and format legs run on scoped threads of
+/// their own beside the HiSM leg; a panic on a leg thread is re-raised
+/// here.
 fn run_legs(
     cfg: &RunConfig,
     entry: &SuiteEntry,
     fault: Option<&FaultSpec>,
     format_kernel: Option<&'static str>,
 ) -> (KernelRun, KernelRun, Option<KernelRun>) {
+    let oracle = Oracle::new(&entry.coo);
+    let oracle = &oracle;
     std::thread::scope(|scope| {
-        let leg =
-            |kernel: &'static str| scope.spawn(move || run_kernel_inner(cfg, kernel, entry, fault));
+        let leg = |kernel: &'static str| {
+            scope.spawn(move || run_kernel_inner(cfg, kernel, entry, oracle, fault))
+        };
         let crs = leg("transpose_crs");
         let format = format_kernel.map(leg);
-        let hism = run_kernel_inner(cfg, "transpose_hism", entry, fault);
+        let hism = run_kernel_inner(cfg, "transpose_hism", entry, oracle, fault);
         let join = |h: std::thread::ScopedJoinHandle<'_, KernelRun>| {
             h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
         };
@@ -762,7 +772,7 @@ mod tests {
                 }
                 let mut rollups = Vec::new();
                 for (i, (kernel, run, reported)) in legs.into_iter().enumerate() {
-                    let seq = run_kernel_inner(&cfg, kernel, &e, None);
+                    let seq = run_kernel_inner(&cfg, kernel, &e, &Oracle::new(&e.coo), None);
                     let (got, want) = (run.result.unwrap(), seq.result.unwrap());
                     let what = format!("{} {kernel} ({format:?})", e.name);
                     assert_eq!(got.output_digest, want.output_digest, "{what}");
@@ -814,7 +824,11 @@ mod tests {
                 let first = ["transpose_hism", "transpose_crs"]
                     .into_iter()
                     .chain(format_kernel)
-                    .find_map(|k| run_kernel_inner(&cfg, k, &e, Some(&fault)).result.err());
+                    .find_map(|k| {
+                        run_kernel_inner(&cfg, k, &e, &Oracle::new(&e.coo), Some(&fault))
+                            .result
+                            .err()
+                    });
                 match (first, &r.status) {
                     (Some(want), RunStatus::Failed(got)) => {
                         assert_eq!(format!("{got:?}"), format!("{want:?}"), "{class:?}");
@@ -1077,11 +1091,12 @@ mod tests {
         let e = entry("m", gen::random::uniform(32, 32, 100, 1));
         // Unknown kernel: every attempt fails, so the default policy's
         // two attempts both run.
-        let run = run_kernel_inner(&cfg, "bogus", &e, None);
+        let oracle = Oracle::new(&e.coo);
+        let run = run_kernel_inner(&cfg, "bogus", &e, &oracle, None);
         assert!(run.result.is_err());
         assert_eq!(run.attempts, 2);
         // A clean kernel succeeds on the first attempt.
-        let ok = run_kernel_inner(&cfg, "transpose_hism", &e, None);
+        let ok = run_kernel_inner(&cfg, "transpose_hism", &e, &oracle, None);
         assert!(ok.result.is_ok());
         assert_eq!(ok.attempts, 1);
         // Deterministic injected faults are never retried.
@@ -1090,13 +1105,13 @@ mod tests {
             class: FaultClass::PointerRetarget,
             seed: 9,
         };
-        let faulted = run_kernel_inner(&cfg, "transpose_crs", &e, Some(&fault));
+        let faulted = run_kernel_inner(&cfg, "transpose_crs", &e, &oracle, Some(&fault));
         assert!(faulted.result.is_err());
         assert_eq!(faulted.attempts, 1);
         // A blown cycle budget would abort identically again.
         let mut tight = cfg.clone();
         tight.vp.cycle_budget = Some(1);
-        let deadline = run_kernel_inner(&tight, "transpose_hism", &e, None);
+        let deadline = run_kernel_inner(&tight, "transpose_hism", &e, &oracle, None);
         assert!(matches!(
             deadline.result.map_err(|f| f.error),
             Err(KernelError::DeadlineExceeded(_))
@@ -1114,7 +1129,7 @@ mod tests {
             ..RunConfig::default()
         };
         let e = entry("m one", gen::random::uniform(64, 64, 300, 2));
-        let run = run_kernel_inner(&cfg, "transpose_hism", &e, None);
+        let run = run_kernel_inner(&cfg, "transpose_hism", &e, &Oracle::new(&e.coo), None);
         let report = run.result.expect("clean run");
         let data = run.rec.snapshot();
         // Exactly one lifecycle per trace: a retried (or aggregated)

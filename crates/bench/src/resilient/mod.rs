@@ -52,7 +52,7 @@ use crate::trace::export_trace;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex};
-use stm_core::kernels::registry::{self, KernelError, KernelFailure, KernelReport, Stage};
+use stm_core::kernels::registry::{self, KernelError, KernelFailure, KernelReport, Oracle, Stage};
 use stm_dsab::SuiteEntry;
 use stm_hism::FaultClass;
 use stm_obs::{Category, Lane, Recorder, TraceData};
@@ -408,6 +408,7 @@ type LegResult = Option<(Option<KernelReport>, u64)>;
 fn verify_primary(
     run: &RunConfig,
     entry: &SuiteEntry,
+    oracle: &Oracle,
     kernel: &'static str,
     mode: VerifyMode,
     primary: &KernelReport,
@@ -450,7 +451,7 @@ fn verify_primary(
                     Some(backend) => {
                         let mut alt = run.clone();
                         alt.backend = backend;
-                        attempt(&alt, kernel, entry, None, &Recorder::disabled())
+                        attempt(&alt, kernel, entry, oracle, None, &Recorder::disabled())
                             .ok()
                             .and_then(|r| r.output.canonical_digest().map(|d| (Some(r), d)))
                     }
@@ -943,6 +944,9 @@ fn run_slot(
             Recorder::disabled()
         }
     };
+    // Every leg of the slot (primary, verify legs, fallback) checks
+    // against one host oracle.
+    let oracle = Oracle::new(&entry.coo);
     let (primary, attempts) = match decision {
         Decision::Skip => (None, 0),
         Decision::Run | Decision::Probe => {
@@ -952,8 +956,17 @@ fn run_slot(
                 }
             };
             let key = fnv1a(index as u64, kernel.as_bytes());
-            let done =
-                attempt_with_retry(run, retry, key, kernel, entry, fault, attempt_rec, on_retry);
+            let done = attempt_with_retry(
+                run,
+                retry,
+                key,
+                kernel,
+                entry,
+                &oracle,
+                fault,
+                attempt_rec,
+                on_retry,
+            );
             if done.result.is_ok() {
                 absorb_structural(rec, &done.rec, &mut clock);
             }
@@ -961,7 +974,7 @@ fn run_slot(
         }
     };
     let verify = match &primary {
-        Some(Ok(r)) => verify_primary(run, entry, kernel, mode, r),
+        Some(Ok(r)) => verify_primary(run, entry, &oracle, kernel, mode, r),
         _ => None,
     };
     if traced && verify.as_ref().is_some_and(|v| v.corrupted) {
@@ -992,7 +1005,7 @@ fn run_slot(
             let mut sim = run.clone();
             sim.backend = registry::Backend::Sim;
             let att = attempt_rec();
-            let result = attempt(&sim, fb, entry, None, &att);
+            let result = attempt(&sim, fb, entry, &oracle, None, &att);
             if result.is_ok() {
                 absorb_structural(rec, &att, &mut clock);
             }

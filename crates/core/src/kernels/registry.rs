@@ -36,7 +36,7 @@ use stm_hism::{build, faults, FaultClass, FaultRecord, HismImage};
 use stm_host as host;
 use stm_obs::{Category, Lane};
 use stm_sparse::rng::StdRng;
-use stm_sparse::{Coo, Csc, Csr, Jd, Sell, SellConfig, SparseFormat, Value};
+use stm_sparse::{Coo, Csc, Csr, Jd, Sell, SellConfig, Value};
 
 /// A leg's functional output and timed report.
 type Leg = Result<(KernelOutput, TransposeReport), KernelError>;
@@ -64,7 +64,7 @@ struct Row {
     output: Output,
     /// The oracle an output is checked against. It shares no code with
     /// the legs it judges.
-    verify: fn(&Coo, &[Value], &KernelOutput) -> Result<(), KernelError>,
+    verify: fn(&Oracle, &[Value], &KernelOutput) -> Result<(), KernelError>,
     /// See [`fallback_for`].
     fallback: Option<&'static str>,
     /// What the robustness suite may corrupt.
@@ -474,7 +474,13 @@ impl Kernel {
 
     /// Checks `out` against the host oracle for `coo`.
     pub fn verify(&self, coo: &Coo, out: &KernelOutput) -> Result<(), KernelError> {
-        (self.row.verify)(coo, &self.x, out)
+        self.verify_with(&Oracle::new(coo), out)
+    }
+
+    /// Checks `out` against `oracle`, which legs of the same matrix may
+    /// share.
+    pub fn verify_with(&self, oracle: &Oracle, out: &KernelOutput) -> Result<(), KernelError> {
+        (self.row.verify)(oracle, &self.x, out)
     }
 
     /// Applies one deterministic fault of `class` to the prepared input
@@ -632,7 +638,44 @@ fn sell_shape(sa: &SellArrays) -> (usize, usize, usize) {
     (sa.rows, sa.cols, sa.row_len.iter().sum())
 }
 
-fn verify_hism_transpose(coo: &Coo, _: &[Value], out: &KernelOutput) -> Result<(), KernelError> {
+/// The host oracle of one matrix: its transpose by `stm-sparse`'s
+/// Pissanetsky algorithm (what the format layer's `Csr::transpose`
+/// returns), built on first use and then shared by every leg that
+/// verifies against it — the batch harness builds one per matrix for
+/// its HiSM and CRS legs. It uses only `stm-sparse`, so it shares no
+/// code with any simulated or host leg it judges.
+#[derive(Debug)]
+pub struct Oracle<'a> {
+    coo: &'a Coo,
+    transpose: std::sync::OnceLock<Csr>,
+}
+
+impl<'a> Oracle<'a> {
+    /// The oracle of `coo`; nothing is computed yet.
+    pub fn new(coo: &'a Coo) -> Self {
+        Oracle {
+            coo,
+            transpose: std::sync::OnceLock::new(),
+        }
+    }
+
+    /// The matrix itself.
+    pub fn coo(&self) -> &'a Coo {
+        self.coo
+    }
+
+    /// The matrix's transpose as canonical CSR.
+    pub fn transpose(&self) -> &Csr {
+        self.transpose
+            .get_or_init(|| Csr::from_coo(self.coo).transpose_pissanetsky())
+    }
+}
+
+fn verify_hism_transpose(
+    oracle: &Oracle,
+    _: &[Value],
+    out: &KernelOutput,
+) -> Result<(), KernelError> {
     let img = out
         .as_hism()
         .ok_or_else(|| KernelError::Mismatch("transpose_hism produces Hism outputs".into()))?;
@@ -642,7 +685,7 @@ fn verify_hism_transpose(coo: &Coo, _: &[Value], out: &KernelOutput) -> Result<(
     // distinct oracle entry with identical value bits; with equal
     // counts that makes the match a bijection, so duplicates and
     // explicit zeros in the output are rejected, not summed away.
-    let want = Csr::from_coo(coo).transpose_pissanetsky();
+    let want = oracle.transpose();
     let mismatch = |what: String| {
         Err(KernelError::Mismatch(format!(
             "decoded HiSM transpose differs from host oracle: {what}"
@@ -679,14 +722,15 @@ fn verify_hism_transpose(coo: &Coo, _: &[Value], out: &KernelOutput) -> Result<(
     Ok(())
 }
 
-fn verify_csr_transpose(coo: &Coo, _: &[Value], out: &KernelOutput) -> Result<(), KernelError> {
+fn verify_csr_transpose(
+    oracle: &Oracle,
+    _: &[Value],
+    out: &KernelOutput,
+) -> Result<(), KernelError> {
     let got = out
         .as_csr()
         .ok_or_else(|| KernelError::Mismatch("CRS kernels produce Csr outputs".into()))?;
-    // Through the format trait (Csr overrides it with Pissanetsky), so
-    // every CSR-output kernel verifies against the same oracle the
-    // format layer exposes.
-    if *got == SparseFormat::transpose(&Csr::from_coo(coo))? {
+    if got == oracle.transpose() {
         Ok(())
     } else {
         Err(KernelError::Mismatch(
@@ -697,11 +741,15 @@ fn verify_csr_transpose(coo: &Coo, _: &[Value], out: &KernelOutput) -> Result<()
 
 /// The CSC kernel's output must equal `Csr::from_coo(A)` bit for bit:
 /// those arrays read as CSC are canonical `Aᵀ`.
-fn verify_csc_transpose(coo: &Coo, _: &[Value], out: &KernelOutput) -> Result<(), KernelError> {
+fn verify_csc_transpose(
+    oracle: &Oracle,
+    _: &[Value],
+    out: &KernelOutput,
+) -> Result<(), KernelError> {
     let got = out
         .as_csr()
         .ok_or_else(|| KernelError::Mismatch("transpose_csc produces Csr outputs".into()))?;
-    if *got == Csr::from_coo(coo) {
+    if *got == Csr::from_coo(oracle.coo()) {
         Ok(())
     } else {
         Err(KernelError::Mismatch(
@@ -710,7 +758,12 @@ fn verify_csc_transpose(coo: &Coo, _: &[Value], out: &KernelOutput) -> Result<()
     }
 }
 
-fn verify_dense_transpose(coo: &Coo, _: &[Value], out: &KernelOutput) -> Result<(), KernelError> {
+fn verify_dense_transpose(
+    oracle: &Oracle,
+    _: &[Value],
+    out: &KernelOutput,
+) -> Result<(), KernelError> {
+    let coo = oracle.coo();
     let KernelOutput::Dense(got) = out else {
         return Err(KernelError::Mismatch(
             "transpose_dense produces Dense outputs".into(),
@@ -725,7 +778,8 @@ fn verify_dense_transpose(coo: &Coo, _: &[Value], out: &KernelOutput) -> Result<
     }
 }
 
-fn verify_spmv(coo: &Coo, x: &[Value], out: &KernelOutput) -> Result<(), KernelError> {
+fn verify_spmv(oracle: &Oracle, x: &[Value], out: &KernelOutput) -> Result<(), KernelError> {
+    let coo = oracle.coo();
     let y = out
         .as_vector()
         .ok_or_else(|| KernelError::Mismatch("spmv kernels produce Vector outputs".into()))?;
@@ -1390,6 +1444,32 @@ mod tests {
             NAMES[..3],
             ["transpose_hism", "transpose_crs", "transpose_crs_scalar"]
         );
+    }
+
+    #[test]
+    fn one_oracle_verifies_every_leg_of_a_matrix() {
+        let coo = gen::random::uniform(30, 40, 150, 4);
+        let ctx = ExecCtx::paper();
+        let oracle = Oracle::new(&coo);
+        let want = Csr::from_coo(&coo).transpose_pissanetsky();
+        let mut outputs = Vec::new();
+        for name in ["transpose_hism", "transpose_crs", "transpose_jd"] {
+            let mut k = create(name).unwrap();
+            k.prepare(&coo, &ctx).unwrap();
+            let out = k.run(&ctx).unwrap().output;
+            k.verify_with(&oracle, &out).unwrap();
+            outputs.push(out);
+        }
+        // Built once, on first use, and equal to the standalone oracle.
+        assert!(std::ptr::eq(oracle.transpose(), oracle.transpose()));
+        assert_eq!(*oracle.transpose(), want);
+        // A wrong output still fails against the shared oracle.
+        let other = gen::random::uniform(30, 40, 150, 5);
+        let wrong = create("transpose_crs").unwrap();
+        assert!(matches!(
+            wrong.verify_with(&Oracle::new(&other), &outputs[1]),
+            Err(KernelError::Mismatch(_))
+        ));
     }
 
     #[test]
