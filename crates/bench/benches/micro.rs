@@ -1,4 +1,4 @@
-//! Micro-benchmarks for the host-level components: the STM unit model,
+//! Micro-benchmarks for the host-level components: the STM block models,
 //! the non-zero locator, HiSM construction/serialization, the software
 //! transposes, and the end-to-end simulator throughput.
 //!
@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use stm_core::kernels::registry;
 use stm_core::locator::{first_ones, GateLocator};
-use stm_core::unit::{StmConfig, StmUnit};
+use stm_core::unit::{block_timing, StmConfig};
 use stm_hism::{build, transpose as hism_transpose_sw, HismImage};
 use stm_sparse::gen::{blocks, random, structured};
 use stm_sparse::Csr;
@@ -64,12 +64,16 @@ fn dense_block_entries(s: usize, stride: usize) -> Vec<(u8, u8, u32)> {
     v
 }
 
-fn bench_stm_unit() {
+fn positions(entries: &[(u8, u8, u32)]) -> Vec<(u8, u8)> {
+    entries.iter().map(|&(r, c, _)| (r, c)).collect()
+}
+
+fn bench_block_timing() {
+    let cfg = StmConfig::default();
     for (name, stride) in [("dense", 1usize), ("quarter", 4), ("sparse", 16)] {
-        let entries = dense_block_entries(64, stride);
-        let mut unit = StmUnit::new(StmConfig::default());
-        bench(&format!("stm_unit_transpose_block/{name}"), || {
-            black_box(unit.transpose_block(black_box(&entries)));
+        let positions = positions(&dense_block_entries(64, stride));
+        bench(&format!("stm_block_timing/{name}"), || {
+            black_box(block_timing(black_box(&positions), &cfg));
         });
     }
 }
@@ -127,9 +131,10 @@ fn bench_simulator_throughput() {
 fn bench_micro_model() {
     use stm_core::micro::MicroStm;
     let entries = dense_block_entries(64, 2);
-    let mut unit = StmUnit::new(StmConfig::default());
-    bench("stm_models/analytic_unit", || {
-        black_box(unit.transpose_block(black_box(&entries)));
+    let positions = positions(&entries);
+    let cfg = StmConfig::default();
+    bench("stm_models/analytic_block_timing", || {
+        black_box(block_timing(black_box(&positions), &cfg));
     });
     let mut micro = MicroStm::new(StmConfig::default());
     bench("stm_models/cycle_stepped_micro", || {
@@ -173,7 +178,7 @@ fn bench_scalar_core() {
 
 fn main() {
     println!("host micro-benchmarks (median of 20 samples, ~1 s each)\n");
-    bench_stm_unit();
+    bench_block_timing();
     bench_locator();
     bench_hism_build();
     bench_software_transposes();

@@ -16,9 +16,10 @@
 //!   stage B compacts them into the I/O buffer; stage C presents them to
 //!   the register file. Three stages ⇒ the 3-cycle drain.
 //!
-//! The property test in `tests/proptest_kernels.rs` and the unit tests
-//! below pin `MicroStm` cycle counts to the analytic [`BlockTiming`]
-//! exactly — if either model drifts, the suite fails.
+//! The exhaustive s = 4 enumeration in this crate, the property test in
+//! `tests/proptest_kernels.rs` and the unit tests below pin `MicroStm`
+//! cycle counts to the analytic [`BlockTiming`] exactly — if either
+//! model drifts, the suite fails.
 
 use crate::sxs::SxsMemory;
 use crate::unit::{BlockTiming, StmConfig, PHASE_PIPELINE_CYCLES};
@@ -99,7 +100,7 @@ impl MicroStm {
         self.cycles += t;
 
         // -------- read phase --------
-        let mut remaining = self.mem.drain_column_major(); // (col, row, payload)
+        let mut remaining: Vec<_> = self.mem.column_major_from(0).collect(); // (col, row, payload)
         let mut out: Vec<(u8, u8, u32)> = Vec::with_capacity(entries.len());
         let mut t = 0u64;
         type ReadToken = (u64, Vec<(u8, u8, u32)>);
@@ -153,7 +154,10 @@ impl MicroStm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::unit::{block_timing, StmUnit};
+    use crate::coproc::StmCoprocessor;
+    use crate::unit::block_timing;
+    use stm_hism::image::{pack_pos, unpack_pos};
+    use stm_vpsim::{Engine, Memory, VReg, VpConfig};
 
     fn entries(pattern: &[(u8, u8)]) -> Vec<(u8, u8, u32)> {
         let mut v: Vec<(u8, u8, u32)> = pattern
@@ -191,13 +195,31 @@ mod tests {
     }
 
     #[test]
-    fn micro_model_output_matches_behavioural_unit() {
+    fn micro_model_output_matches_the_coprocessor() {
         let block = entries(&[(0, 3), (1, 1), (2, 6), (4, 0), (4, 4), (7, 7)]);
         let cfg = StmConfig { s: 8, b: 4, l: 4 };
         let mut micro = MicroStm::new(cfg);
-        let mut unit = StmUnit::new(cfg);
         let (a, _) = micro.transpose_block(&block);
-        let (b, _) = unit.transpose_block(&block);
+        let vp = VpConfig {
+            section_size: 8,
+            ..VpConfig::paper()
+        };
+        let mut e = Engine::new(vp, Memory::new());
+        let mut stm = StmCoprocessor::new(cfg);
+        stm.icm(&mut e);
+        let payload = VReg::ready_at(block.iter().map(|b| b.2).collect(), 0);
+        let pos = VReg::ready_at(block.iter().map(|b| pack_pos(b.0, b.1)).collect(), 0);
+        stm.v_stcr(&mut e, &payload, &pos).unwrap();
+        let (vals, tpos) = stm.v_ldcc(&mut e, 8);
+        let b: Vec<(u8, u8, u32)> = vals
+            .data
+            .iter()
+            .zip(&tpos.data)
+            .map(|(&v, &p)| {
+                let (r, c) = unpack_pos(p);
+                (r, c, v)
+            })
+            .collect();
         assert_eq!(a, b);
     }
 

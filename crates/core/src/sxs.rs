@@ -171,12 +171,6 @@ impl SxsMemory {
             .collect()
     }
 
-    /// Drains the memory column-major: the read phase's element sequence,
-    /// as `(col, row, payload)` triples in (col, row) order.
-    pub fn drain_column_major(&self) -> Vec<(u8, u8, u32)> {
-        self.column_major_from(0).collect()
-    }
-
     /// The drain sequence from column-major position `from` (`col * s +
     /// row`) on: every set element at or after it, as `(col, row,
     /// payload)` in (col, row) order. Lets a read phase resume where its
@@ -241,7 +235,7 @@ mod tests {
         m.insert(2, 1, 12);
         // Column-major: col1 rows 0,2; col3 row 0.
         assert_eq!(
-            m.drain_column_major(),
+            m.column_major_from(0).collect::<Vec<_>>(),
             vec![(1, 0, 10), (1, 2, 12), (3, 0, 11)]
         );
     }
@@ -252,7 +246,7 @@ mod tests {
         for (r, c) in [(0u8, 0u8), (70, 0), (199, 0), (5, 64), (130, 130), (3, 199)] {
             m.insert(r, c, r as u32 * 1000 + c as u32);
         }
-        let all = m.drain_column_major();
+        let all: Vec<_> = m.column_major_from(0).collect();
         for from in 0..200 * 200 {
             let want: Vec<_> = all
                 .iter()

@@ -8,12 +8,13 @@
 mod common;
 
 use common::{arb_coo, arb_positions, case_rng, pick, StdRng};
+use hism_stm::hism::image::{pack_pos, unpack_pos};
 use hism_stm::hism::{build, HismImage};
 use hism_stm::sparse::Csr;
 use hism_stm::stm::kernels::{transpose_crs, transpose_hism};
-use hism_stm::stm::unit::{block_timing, buffer_utilization, StmConfig, StmUnit};
-use hism_stm::stm::ExecCtx;
-use hism_stm::vpsim::VpConfig;
+use hism_stm::stm::unit::{block_timing, buffer_utilization, StmConfig};
+use hism_stm::stm::{ExecCtx, StmCoprocessor, StmStats};
+use hism_stm::vpsim::{Engine, Memory, VReg, VpConfig};
 
 /// Arbitrary STM geometry with a matching VP config.
 fn arb_geometry(r: &mut StdRng) -> ExecCtx {
@@ -77,6 +78,34 @@ fn simulated_crs_transpose_is_exact() {
     }
 }
 
+/// One engine-driven block session at section size `s`, issued the way
+/// the HiSM kernel issues it: `v_stcr` strips of at most `s` entries,
+/// then `v_ldcc` strips until drained. Returns the drained entries and
+/// the unit's statistics.
+fn coprocessor_session(block: &[(u8, u8, u32)], cfg: StmConfig) -> (Vec<(u8, u8, u32)>, StmStats) {
+    let vp = VpConfig {
+        section_size: cfg.s,
+        ..VpConfig::paper()
+    };
+    let mut e = Engine::new(vp, Memory::new());
+    let mut stm = StmCoprocessor::new(cfg);
+    stm.icm(&mut e);
+    for strip in block.chunks(cfg.s) {
+        let payload = VReg::ready_at(strip.iter().map(|b| b.2).collect(), 0);
+        let pos = VReg::ready_at(strip.iter().map(|b| pack_pos(b.0, b.1)).collect(), 0);
+        stm.v_stcr(&mut e, &payload, &pos).unwrap();
+    }
+    let mut out = Vec::new();
+    while stm.remaining() > 0 {
+        let (vals, tpos) = stm.v_ldcc(&mut e, cfg.s);
+        out.extend(vals.data.iter().zip(&tpos.data).map(|(&v, &p)| {
+            let (r, c) = unpack_pos(p);
+            (r, c, v)
+        }));
+    }
+    (out, *stm.stats())
+}
+
 #[test]
 fn stm_unit_transposes_any_block() {
     for case in 0..48 {
@@ -85,8 +114,9 @@ fn stm_unit_transposes_any_block() {
         let b = r.gen_range(1..9u64);
         let l = r.gen_range(1..9usize);
         let block = numbered_block(&positions);
-        let mut unit = StmUnit::new(StmConfig { s: 16, b, l });
-        let (t, timing) = unit.transpose_block(&block);
+        let cfg = StmConfig { s: 16, b, l };
+        let (t, stats) = coprocessor_session(&block, cfg);
+        let (write, read) = (stats.write_batches, stats.read_batches);
         // Output is the coordinate swap, row-major sorted.
         let mut expect: Vec<(u8, u8, u32)> =
             block.iter().map(|&(row, col, v)| (col, row, v)).collect();
@@ -95,15 +125,24 @@ fn stm_unit_transposes_any_block() {
         // Timing sanity: at least ceil(z/b) batches per phase, at most z.
         let z = block.len() as u64;
         let min_batches = z.div_ceil(b);
-        assert!(timing.write_batches >= min_batches, "case {case}");
-        assert!(timing.read_batches >= min_batches, "case {case}");
-        assert!(timing.write_batches <= z.max(1) || z == 0, "case {case}");
-        // Fast path agrees with the unit.
-        assert_eq!(
-            block_timing(&positions, &StmConfig { s: 16, b, l }),
-            timing,
-            "case {case}"
-        );
+        assert!(write >= min_batches, "case {case}");
+        assert!(read >= min_batches, "case {case}");
+        assert!(write <= z && read <= z, "case {case}");
+        // Each instruction's transfers are block_timing's for its strip:
+        // written strips row-major, read strips in drain order.
+        let strip_write: u64 = positions
+            .chunks(16)
+            .map(|p| block_timing(p, &cfg).write_batches)
+            .sum();
+        let strip_read: u64 = expect
+            .chunks(16)
+            .map(|strip| {
+                let mut p: Vec<(u8, u8)> = strip.iter().map(|&(r, c, _)| (c, r)).collect();
+                p.sort_unstable();
+                block_timing(&p, &cfg).read_batches
+            })
+            .sum();
+        assert_eq!((write, read), (strip_write, strip_read), "case {case}");
     }
 }
 
@@ -178,7 +217,8 @@ fn faster_memory_never_slows_the_kernels() {
 #[test]
 fn micro_model_agrees_with_analytic_model() {
     // The cycle-stepped hardware model and the closed-form batch model
-    // are independent implementations of the same unit.
+    // are independent implementations of the same unit; the
+    // coprocessor's output is the third.
     for case in 0..48 {
         let mut r = case_rng(0xA7, case);
         let positions = arb_positions(&mut r, 16, 0, 100);
@@ -196,9 +236,8 @@ fn micro_model_agrees_with_analytic_model() {
         if !block.is_empty() {
             assert_eq!(micro.cycles(), micro_t.total_cycles(), "case {case}");
         }
-        let mut unit = StmUnit::new(cfg);
-        let (unit_out, _) = unit.transpose_block(&block);
-        assert_eq!(micro_out, unit_out, "case {case}");
+        let (copro_out, _) = coprocessor_session(&block, cfg);
+        assert_eq!(micro_out, copro_out, "case {case}");
     }
 }
 

@@ -41,7 +41,11 @@ fn check(r: &mut StdRng, m: &SxsMemory, oracle: &Oracle, what: &str) {
     let s = m.s();
     assert_eq!(m.count(), oracle.len(), "{what}: count");
     let drain: Vec<(u8, u8, u32)> = oracle.iter().map(|(&(c, row), &p)| (c, row, p)).collect();
-    assert_eq!(m.drain_column_major(), drain, "{what}: drain order");
+    assert_eq!(
+        m.column_major_from(0).collect::<Vec<_>>(),
+        drain,
+        "{what}: drain order"
+    );
     for c in 0..s {
         let want: Vec<(u8, u32)> = oracle
             .range((c as u8, 0)..=(c as u8, u8::MAX))
