@@ -115,7 +115,7 @@ pub(crate) fn simulate<T>(
         scalar: ran.scalar,
         stm: ran.stm,
         phases: ran.phases,
-        fu_busy: *e.fu_busy(),
+        fu_busy: e.fu_busy(),
         stalls: e.stall_breakdown(),
     };
     record_phases(&ctx.obs, &report.phases);

@@ -104,6 +104,11 @@ impl PortAcct {
         self.scalar_wait += delta.scalar_wait;
     }
 
+    /// Cycles the port held an instruction (busy plus chaining wait).
+    fn occupancy(&self) -> u64 {
+        self.busy + self.chain_wait
+    }
+
     /// Folds the account into a [`StallCauses`] row over a run of
     /// `total` cycles, leaving the uncovered remainder as `idle`.
     fn causes(&self, total: u64) -> StallCauses {
@@ -157,7 +162,6 @@ pub struct TimingMark {
     clock: u64,
     stall_end: u64,
     stats: EngineStats,
-    busy: FuBusy,
     accts: [PortAcct; 3],
 }
 
@@ -176,7 +180,6 @@ pub(crate) struct TimingRecord {
     /// clock, when it stalled at all.
     stall_end: Option<u64>,
     stats: EngineStats,
-    busy: FuBusy,
     /// Stall-bucket deltas of the memory port, the ALU and the STM.
     accts: [PortAcct; 3],
 }
@@ -275,7 +278,6 @@ pub struct Engine {
     /// Latest completion observed so far.
     horizon: u64,
     stats: EngineStats,
-    busy_acct: FuBusy,
     /// End of the latest front-end stall (stalls arrive in order and
     /// never overlap; checked in debug builds).
     stall_end: u64,
@@ -318,7 +320,6 @@ impl Engine {
             busy: [0; 2],
             horizon: 0,
             stats: EngineStats::default(),
-            busy_acct: FuBusy::default(),
             stall_end: 0,
             mem_acct: vec![PortAcct::default(); ports],
             fu_acct: [PortAcct::default(); 2],
@@ -347,9 +348,14 @@ impl Engine {
         &self.obs
     }
 
-    /// Per-functional-unit busy-cycle accounting.
-    pub fn fu_busy(&self) -> &FuBusy {
-        &self.busy_acct
+    /// Per-functional-unit occupancy (busy plus chaining wait) of the
+    /// run so far, read off the stall accounts; memory sums its ports.
+    pub fn fu_busy(&self) -> FuBusy {
+        FuBusy {
+            mem: self.mem_acct.iter().map(PortAcct::occupancy).sum(),
+            alu: self.fu_acct[0].occupancy(),
+            stm: self.fu_acct[1].occupancy(),
+        }
     }
 
     /// Per-port stall-cause breakdown of the run so far: every port's
@@ -447,7 +453,6 @@ impl Engine {
             clock: self.clock,
             stall_end: self.stall_end,
             stats: self.stats,
-            busy: self.busy_acct,
             accts: [self.mem_acct[0], self.fu_acct[0], self.fu_acct[1]],
         })
     }
@@ -461,7 +466,6 @@ impl Engine {
             cycles: self.cycles() - mark.clock,
             stall_end: (self.stall_end != mark.stall_end).then(|| self.stall_end - mark.clock),
             stats: self.stats.since(&mark.stats),
-            busy: self.busy_acct.since(&mark.busy),
             accts: std::array::from_fn(|k| accts[k].since(&mark.accts[k])),
         }
     }
@@ -491,7 +495,6 @@ impl Engine {
             self.stall_end = start + t;
         }
         self.stats.merge(&rec.stats);
-        self.busy_acct.merge(&rec.busy);
         self.mem_acct[0].merge(&rec.accts[0]);
         self.fu_acct[0].merge(&rec.accts[1]);
         self.fu_acct[1].merge(&rec.accts[2]);
@@ -638,7 +641,7 @@ impl Engine {
     }
 
     /// Retires an instruction: updates port occupancy, the horizon, and
-    /// both busy accountings. `unconstrained_last` is the completion of
+    /// the port's stall account. `unconstrained_last` is the completion of
     /// the same instruction re-timed without operand constraints (`None`
     /// when the instruction had no chained inputs); the difference
     /// between actual and unconstrained occupancy is charged as
@@ -668,7 +671,6 @@ impl Engine {
             acct.last_end = last + 1;
             *busy = last + 1;
             self.horizon = self.horizon.max(last + 1);
-            self.busy_acct.add(fu, occupancy);
         }
         if self.obs.is_enabled() {
             let (lane, cat) = match fu {

@@ -102,8 +102,8 @@ impl StallCauses {
         self.busy + self.chain_wait + self.port_wait + self.stm_wait + self.scalar_wait + self.idle
     }
 
-    /// Occupancy of the port (busy + chain wait) — the quantity the
-    /// engine's coarse [`FuBusy`] accounting tracks.
+    /// Occupancy of the port (busy + chain wait) — the quantity
+    /// [`FuBusy`] reports per unit.
     pub fn occupancy(&self) -> u64 {
         self.busy + self.chain_wait
     }
@@ -171,43 +171,20 @@ impl StallBreakdown {
     }
 }
 
-/// Per-functional-unit busy-cycle accounting.
+/// Per-functional-unit occupancy: each unit's busy plus chaining-wait
+/// cycles, with memory summed over its ports (see
+/// [`crate::Engine::fu_busy`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FuBusy {
-    /// Busy cycles of the vector memory port.
+    /// Occupied cycles of the vector memory ports.
     pub mem: u64,
-    /// Busy cycles of the vector ALU.
+    /// Occupied cycles of the vector ALU.
     pub alu: u64,
-    /// Busy cycles of the STM.
+    /// Occupied cycles of the STM.
     pub stm: u64,
 }
 
 impl FuBusy {
-    /// Adds `cycles` to the unit's account.
-    pub fn add(&mut self, fu: Fu, cycles: u64) {
-        match fu {
-            Fu::Mem => self.mem += cycles,
-            Fu::Alu => self.alu += cycles,
-            Fu::Stm => self.stm += cycles,
-        }
-    }
-
-    /// Busy cycles accrued since the `earlier` snapshot.
-    pub(crate) fn since(&self, earlier: &FuBusy) -> FuBusy {
-        FuBusy {
-            mem: self.mem - earlier.mem,
-            alu: self.alu - earlier.alu,
-            stm: self.stm - earlier.stm,
-        }
-    }
-
-    /// Adds another account to this one.
-    pub(crate) fn merge(&mut self, other: &FuBusy) {
-        self.mem += other.mem;
-        self.alu += other.alu;
-        self.stm += other.stm;
-    }
-
     /// Utilization of a unit over a run of `total` cycles (0 when idle).
     pub fn utilization(&self, fu: Fu, total: u64) -> f64 {
         if total == 0 {
@@ -228,11 +205,11 @@ mod tests {
 
     #[test]
     fn busy_accounting_and_utilization() {
-        let mut b = FuBusy::default();
-        b.add(Fu::Mem, 30);
-        b.add(Fu::Mem, 10);
-        b.add(Fu::Stm, 5);
-        assert_eq!(b.mem, 40);
+        let b = FuBusy {
+            mem: 40,
+            alu: 0,
+            stm: 5,
+        };
         assert!((b.utilization(Fu::Mem, 80) - 0.5).abs() < 1e-12);
         assert_eq!(b.utilization(Fu::Alu, 80), 0.0);
         assert_eq!(b.utilization(Fu::Mem, 0), 0.0);
