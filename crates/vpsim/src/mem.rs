@@ -21,10 +21,6 @@ pub enum OobPolicy {
     /// OOB writes are dropped. The engine surfaces the fault as a typed
     /// error after the run.
     Trap,
-    /// Like [`OobPolicy::Trap`], but the caller is expected to let the run
-    /// finish and catch the poison in verification rather than surface the
-    /// fault eagerly.
-    Poison,
 }
 
 /// The sentinel returned by out-of-bounds reads under a guard. Chosen to be
@@ -61,7 +57,6 @@ impl std::fmt::Display for MemFault {
 pub struct Memory {
     words: Vec<u32>,
     limit: Option<u32>,
-    policy: OobPolicy,
     // Cell: reads take `&self` but must still be able to record the fault.
     fault: Cell<Option<MemFault>>,
     oob_events: Cell<u64>,
@@ -99,7 +94,6 @@ impl Memory {
         } else {
             Some(limit)
         };
-        self.policy = policy;
         self.clear_fault();
     }
 
@@ -358,7 +352,7 @@ mod tests {
     #[test]
     fn guarded_write_is_dropped() {
         let mut m = Memory::with_capacity(4);
-        m.guard(4, OobPolicy::Poison);
+        m.guard(4, OobPolicy::Trap);
         m.write(2, 11);
         m.write(9, 99);
         assert_eq!(m.len(), 4, "OOB write must not grow the store");

@@ -187,10 +187,7 @@ fn block_access_matches_word_by_word_access() {
         for a in 0..size as u32 {
             mem.write(a, r.gen_range(1..1000u64) as u32);
         }
-        let policy = pick(
-            &mut r,
-            &[OobPolicy::Grow, OobPolicy::Trap, OobPolicy::Poison],
-        );
+        let policy = pick(&mut r, &[OobPolicy::Grow, OobPolicy::Trap]);
         // The guard sits below, at, or above the end of the store.
         let limit = r.gen_range(0..=size + 16) as u32;
         mem.guard(limit, policy);
