@@ -353,8 +353,9 @@ struct Shared {
     /// are a striped mutex and a map insert, far off the execution
     /// path's clock.
     metrics: MetricsRegistry,
-    /// The crash flight recorder's event ring (same shard layout).
-    flight: FlightRecorder,
+    /// The crash flight recorder's event ring (same shard layout), kept
+    /// only when a dump directory is configured: nothing else reads it.
+    flight: Option<FlightRecorder>,
     /// Server start, the epoch for wall-clock metric windows and flight
     /// timestamps.
     start: Instant,
@@ -389,17 +390,19 @@ impl Shared {
         telemetry::render_prometheus(&self.metrics.snapshot(self.now_secs()))
     }
 
-    /// Note an event in the flight ring.
+    /// Note an event in the flight ring, if there is one.
     fn flight_note(&self, shard: usize, name: &'static str, req: u64) {
-        self.flight.record(shard, name, self.now_ms(), req);
+        if let Some(flight) = &self.flight {
+            flight.record(shard, name, self.now_ms(), req);
+        }
     }
 
     /// Dump the flight ring, if a dump directory is configured.
     fn flight_dump(&self, reason: &'static str) {
-        let Some(dir) = &self.cfg.flight_dir else {
+        let (Some(flight), Some(dir)) = (&self.flight, &self.cfg.flight_dir) else {
             return;
         };
-        match self.flight.dump(dir, reason, self.now_ms()) {
+        match flight.dump(dir, reason, self.now_ms()) {
             Ok(path) => eprintln!("stmserve: flight dump ({reason}): {}", path.display()),
             Err(e) => eprintln!("stmserve: flight dump ({reason}) failed: {e}"),
         }
@@ -528,8 +531,11 @@ impl Server {
         for name in WINDOW_FAMILIES {
             metrics.declare_window(0, name);
         }
-        let flight = FlightRecorder::new(permits + 1, cfg.flight_window_ms);
-        let install_panic_hook = cfg.flight_dir.is_some();
+        let flight = cfg
+            .flight_dir
+            .as_ref()
+            .map(|_| FlightRecorder::new(permits + 1, cfg.flight_window_ms));
+        let install_panic_hook = flight.is_some();
         let shared = Arc::new(Shared {
             state: Mutex::new(state),
             done: Condvar::new(),
