@@ -172,6 +172,7 @@ fn bench_scalar_core() {
             &mut mem,
             &program,
             histogram_max_instructions(nnz),
+            true,
         ));
     });
 }

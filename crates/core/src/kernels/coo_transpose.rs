@@ -100,11 +100,13 @@ fn run_phases(
 
     // Phase 1: scalar histogram over the column array.
     let program = histogram_program(cola, nnz, iat);
+    let rec = e.recorder().clone();
     let scalar_stats = run_scalar(
         vp_cfg,
         e.mem_mut(),
         &program,
         histogram_max_instructions(nnz),
+        &rec,
     );
     if scalar_stats.capped {
         return Err(KernelError::Corrupt(

@@ -148,7 +148,7 @@ pub fn transpose_crs_scalar(
     let (rows, cols, nnz) = (csr.rows(), csr.cols(), csr.nnz());
     let program = scalar_transpose_program(&layout, rows, cols);
     let cap = scalar_transpose_max_instructions(rows, cols, nnz);
-    let stats = run_scalar(vp_cfg, &mut mem, &program, cap);
+    let stats = run_scalar(vp_cfg, &mut mem, &program, cap, rec);
     let cycles = ctx.timing.model().scalar_cycles(stats.cycles);
     if rec.is_enabled() {
         rec.complete(

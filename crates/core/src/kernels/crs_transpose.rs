@@ -233,11 +233,13 @@ pub(crate) fn run_phases(
 
     // Phase 1: scalar histogram on the 4-way core.
     let program = histogram_program(layout.ja, nnz, layout.iat);
+    let rec = e.recorder().clone();
     let scalar_stats = run_scalar(
         vp_cfg,
         e.mem_mut(),
         &program,
         histogram_max_instructions(nnz),
+        &rec,
     );
     if scalar_stats.capped {
         return Err(KernelError::Corrupt(

@@ -102,6 +102,7 @@ mod tests {
             &mut mem,
             &p,
             histogram_max_instructions(ja.len()),
+            true,
         );
         // IAT[0] untouched; IAT[j+1] = count of column j.
         assert_eq!(mem.read_block(200, 4), vec![0, 3, 1, 2]);
@@ -144,6 +145,7 @@ mod tests {
             &mut mem,
             &p,
             histogram_max_instructions(nnz),
+            true,
         )
         .cycles;
         assert!(
@@ -156,7 +158,7 @@ mod tests {
     fn empty_input_halts_immediately() {
         let mut mem = Memory::new();
         let p = histogram_program(0, 0, 10);
-        let st = run_program(&VpConfig::paper(), &mut mem, &p, 16);
+        let st = run_program(&VpConfig::paper(), &mut mem, &p, 16, true);
         assert_eq!(st.instructions, 1);
     }
 
@@ -172,6 +174,7 @@ mod tests {
                 &mut mem,
                 &p,
                 histogram_max_instructions(nnz),
+                true,
             )
             .cycles
         };
@@ -197,6 +200,7 @@ mod tests {
                 &mut mem,
                 &p,
                 histogram_max_instructions(nnz),
+                true,
             )
             .cycles
         };

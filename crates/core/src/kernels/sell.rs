@@ -297,11 +297,13 @@ fn run_transpose_phases(
     // padding overhead of the format is paid here, visibly: every pad
     // cell costs one loop iteration whose count lands in IAT[cols + 1].
     let program = histogram_program(layout.col, cells, iat);
+    let rec = e.recorder().clone();
     let scalar_stats = run_scalar(
         vp_cfg,
         e.mem_mut(),
         &program,
         histogram_max_instructions(cells),
+        &rec,
     );
     if scalar_stats.capped {
         return Err(KernelError::Corrupt(

@@ -21,18 +21,27 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// Recorded bodies a table keeps at most: a loop whose states never
-/// repeat stops recording instead of growing without bound.
-const CAPACITY: usize = 1 << 12;
+/// repeat stops recording instead of growing without bound. The scalar
+/// core's segment memo ([`crate::scalar::cpu`]) keeps the same bound.
+pub(crate) const CAPACITY: usize = 1 << 12;
 
 /// Misses a table takes before it judges whether replay pays: from
 /// then on it stays on only while at least one lookup in four hits.
 /// Where states do not repeat, lookups and recording only cost.
 const WARMUP: u64 = 256;
 
+/// Whether a memo table with `hits` and `misses` so far still pays
+/// (see [`WARMUP`]); once it does not, its owner turns it off for the
+/// rest of the run.
+#[inline]
+pub(crate) fn pays(hits: u64, misses: u64) -> bool {
+    misses < WARMUP || misses <= 3 * hits
+}
+
 /// Distinct (key, state) pairs a table notes at most.
 const SIGHTINGS: usize = 1 << 16;
 
-type Words = BuildHasherDefault<WordHasher>;
+pub(crate) type Words = BuildHasherDefault<WordHasher>;
 
 /// A memo table of loop-body timing, keyed by a body key the kernel
 /// chooses (the words that fix the body's instruction shapes) plus the
@@ -75,7 +84,7 @@ impl Replay {
     /// on the engine ([`Engine::timing_state`]) or this table has
     /// stopped paying.
     pub fn state(&self, e: &Engine) -> Option<TimingState> {
-        if self.misses >= WARMUP && self.misses > 3 * self.hits {
+        if !pays(self.hits, self.misses) {
             return None;
         }
         e.timing_state()
@@ -167,7 +176,7 @@ impl Replay {
 /// saves. Not a digest (`stm_sparse::hash` is the workspace's digest);
 /// it only places keys in a table whose lookups compare keys in full.
 #[derive(Debug, Default, Clone, Copy)]
-struct WordHasher(u64);
+pub(crate) struct WordHasher(u64);
 
 impl WordHasher {
     fn add(&mut self, w: u64) {

@@ -50,6 +50,9 @@ pub struct Cache {
     /// geometry), so the set index and tag are a mask and a shift.
     set_shift: Option<u32>,
     stamp: u64,
+    /// The line of the last access and its index in `ways`: the next
+    /// access to the same line hits there without a search.
+    last: (u64, usize),
     hits: u64,
     misses: u64,
 }
@@ -67,6 +70,7 @@ impl Cache {
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_shift: n.is_power_of_two().then(|| n.trailing_zeros()),
             stamp: 0,
+            last: (u64::MAX, 0),
             hits: 0,
             misses: 0,
         }
@@ -78,12 +82,18 @@ impl Cache {
     pub fn access(&mut self, word_addr: u32) -> u64 {
         self.stamp += 1;
         let line = (word_addr as u64 * 4) >> self.line_shift;
+        if line == self.last.0 {
+            self.ways[self.last.1].1 = self.stamp;
+            self.hits += 1;
+            return self.cfg.hit_latency;
+        }
         let (set, tag) = match self.set_shift {
             Some(sh) => ((line & ((1 << sh) - 1)) as usize, line >> sh),
             None => ((line % self.sets) as usize, line / self.sets),
         };
         let assoc = self.cfg.assoc;
-        let ways = &mut self.ways[set * assoc..(set + 1) * assoc];
+        let base = set * assoc;
+        let ways = &mut self.ways[base..base + assoc];
         // Branch-free scans: which way hits is data-dependent, so an
         // early-exit search would mispredict on most accesses. Valid tags
         // in a set are distinct, so at most one way matches.
@@ -94,6 +104,7 @@ impl Cache {
         if hit < assoc {
             ways[hit].1 = self.stamp;
             self.hits += 1;
+            self.last = (line, base + hit);
             return self.cfg.hit_latency;
         }
         // Miss: evict the least recently used way (the first on a tie,
@@ -104,7 +115,8 @@ impl Cache {
             victim = if stamp < ways[victim].1 { way } else { victim };
         }
         ways[victim] = (tag, self.stamp);
-        self.cfg.hit_latency + self.cfg.miss_penalty
+        self.last = (line, base + victim);
+        self.miss_latency()
     }
 
     /// Hits so far.
@@ -118,8 +130,15 @@ impl Cache {
     }
 
     /// Hit latency of the configuration.
+    #[inline]
     pub fn hit_latency(&self) -> u64 {
         self.cfg.hit_latency
+    }
+
+    /// Miss latency of the configuration (hit latency plus penalty).
+    #[inline]
+    pub fn miss_latency(&self) -> u64 {
+        self.cfg.hit_latency + self.cfg.miss_penalty
     }
 }
 
@@ -177,6 +196,26 @@ mod tests {
         c.access(16); // set 0 (line 2 of 2 sets → 2 % 2 = 0)
         assert_eq!(c.access(0), 1);
         assert_eq!(c.access(16), 1);
+    }
+
+    #[test]
+    fn repeating_the_last_line_keeps_lru_order() {
+        // 2 sets x 2 ways: lines 0, 2 and 4 share set 0.
+        let cfg = CacheConfig {
+            size_bytes: 128,
+            line_bytes: 32,
+            assoc: 2,
+            hit_latency: 1,
+            miss_penalty: 10,
+        };
+        let mut c = Cache::new(cfg);
+        c.access(16); // line 2
+        c.access(0); // line 0
+        assert_eq!(c.access(1), 1); // line 0 again, without a search
+        c.access(32); // line 4 evicts line 2, the least recently used
+        assert_eq!(c.access(0), 1);
+        assert_eq!(c.access(16), 11);
+        assert_eq!((c.hits(), c.misses()), (2, 4));
     }
 
     #[test]

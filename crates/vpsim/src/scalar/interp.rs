@@ -8,8 +8,10 @@ use super::isa::{Program, SInstr, NUM_REGS};
 use crate::mem::Memory;
 
 /// Executes `program` functionally (no cycle accounting). Returns the
-/// final register file. Panics past `max_instructions` like the timed
-/// interpreter.
+/// final register file. Panics past `max_instructions`, unlike the
+/// timed interpreter, which stops there and sets
+/// [`ScalarRunStats::capped`](super::cpu::ScalarRunStats::capped): an
+/// oracle is only run on programs that halt.
 pub fn run_functional(
     mem: &mut Memory,
     program: &Program,
@@ -95,7 +97,7 @@ mod tests {
         let mut m1 = Memory::new();
         let mut m2 = Memory::new();
         run_functional(&mut m1, &build(), 10_000);
-        run_program(&VpConfig::paper(), &mut m2, &build(), 10_000);
+        run_program(&VpConfig::paper(), &mut m2, &build(), 10_000, true);
         for addr in 495..530u32 {
             assert_eq!(m1.read(addr), m2.read(addr), "divergence at {addr}");
         }

@@ -24,19 +24,24 @@ pub mod ooo;
 
 use crate::config::VpConfig;
 use crate::mem::Memory;
+use stm_obs::Recorder;
 
 /// Runs a scalar program with the pipeline model selected by
-/// `cfg.scalar_out_of_order` — the entry point the kernels use.
+/// `cfg.scalar_out_of_order` — the entry point the kernels use. `rec` is
+/// the run's recorder: like the engine's timing replay, the in-order
+/// core memoizes loop timing only while no live recorder watches, so a
+/// traced run times every instruction.
 pub fn run_scalar(
     cfg: &VpConfig,
     mem: &mut Memory,
     program: &isa::Program,
     max_instructions: u64,
+    rec: &Recorder,
 ) -> cpu::ScalarRunStats {
     if cfg.scalar_out_of_order {
         ooo::run_program_ooo(cfg, mem, program, max_instructions)
     } else {
-        cpu::run_program(cfg, mem, program, max_instructions)
+        cpu::run_program(cfg, mem, program, max_instructions, !rec.is_enabled())
     }
 }
 

@@ -248,7 +248,7 @@ mod tests {
         let run_io = || {
             let mut mem = Memory::new();
             mem.write_block(0, &(0..256u32).map(|k| k % 19).collect::<Vec<_>>());
-            run_program(&cfg(), &mut mem, &p, 100_000).cycles
+            run_program(&cfg(), &mut mem, &p, 100_000, true).cycles
         };
         let run_ooo = || {
             let mut mem = Memory::new();

@@ -2,12 +2,13 @@
 //! replay memoized timing must agree exactly with a run that times every
 //! instruction.
 //!
-//! The engine replays only when no live recorder is installed, so the
-//! same run through `Recorder::disabled()` (replay on) and through an
-//! enabled recorder (replay off) must give the same full
-//! `TransposeReport`, the same output digest, or the same typed error —
-//! across section sizes, STM bandwidths, chaining, memory ports, cycle
-//! budgets and every fault class the two campaign kernels host.
+//! The engine replays, and the scalar core memoizes its loop iterations,
+//! only when no live recorder is installed, so the same run through
+//! `Recorder::disabled()` (replay on) and through an enabled recorder
+//! (replay off) must give the same full `TransposeReport`, the same
+//! output digest, or the same typed error — across section sizes, STM
+//! bandwidths, chaining, memory ports, cycle budgets and every fault
+//! class the two campaign kernels and the scalar-core kernels host.
 
 use hism_stm::dsab::quick_catalogue;
 use hism_stm::obs::Recorder;
@@ -179,6 +180,15 @@ fn replay_is_invisible_across_the_machine_sweep() {
     assert!(deadlines > 0, "no run hit the cycle budget");
 }
 
+/// Every kernel that runs on the scalar core (the CRS histogram or the
+/// whole scalar transpose), besides the two campaign kernels.
+const SCALAR_CORE: [&str; 4] = [
+    "transpose_crs_scalar",
+    "transpose_coo",
+    "transpose_jd",
+    "transpose_sell",
+];
+
 #[test]
 fn replay_is_invisible_under_every_hosted_fault() {
     quiet_deadline_panics();
@@ -187,22 +197,36 @@ fn replay_is_invisible_under_every_hosted_fault() {
         .into_iter()
         .chain([FaultClass::MidRunBitFlip]);
     let mut hosted = std::collections::BTreeSet::new();
-    for class in classes {
-        for kernel in ["transpose_hism", "transpose_crs"] {
+    let mut capped = 0;
+    for class in classes.map(Some).chain([None]) {
+        let kernels = ["transpose_hism", "transpose_crs"].into_iter();
+        for kernel in kernels.chain(SCALAR_CORE) {
             for (name, coo) in &coos {
                 // s = 8 gives the HiSM images several levels, so pointer
                 // faults reach the recursion; s = 64 is the paper machine.
                 for s in [8usize, 64] {
                     let ctx = machine(s, 4, 4, true, 1, None);
-                    let label = format!("{name} s={s} fault={class}");
-                    if assert_replay_invisible(kernel, &label, coo, &ctx, Some(class)).is_some() {
+                    let label = format!("{name} s={s} fault={class:?}");
+                    let Some(got) = assert_replay_invisible(kernel, &label, coo, &ctx, class)
+                    else {
+                        continue;
+                    };
+                    if let Some(class) = class {
                         hosted.insert((kernel, class.name()));
                     }
+                    capped += (kernel == "transpose_crs_scalar"
+                        && got.contains("instruction budget"))
+                        as usize;
                 }
             }
         }
     }
-    // transpose_hism hosts all seven classes; transpose_crs the six
-    // input classes.
-    assert_eq!(hosted.len(), 7 + 6, "{hosted:?}");
+    // transpose_hism hosts all seven classes; COO, which has no pointer
+    // or length arrays and no value fault, three; the other kernels the
+    // six input classes.
+    assert_eq!(hosted.len(), 7 + 6 + 6 + 3 + 6 + 6, "{hosted:?}");
+    // Not vacuous: corrupt row pointers drive some scalar CRS
+    // transposes into their instruction cap, which the memo must reach
+    // at the same instruction.
+    assert!(capped > 0, "no run hit its instruction cap");
 }
