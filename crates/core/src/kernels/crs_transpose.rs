@@ -66,12 +66,9 @@ pub fn load_csr(mem: &mut Memory, alloc: &mut Allocator, csr: &Csr) -> CrsLayout
         jat: alloc.alloc(nnz),
         ant: alloc.alloc(nnz),
     };
-    let ia: Vec<u32> = csr.row_ptr().iter().map(|&p| p as u32).collect();
-    let ja: Vec<u32> = csr.col_idx().iter().map(|&c| c as u32).collect();
-    let an: Vec<u32> = csr.values().iter().map(|v| v.to_bits()).collect();
-    mem.write_block(layout.ia, &ia);
-    mem.write_block(layout.ja, &ja);
-    mem.write_block(layout.an, &an);
+    mem.write_iter(layout.ia, csr.row_ptr().iter().map(|&p| p as u32));
+    mem.write_iter(layout.ja, csr.col_idx().iter().map(|&c| c as u32));
+    mem.write_iter(layout.an, csr.values().iter().map(|v| v.to_bits()));
     layout
 }
 
@@ -92,16 +89,8 @@ pub fn decode_result(
     for j in 0..cols {
         row_ptr.push(mem.read(layout.iat + j as u32) as usize);
     }
-    let col_idx: Vec<usize> = mem
-        .read_block(layout.jat, nnz)
-        .into_iter()
-        .map(|w| w as usize)
-        .collect();
-    let values: Vec<f32> = mem
-        .read_block(layout.ant, nnz)
-        .into_iter()
-        .map(f32::from_bits)
-        .collect();
+    let col_idx = mem.read_block_map(layout.jat, nnz, |w| w as usize);
+    let values = mem.read_block_map(layout.ant, nnz, f32::from_bits);
     Csr::from_parts(cols, rows, row_ptr, col_idx, values)
         .map_err(|e| KernelError::Corrupt(format!("simulated CRS transposition invalid: {e}")))
 }

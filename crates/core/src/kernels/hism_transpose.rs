@@ -93,8 +93,12 @@ pub fn transpose_hism(
         })
     };
     simulate(ctx, mem, limit, nnz, body, |mem| {
+        // The transposed image is the first `limit` words of the memory,
+        // taken over without a copy.
+        let mut words = mem.into_words();
+        words.truncate(image.words.len());
         let mut out = HismImage {
-            words: mem.read_block(0, image.words.len()),
+            words,
             root: RootDesc {
                 rows: image.root.cols,
                 cols: image.root.rows,

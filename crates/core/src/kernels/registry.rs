@@ -602,8 +602,7 @@ fn nominal_report(
 
 fn prepare_hism(coo: &Coo, ctx: &ExecCtx) -> Result<Prepared, KernelError> {
     ctx.validate().map_err(KernelError::Config)?;
-    let h = build::from_coo(coo, ctx.stm.s)?;
-    Ok(Prepared::Hism(HismImage::encode(&h)))
+    Ok(Prepared::Hism(build::image_from_coo(coo, ctx.stm.s)?))
 }
 
 fn prepare_csr(coo: &Coo, _: &ExecCtx) -> Result<Prepared, KernelError> {
@@ -671,6 +670,18 @@ impl<'a> Oracle<'a> {
     }
 }
 
+/// Checks a HiSM transpose in one walk over the output image, with every
+/// check [`HismImage::decode`] makes: its integrity sums, bounds,
+/// runaway budget, positions and shape. On the way every entry must
+/// claim a distinct entry of the oracle with identical value bits; with
+/// equal counts that makes the match a bijection, so duplicates and
+/// explicit zeros in the output are rejected, not summed away. The
+/// oracle is stm-sparse's Pissanetsky transpose, which shares no code
+/// with either HiSM leg.
+///
+/// A failure is reported as the first failing entry in the order of the
+/// decoded blockarrays (row-major at every level); a failing image is
+/// walked a second time in that order to find it.
 fn verify_hism_transpose(
     oracle: &Oracle,
     _: &[Value],
@@ -679,47 +690,84 @@ fn verify_hism_transpose(
     let img = out
         .as_hism()
         .ok_or_else(|| KernelError::Mismatch("transpose_hism produces Hism outputs".into()))?;
-    let got = img.decode()?;
-    // The oracle is stm-sparse's Pissanetsky transpose, which shares
-    // no code with either HiSM leg. Every decoded entry must claim a
-    // distinct oracle entry with identical value bits; with equal
-    // counts that makes the match a bijection, so duplicates and
-    // explicit zeros in the output are rejected, not summed away.
     let want = oracle.transpose();
+    let mut claims = Claims::new(want);
+    img.walk(&mut claims)?;
     let mismatch = |what: String| {
         Err(KernelError::Mismatch(format!(
             "decoded HiSM transpose differs from host oracle: {what}"
         )))
     };
-    if got.shape() != want.shape() || got.nnz() != want.nnz() {
+    let shape = (img.root.rows as usize, img.root.cols as usize);
+    if shape != want.shape() || claims.nnz != want.nnz() {
         return mismatch(format!(
             "{:?} with {} entries, expected {:?} with {}",
-            got.shape(),
-            got.nnz(),
+            shape,
+            claims.nnz,
             want.shape(),
             want.nnz()
         ));
     }
-    // `got.nnz()` counts the decoded leaf entries `iter` walks.
-    let mut claimed = vec![0u64; want.nnz().div_ceil(64)];
-    for (r, c, v) in got.iter() {
+    if claims.failure.is_none() {
+        return Ok(());
+    }
+    let mut claims = Claims::new(want);
+    img.walk_in_position_order(&mut claims)?;
+    match claims.failure {
+        Some(what) => mismatch(what),
+        None => Ok(()),
+    }
+}
+
+/// The oracle entries a HiSM output's entries have claimed, one bit per
+/// entry of the oracle's CSR, and the first entry that failed to claim.
+struct Claims<'a> {
+    want: &'a Csr,
+    claimed: Vec<u64>,
+    nnz: usize,
+    failure: Option<String>,
+}
+
+impl<'a> Claims<'a> {
+    fn new(want: &'a Csr) -> Self {
+        Claims {
+            want,
+            claimed: vec![0; want.nnz().div_ceil(64)],
+            nnz: 0,
+            failure: None,
+        }
+    }
+}
+
+impl stm_hism::image::Visitor for Claims<'_> {
+    type Block = ();
+
+    fn entry(&mut self, _: u32, _: (u8, u8), (r, c): (u64, u64), bits: u32) {
+        self.nnz += 1;
+        if self.failure.is_some() {
+            return;
+        }
+        let want = self.want;
+        let (r, c) = (r as usize, c as usize);
         let slot = (r < want.rows())
             .then(|| {
                 let (cols, vals) = want.row(r);
                 let k = cols.binary_search(&c).ok()?;
-                (vals[k].to_bits() == v.to_bits()).then(|| want.row_ptr()[r] + k)
+                (vals[k].to_bits() == bits).then(|| want.row_ptr()[r] + k)
             })
             .flatten();
+        let v = Value::from_bits(bits);
         let Some(slot) = slot else {
-            return mismatch(format!("entry ({r}, {c}) = {v} is not in the oracle"));
+            self.failure = Some(format!("entry ({r}, {c}) = {v} is not in the oracle"));
+            return;
         };
         let (word, bit) = (slot / 64, 1u64 << (slot % 64));
-        if claimed[word] & bit != 0 {
-            return mismatch(format!("entry ({r}, {c}) appears twice"));
+        if self.claimed[word] & bit != 0 {
+            self.failure = Some(format!("entry ({r}, {c}) appears twice"));
+            return;
         }
-        claimed[word] |= bit;
+        self.claimed[word] |= bit;
     }
-    Ok(())
 }
 
 fn verify_csr_transpose(

@@ -124,14 +124,6 @@ pub struct ValueSite {
     pub value: f32,
 }
 
-/// Accumulator for one structural walk over an image.
-#[derive(Default)]
-struct SectionWalk {
-    sums: SectionSums,
-    collect_values: bool,
-    value_sites: Vec<ValueSite>,
-}
-
 /// The versioned sidecar header carrying an image's section checksums.
 /// It travels next to the image (never inside the word vector, which
 /// stays exactly the hardware layout) and is re-derivable at any time
@@ -253,18 +245,12 @@ impl HismImage {
     /// structural corruption found, exactly like [`HismImage::decode`]
     /// (minus position-range checks, which are a decode concern).
     pub fn compute_integrity(&self) -> Result<IntegrityHeader, ImageError> {
-        let mut walk = SectionWalk::default();
-        self.walk_block(
-            self.root.addr,
-            self.root.len,
-            self.root.levels.max(1) - 1,
-            (0, 0),
-            &mut (self.words.len() as u64 / 2 + 1),
-            &mut walk,
-        )?;
+        let mut sums_only = ();
+        let mut w = Walker::structure(self, &mut sums_only);
+        w.root()?;
         Ok(IntegrityHeader {
             version: INTEGRITY_VERSION,
-            sums: walk.sums,
+            sums: w.sums,
         })
     }
 
@@ -285,19 +271,9 @@ impl HismImage {
     /// let a fault injector weight sites by how they feed a downstream
     /// computation (e.g. which SpMV input element they multiply).
     pub fn value_sites_detailed(&self) -> Result<Vec<ValueSite>, ImageError> {
-        let mut walk = SectionWalk {
-            collect_values: true,
-            ..SectionWalk::default()
-        };
-        self.walk_block(
-            self.root.addr,
-            self.root.len,
-            self.root.levels.max(1) - 1,
-            (0, 0),
-            &mut (self.words.len() as u64 / 2 + 1),
-            &mut walk,
-        )?;
-        Ok(walk.value_sites)
+        let mut sites = Vec::new();
+        Walker::structure(self, &mut sites).root()?;
+        Ok(sites)
     }
 
     /// (Re-)seals the integrity header over the current words. A
@@ -314,9 +290,8 @@ impl HismImage {
     /// * `Err(ImageError::Integrity {..})` — a section disagrees.
     /// * `Err(other)` — the image is too structurally broken to walk.
     pub fn verify_integrity(&self) -> Result<bool, ImageError> {
-        let header = match &self.integrity {
-            Some(h) if h.version == INTEGRITY_VERSION => h,
-            _ => return Ok(false),
+        let Some(header) = self.sealed() else {
+            return Ok(false);
         };
         let got = self.compute_integrity()?;
         match header.sums.diff(&got.sums) {
@@ -325,60 +300,11 @@ impl HismImage {
         }
     }
 
-    fn walk_block(
-        &self,
-        addr: u32,
-        len: u32,
-        level: u32,
-        off: (u64, u64),
-        budget: &mut u64,
-        out: &mut SectionWalk,
-    ) -> Result<(), ImageError> {
-        let base = addr as usize;
-        if (len as u64) > *budget {
-            return Err(ImageError::Runaway { addr });
-        }
-        *budget -= len as u64;
-        // Each level-ℓ position addresses an s^ℓ × s^ℓ subblock. The
-        // walk runs before decode's section-size guard (the checksum
-        // check is the *first* line of defence), so the root descriptor
-        // is untrusted here: saturate instead of overflowing on garbage
-        // `s`/`levels` — the offsets only matter for valid images.
-        let scale = (self.root.s.max(1) as u64).saturating_pow(level);
-        if level == 0 {
-            for k in 0..len as usize {
-                let v = self.word(base + 2 * k)?;
-                let p = self.word(base + 2 * k + 1)?;
-                out.sums.values ^= fnv1a_u32(v);
-                out.sums.positions ^= fnv1a_u32(p);
-                if out.collect_values {
-                    let (r, c) = unpack_pos(p);
-                    out.value_sites.push(ValueSite {
-                        addr: (base + 2 * k) as u32,
-                        row: off.0.saturating_add(r as u64),
-                        col: off.1.saturating_add(c as u64),
-                        value: f32::from_bits(v),
-                    });
-                }
-            }
-        } else {
-            let lens_base = base + 2 * len as usize;
-            for k in 0..len as usize {
-                let child_addr = self.word(base + 2 * k)?;
-                let p = self.word(base + 2 * k + 1)?;
-                let child_len = self.word(lens_base + k)?;
-                out.sums.pointers ^= fnv1a_u32(child_addr);
-                out.sums.positions ^= fnv1a_u32(p);
-                out.sums.lengths ^= fnv1a_u32(child_len);
-                let (r, c) = unpack_pos(p);
-                let child_off = (
-                    off.0.saturating_add((r as u64).saturating_mul(scale)),
-                    off.1.saturating_add((c as u64).saturating_mul(scale)),
-                );
-                self.walk_block(child_addr, child_len, level - 1, child_off, budget, out)?;
-            }
-        }
-        Ok(())
+    /// The integrity header, when it is a version this crate checks.
+    fn sealed(&self) -> Option<&IntegrityHeader> {
+        self.integrity
+            .as_ref()
+            .filter(|h| h.version == INTEGRITY_VERSION)
     }
 
     /// Rebuilds the host structure from the image. Works on images whose
@@ -390,142 +316,72 @@ impl HismImage {
     /// runaway total size) is returned as a typed [`ImageError`] carrying
     /// the offending word address — decoding never panics.
     pub fn decode(&self) -> Result<HismMatrix, ImageError> {
-        if self.root.levels == 0 {
-            return Err(ImageError::ZeroLevels);
-        }
-        // A sealed image is checked against its checksums before the
-        // structural walk, so a flipped bit is reported as the content
-        // corruption it is — even when it lands on a word the structural
-        // checks would never look at.
-        self.verify_integrity()?;
-        if !(2..=256).contains(&(self.root.s as usize)) {
-            return Err(ImageError::BadSectionSize(self.root.s));
-        }
-        let mut blocks: Vec<HismBlock> = Vec::new();
-        // A valid image never holds more entries than words/2; use that
-        // as a runaway guard against cyclic pointer corruption.
-        let mut budget = self.words.len() as u64 / 2 + 1;
-        let root = self.decode_block(
-            self.root.addr,
-            self.root.len,
-            self.root.levels - 1,
-            (0, 0),
-            &mut blocks,
-            &mut budget,
-        )?;
-        let nnz = blocks
-            .iter()
-            .map(|b| if b.level == 0 { b.len() } else { 0 })
-            .sum();
+        let mut rebuild = Rebuild::default();
+        let root = self.walk(&mut rebuild)?;
         Ok(HismMatrix {
             s: self.root.s as usize,
             rows: self.root.rows as usize,
             cols: self.root.cols as usize,
             levels: self.root.levels as usize,
-            blocks,
+            blocks: rebuild.arena,
             root,
-            nnz,
+            nnz: rebuild.nnz,
         })
     }
 
-    fn word(&self, addr: usize) -> Result<u32, ImageError> {
-        self.words
-            .get(addr)
-            .copied()
-            .ok_or_else(|| ImageError::OutOfBounds {
-                addr: addr.min(u32::MAX as usize) as u32,
-                len: self.words.len() as u32,
-            })
+    /// Walks the image with every check [`HismImage::decode`] makes and
+    /// fails with the error decode fails with, handing each leaf entry
+    /// and finished blockarray to `visit` (entries in layout order,
+    /// children before their parent).
+    ///
+    /// A sealed image is checked against its checksums before anything
+    /// else, so a flipped bit is reported as the content corruption it
+    /// is — even when it lands on a word the structural checks would
+    /// never look at. Position errors found on the way therefore wait
+    /// until the sums are known, and the walk goes on past them: what
+    /// `visit` saw is meaningful only on `Ok`.
+    pub fn walk<V: Visitor>(&self, visit: &mut V) -> Result<V::Block, ImageError> {
+        self.walk_checked(visit, false)
     }
 
-    /// Decodes the blockarray at `addr` whose block starts at matrix
-    /// coordinates `origin`.
-    fn decode_block(
+    /// [`HismImage::walk`], visiting the entries of every blockarray in
+    /// row-major position order (stably, so equal positions keep their
+    /// layout order) — the order of [`HismImage::decode`]'s blockarrays.
+    pub fn walk_in_position_order<V: Visitor>(
         &self,
-        addr: u32,
-        len: u32,
-        level: u32,
-        origin: (u64, u64),
-        arena: &mut Vec<HismBlock>,
-        budget: &mut u64,
-    ) -> Result<usize, ImageError> {
-        let base = addr as usize;
-        if (len as u64) > *budget {
-            return Err(ImageError::Runaway { addr });
+        visit: &mut V,
+    ) -> Result<V::Block, ImageError> {
+        self.walk_checked(visit, true)
+    }
+
+    fn walk_checked<V: Visitor>(
+        &self,
+        visit: &mut V,
+        ordered: bool,
+    ) -> Result<V::Block, ImageError> {
+        if self.root.levels == 0 {
+            return Err(ImageError::ZeroLevels);
         }
-        *budget -= len as u64;
-        let s = self.root.s as u8;
-        let sw = self.root.s;
-        let check_pos = |addr: usize, row: u8, col: u8| -> Result<(), ImageError> {
-            if (sw as usize) < 256 && (row >= s || col >= s) {
-                return Err(ImageError::BadPosition {
-                    addr: addr.min(u32::MAX as usize) as u32,
-                    row,
-                    col,
-                    s: sw,
-                });
-            }
-            Ok(())
-        };
-        // Where an entry lands in the matrix: each position at this level
-        // spans `s^level` rows and columns. Saturating, so a corrupt deep
-        // hierarchy lands out of shape instead of overflowing.
-        let step = u64::from(sw).saturating_pow(level);
-        let (rows, cols) = (self.root.rows, self.root.cols);
-        let place = |addr: usize, row: u8, col: u8| -> Result<(u64, u64), ImageError> {
-            let at = (
-                origin.0.saturating_add(u64::from(row).saturating_mul(step)),
-                origin.1.saturating_add(u64::from(col).saturating_mul(step)),
-            );
-            if at.0 >= u64::from(rows) || at.1 >= u64::from(cols) {
-                return Err(ImageError::OutOfShape {
-                    addr: addr.min(u32::MAX as usize) as u32,
-                    rows,
-                    cols,
-                });
-            }
-            Ok(at)
-        };
-        if level == 0 {
-            let mut leaf: Vec<LeafEntry> = Vec::with_capacity(len as usize);
-            for k in 0..len as usize {
-                let v = Value::from_bits(self.word(base + 2 * k)?);
-                let (row, col) = unpack_pos(self.word(base + 2 * k + 1)?);
-                check_pos(base + 2 * k + 1, row, col)?;
-                place(base + 2 * k + 1, row, col)?;
-                leaf.push(LeafEntry { row, col, value: v });
-            }
-            leaf.sort_by_key(|e| (e.row, e.col));
-            arena.push(HismBlock {
-                level: 0,
-                data: BlockData::Leaf(leaf),
-            });
-        } else {
-            let lens_base = base + 2 * len as usize;
-            let mut node: Vec<NodeEntry> = Vec::with_capacity(len as usize);
-            for k in 0..len as usize {
-                let child_addr = self.word(base + 2 * k)?;
-                let (row, col) = unpack_pos(self.word(base + 2 * k + 1)?);
-                check_pos(base + 2 * k + 1, row, col)?;
-                let child_origin = place(base + 2 * k + 1, row, col)?;
-                let child_len = self.word(lens_base + k)?;
-                let child = self.decode_block(
-                    child_addr,
-                    child_len,
-                    level - 1,
-                    child_origin,
-                    arena,
-                    budget,
-                )?;
-                node.push(NodeEntry { row, col, child });
-            }
-            node.sort_by_key(|e| (e.row, e.col));
-            arena.push(HismBlock {
-                level: level as usize,
-                data: BlockData::Node(node),
-            });
+        let s_ok = (2..=256).contains(&self.root.s);
+        let header = self.sealed();
+        if header.is_none() && !s_ok {
+            return Err(ImageError::BadSectionSize(self.root.s));
         }
-        Ok(arena.len() - 1)
+        let mut w = Walker::structure(self, visit);
+        w.positions = s_ok;
+        w.defer = header.is_some();
+        w.ordered = ordered;
+        let root = w.root()?;
+        if let Some(err) = header.and_then(|h| h.sums.diff(&w.sums)) {
+            return Err(err);
+        }
+        if !s_ok {
+            return Err(ImageError::BadSectionSize(self.root.s));
+        }
+        match w.position_error {
+            Some(err) => Err(err),
+            None => Ok(root),
+        }
     }
 
     /// Total image size in words.
@@ -545,6 +401,349 @@ impl HismImage {
         // are unverifiable. Drop the header rather than carry a stale one.
         self.integrity = None;
     }
+}
+
+/// What a walk over an image ([`HismImage::walk`]) does with what it
+/// reaches. Blockarrays finish children first, so a visitor can rebuild
+/// the hierarchy; the default methods ignore structure.
+pub trait Visitor {
+    /// What a finished blockarray hands its parent.
+    type Block: Default;
+
+    /// Whether [`Visitor::entry`] reads `at`. When it does not and
+    /// positions go unchecked, the walk passes the leaf's origin instead
+    /// of computing each entry's coordinates.
+    const COORDINATES: bool = true;
+
+    /// A level-`level` blockarray of `len` entries is about to be
+    /// visited.
+    fn open(&mut self, _level: u32, _len: u32) {}
+
+    /// One leaf entry: the word address of its value word, its in-block
+    /// `(row, col)`, its global coordinates and its value bits.
+    fn entry(&mut self, addr: u32, pos: (u8, u8), at: (u64, u64), bits: u32);
+
+    /// The leaf blockarray whose `len` entries were just visited.
+    fn leaf(&mut self, _len: u32) -> Self::Block {
+        Self::Block::default()
+    }
+
+    /// One entry of a node blockarray at in-block `pos`, after its
+    /// child blockarray finished as `child`.
+    fn child(&mut self, _pos: (u8, u8), _child: Self::Block) {}
+
+    /// The level-`level` node blockarray whose `len` children were just
+    /// visited.
+    fn node(&mut self, _level: u32, _len: u32) -> Self::Block {
+        Self::Block::default()
+    }
+}
+
+/// A walk that only sums and checks.
+impl Visitor for () {
+    type Block = ();
+    const COORDINATES: bool = false;
+
+    fn entry(&mut self, _: u32, _: (u8, u8), _: (u64, u64), _: u32) {}
+}
+
+/// Collects the [`ValueSite`]s.
+impl Visitor for Vec<ValueSite> {
+    type Block = ();
+
+    fn entry(&mut self, addr: u32, _: (u8, u8), at: (u64, u64), bits: u32) {
+        self.push(ValueSite {
+            addr,
+            row: at.0,
+            col: at.1,
+            value: f32::from_bits(bits),
+        });
+    }
+}
+
+/// Rebuilds the host block arena for [`HismImage::decode`]: every
+/// blockarray sorted row-major, children before their parent.
+#[derive(Default)]
+struct Rebuild {
+    arena: Vec<HismBlock>,
+    /// The entries of the leaf being visited, sized when it opens.
+    leaf: Vec<LeafEntry>,
+    /// Finished children of the nodes being visited, innermost last.
+    nodes: Vec<NodeEntry>,
+    nnz: usize,
+}
+
+impl Rebuild {
+    fn push(&mut self, level: u32, data: BlockData) -> usize {
+        self.arena.push(HismBlock {
+            level: level as usize,
+            data,
+        });
+        self.arena.len() - 1
+    }
+}
+
+impl Visitor for Rebuild {
+    type Block = usize;
+    const COORDINATES: bool = false;
+
+    fn open(&mut self, level: u32, len: u32) {
+        if level == 0 {
+            self.leaf = Vec::with_capacity(len as usize);
+        }
+    }
+
+    fn entry(&mut self, _: u32, (row, col): (u8, u8), _: (u64, u64), bits: u32) {
+        self.leaf.push(LeafEntry {
+            row,
+            col,
+            value: Value::from_bits(bits),
+        });
+    }
+
+    fn leaf(&mut self, len: u32) -> usize {
+        self.nnz += len as usize;
+        let mut leaf = std::mem::take(&mut self.leaf);
+        leaf.sort_by_key(|e| (e.row, e.col));
+        self.push(0, BlockData::Leaf(leaf))
+    }
+
+    fn child(&mut self, (row, col): (u8, u8), child: usize) {
+        self.nodes.push(NodeEntry { row, col, child });
+    }
+
+    fn node(&mut self, level: u32, len: u32) -> usize {
+        let mut node = self.nodes.split_off(self.nodes.len() - len as usize);
+        node.sort_by_key(|e| (e.row, e.col));
+        self.push(level, BlockData::Node(node))
+    }
+}
+
+/// The one walker over an image's hierarchy, behind decode, the
+/// integrity sums, the value sites and every [`Visitor`]. Every read is
+/// bounds-checked and the entries visited are budgeted, so a corrupt
+/// image yields a typed [`ImageError`] instead of a panic or unbounded
+/// recursion.
+struct Walker<'a, V> {
+    image: &'a HismImage,
+    visit: &'a mut V,
+    /// Entries the walk may still visit. A valid image never holds more
+    /// than words/2, so running out means a pointer cycle or a corrupt
+    /// lengths vector.
+    budget: u64,
+    /// The section sums of every word visited.
+    sums: SectionSums,
+    /// Check every position against the block and the declared shape
+    /// (the root's section size is valid).
+    positions: bool,
+    /// Record the first position error and walk on instead of failing.
+    defer: bool,
+    position_error: Option<ImageError>,
+    /// Visit each blockarray's entries in position order.
+    ordered: bool,
+}
+
+impl<'a, V: Visitor> Walker<'a, V> {
+    /// A walk that sums and checks structure only. It runs before
+    /// decode's section-size guard, so the root descriptor is untrusted:
+    /// offsets saturate instead of overflowing on garbage `s`/`levels`.
+    fn structure(image: &'a HismImage, visit: &'a mut V) -> Self {
+        Walker {
+            image,
+            visit,
+            budget: image.words.len() as u64 / 2 + 1,
+            sums: SectionSums::default(),
+            positions: false,
+            defer: false,
+            position_error: None,
+            ordered: false,
+        }
+    }
+
+    fn root(&mut self) -> Result<V::Block, ImageError> {
+        let root = self.image.root;
+        self.block(root.addr, root.len, root.levels.max(1) - 1, (0, 0))
+    }
+
+    fn word(&self, addr: usize) -> Result<u32, ImageError> {
+        let words = &self.image.words;
+        words.get(addr).copied().ok_or(ImageError::OutOfBounds {
+            addr: addr.min(u32::MAX as usize) as u32,
+            len: words.len() as u32,
+        })
+    }
+
+    /// Visits the blockarray at `addr` whose block starts at matrix
+    /// coordinates `origin`.
+    fn block(
+        &mut self,
+        addr: u32,
+        len: u32,
+        level: u32,
+        origin: (u64, u64),
+    ) -> Result<V::Block, ImageError> {
+        let base = addr as usize;
+        if (len as u64) > self.budget {
+            return Err(ImageError::Runaway { addr });
+        }
+        self.budget -= len as u64;
+        // Each level-ℓ position addresses an s^ℓ × s^ℓ subblock.
+        let step = (self.image.root.s.max(1) as u64).saturating_pow(level);
+        let order = self.order(base, len as usize)?;
+        self.visit.open(level, len);
+        if level == 0 {
+            // The entries' word pairs that lie inside the image; the
+            // first word read past its end is then the image length (or
+            // `base`, for a blockarray that starts past it).
+            let words: &'a [u32] = &self.image.words;
+            let stored = words.get(base..).unwrap_or_default();
+            let pairs = &stored[..stored.len().min(2 * len as usize)];
+            let (values, positions) = match &order {
+                None => self.leaf_entries(base, pairs, origin, 0..pairs.len() / 2)?,
+                // An ordered walk has read every position word already.
+                Some(order) => {
+                    self.leaf_entries(base, pairs, origin, order.iter().map(|&k| k as usize))?
+                }
+            };
+            if pairs.len() < 2 * len as usize {
+                return Err(ImageError::OutOfBounds {
+                    addr: base.max(words.len()).min(u32::MAX as usize) as u32,
+                    len: words.len() as u32,
+                });
+            }
+            self.sums.values ^= values;
+            self.sums.positions ^= positions;
+            return Ok(self.visit.leaf(len));
+        }
+        let nth = |i: usize| order.as_ref().map_or(i, |o| o[i] as usize);
+        let lens_base = base + 2 * len as usize;
+        for i in 0..len as usize {
+            let k = nth(i);
+            let child_addr = self.word(base + 2 * k)?;
+            let p = self.word(base + 2 * k + 1)?;
+            let pos = unpack_pos(p);
+            let child_origin = self.place(base + 2 * k + 1, pos, origin, step)?;
+            let child_len = self.word(lens_base + k)?;
+            self.sums.pointers ^= fnv1a_u32(child_addr);
+            self.sums.positions ^= fnv1a_u32(p);
+            self.sums.lengths ^= fnv1a_u32(child_len);
+            let child = self.block(child_addr, child_len, level - 1, child_origin)?;
+            self.visit.child(pos, child);
+        }
+        Ok(self.visit.node(level, len))
+    }
+
+    /// Visits the leaf entries `ks` of the blockarray at `base`, whose
+    /// word pairs are `pairs`. Returns their value and position sums.
+    fn leaf_entries(
+        &mut self,
+        base: usize,
+        pairs: &[u32],
+        origin: (u64, u64),
+        ks: impl Iterator<Item = usize>,
+    ) -> Result<(u64, u64), ImageError> {
+        let (mut values, mut positions) = (0, 0);
+        let mut check = self.positions && self.position_error.is_none();
+        let bounds = self.bounds();
+        for k in ks {
+            let (bits, p) = (pairs[2 * k], pairs[2 * k + 1]);
+            values ^= fnv1a_u32(bits);
+            positions ^= fnv1a_u32(p);
+            let pos = unpack_pos(p);
+            let at = if check || V::COORDINATES {
+                (
+                    origin.0.saturating_add(u64::from(pos.0)),
+                    origin.1.saturating_add(u64::from(pos.1)),
+                )
+            } else {
+                origin
+            };
+            if check && !fits(pos, at, bounds) {
+                self.misplaced(base + 2 * k + 1, pos, at)?;
+                check = false;
+            }
+            self.visit.entry((base + 2 * k) as u32, pos, at, bits);
+        }
+        Ok((values, positions))
+    }
+
+    /// An ordered walk's visiting order of the blockarray at `base`:
+    /// entry indices stably sorted by position.
+    fn order(&self, base: usize, len: usize) -> Result<Option<Vec<u32>>, ImageError> {
+        if !self.ordered {
+            return Ok(None);
+        }
+        let mut keys = Vec::with_capacity(len);
+        for k in 0..len {
+            keys.push((self.word(base + 2 * k + 1)? & 0xffff, k as u32));
+        }
+        keys.sort_by_key(|&(pos, _)| pos);
+        Ok(Some(keys.into_iter().map(|(_, k)| k).collect()))
+    }
+
+    /// Where the entry at `pos` of the block at `origin` lands in the
+    /// matrix (each position spans `step` rows and columns), checked
+    /// when positions are. Saturating, so a corrupt deep hierarchy lands
+    /// out of shape instead of overflowing.
+    fn place(
+        &mut self,
+        addr: usize,
+        pos: (u8, u8),
+        origin: (u64, u64),
+        step: u64,
+    ) -> Result<(u64, u64), ImageError> {
+        let at = (
+            origin
+                .0
+                .saturating_add(u64::from(pos.0).saturating_mul(step)),
+            origin
+                .1
+                .saturating_add(u64::from(pos.1).saturating_mul(step)),
+        );
+        if self.positions && self.position_error.is_none() && !fits(pos, at, self.bounds()) {
+            self.misplaced(addr, pos, at)?;
+        }
+        Ok(at)
+    }
+
+    /// The bounds a checked position keeps ([`fits`]).
+    fn bounds(&self) -> (u32, u64, u64) {
+        let root = &self.image.root;
+        (root.s.min(256), u64::from(root.rows), u64::from(root.cols))
+    }
+
+    /// The error of the position word at `addr` that places its entry at
+    /// `at` outside the block or the declared shape: it fails the walk,
+    /// or is recorded and the walk goes on when errors are deferred.
+    #[cold]
+    fn misplaced(
+        &mut self,
+        addr: usize,
+        (row, col): (u8, u8),
+        at: (u64, u64),
+    ) -> Result<(), ImageError> {
+        let RootDesc { rows, cols, s, .. } = self.image.root;
+        let addr = addr.min(u32::MAX as usize) as u32;
+        let err = if s < 256 && (u32::from(row) >= s || u32::from(col) >= s) {
+            ImageError::BadPosition { addr, row, col, s }
+        } else {
+            debug_assert!(at.0 >= u64::from(rows) || at.1 >= u64::from(cols));
+            ImageError::OutOfShape { addr, rows, cols }
+        };
+        if !self.defer {
+            return Err(err);
+        }
+        self.position_error = Some(err);
+        Ok(())
+    }
+}
+
+/// Whether an entry at in-block `pos`, landing at matrix coordinates
+/// `at`, keeps `(s, rows, cols)`: each in-block coordinate below the
+/// section size (any `u8` when `s` is 256) and the entry inside the
+/// declared rows and columns.
+fn fits((row, col): (u8, u8), at: (u64, u64), (s, rows, cols): (u32, u64, u64)) -> bool {
+    u32::from(row) < s && u32::from(col) < s && at.0 < rows && at.1 < cols
 }
 
 #[cfg(test)]
@@ -666,6 +865,32 @@ mod tests {
         let mut img = HismImage::encode(&h);
         img.words[1] = pack_pos(200, 200); // outside an s=4 block
         assert!(img.decode().is_err());
+    }
+
+    #[test]
+    fn a_sealed_image_reports_its_sums_before_its_positions() {
+        // A position moved outside its block changes the positions sum:
+        // sealed, that is the error; unsealed, the position itself is.
+        let coo = Coo::from_triplets(4, 4, vec![(0, 0, 1.0), (3, 3, 2.0)]).unwrap();
+        let mut img = HismImage::encode(&build::from_coo(&coo, 4).unwrap());
+        img.words[1] = pack_pos(200, 200);
+        assert!(matches!(
+            img.decode(),
+            Err(ImageError::Integrity {
+                section: "positions",
+                ..
+            })
+        ));
+        img.integrity = None;
+        assert_eq!(
+            img.decode(),
+            Err(ImageError::BadPosition {
+                addr: 1,
+                row: 200,
+                col: 200,
+                s: 4
+            })
+        );
     }
 
     #[test]

@@ -14,11 +14,35 @@ pub type Triplet = (usize, usize, Value);
 /// Entries may be in any order and (until [`Coo::canonicalize`] is called)
 /// may contain duplicates. Construction is cheap; structure queries are done
 /// by the compressed formats.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A matrix remembers that [`Coo::canonicalize`] left it canonical with
+/// every entry inside the shape, so the canonical-order checks of later
+/// readers ([`Coo::canonical`], [`Coo::is_canonical`], [`Coo::validate`])
+/// return at once. [`Coo::push`] and the `sort_*` methods forget it;
+/// `==` and `{:?}` ignore it.
+#[derive(Clone)]
 pub struct Coo {
     rows: usize,
     cols: usize,
     entries: Vec<Triplet>,
+    /// Canonical and every entry in shape, as proven by `canonicalize`.
+    canonical: bool,
+}
+
+impl PartialEq for Coo {
+    fn eq(&self, other: &Coo) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols) && self.entries == other.entries
+    }
+}
+
+impl std::fmt::Debug for Coo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Coo")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("entries", &self.entries)
+            .finish()
+    }
 }
 
 impl Coo {
@@ -28,6 +52,7 @@ impl Coo {
             rows,
             cols,
             entries: Vec::new(),
+            canonical: false,
         }
     }
 
@@ -51,6 +76,7 @@ impl Coo {
             rows,
             cols,
             entries,
+            canonical: false,
         })
     }
 
@@ -58,6 +84,7 @@ impl Coo {
     /// bounds; use [`Coo::from_triplets`] for checked bulk construction.
     pub fn push(&mut self, row: usize, col: usize, value: Value) {
         debug_assert!(row < self.rows && col < self.cols, "entry out of bounds");
+        self.canonical = false;
         self.entries.push((row, col, value));
     }
 
@@ -99,11 +126,13 @@ impl Coo {
     /// Sorts entries row-major (by row, then column). Stable, so duplicate
     /// coordinates keep insertion order.
     pub fn sort_row_major(&mut self) {
+        self.canonical = false;
         self.entries.sort_by_key(|a| (a.0, a.1));
     }
 
     /// Sorts entries column-major (by column, then row).
     pub fn sort_col_major(&mut self) {
+        self.canonical = false;
         self.entries.sort_by_key(|a| (a.1, a.0));
     }
 
@@ -120,8 +149,15 @@ impl Coo {
     /// takes a comparison sort instead (O(nnz log nnz)). Duplicates keep
     /// insertion order and are summed left to right, so the result is
     /// bit-identical to a stable sort followed by a merge.
+    ///
+    /// The matrix then remembers it is canonical when every entry lies
+    /// inside the shape (decoders can hand back entries past it).
     pub fn canonicalize(&mut self) {
+        if self.canonical {
+            return;
+        }
         let order = Order::of(&self.entries, self.rows, self.cols);
+        self.canonical = order.in_shape;
         if order.strict && order.nonzero {
             return;
         }
@@ -182,6 +218,9 @@ impl Coo {
     /// Returns `true` if the triplet list is canonical (strictly increasing
     /// row-major coordinates, no explicit zeros).
     pub fn is_canonical(&self) -> bool {
+        if self.canonical {
+            return true;
+        }
         let order = Order::of(&self.entries, self.rows, self.cols);
         order.strict && order.nonzero
     }
@@ -193,6 +232,7 @@ impl Coo {
             rows: self.cols,
             cols: self.rows,
             entries: self.entries.iter().map(|&(r, c, v)| (c, r, v)).collect(),
+            canonical: false,
         }
     }
 
@@ -207,6 +247,9 @@ impl Coo {
     /// Checks every entry is in bounds and, optionally, that the list is
     /// canonical.
     pub fn validate(&self, require_canonical: bool) -> Result<(), FormatError> {
+        if self.canonical {
+            return Ok(());
+        }
         for &(r, c, _) in &self.entries {
             if r >= self.rows || c >= self.cols {
                 return Err(FormatError::IndexOutOfBounds {
@@ -590,6 +633,7 @@ mod tests {
                 rows: 4,
                 cols: 4,
                 entries,
+                canonical: false,
             };
             m.canonicalize();
             assert_eq!(bits(m.entries()), bits(&want));
@@ -621,5 +665,73 @@ mod tests {
         .unwrap();
         m.canonicalize();
         assert!(m.entries().is_empty(), "{:?}", m.entries());
+    }
+
+    #[test]
+    fn canonicalize_sets_the_flag_and_mutation_clears_it() {
+        let mut m = sample();
+        assert!(!m.canonical, "from_triplets input is re-checked");
+        m.canonicalize();
+        assert!(m.canonical && m.is_canonical());
+        m.push(2, 2, 5.0);
+        assert!(!m.canonical);
+        assert!(!m.is_canonical(), "(2, 2) follows (2, 3)");
+        m.canonicalize();
+        m.sort_row_major();
+        assert!(!m.canonical);
+        assert!(m.is_canonical(), "still proven by one pass");
+        m.canonicalize();
+        m.sort_col_major();
+        assert!(!m.canonical && !m.is_canonical());
+        assert!(matches!(m.canonical(), Cow::Owned(_)));
+        // `transpose` reorders; `transpose_canonical` proves again.
+        assert!(!m.transpose().canonical);
+        assert!(m.transpose_canonical().canonical);
+    }
+
+    #[test]
+    fn equality_ignores_the_flag() {
+        let m = sample();
+        let mut c = m.clone();
+        c.sort_row_major();
+        let mut proven = c.clone();
+        proven.canonicalize();
+        assert!(proven.canonical && !c.canonical);
+        assert_eq!(proven, c);
+        assert_ne!(proven, m, "entry order still counts");
+    }
+
+    #[test]
+    fn out_of_shape_entries_never_set_the_flag() {
+        let mut m = Coo {
+            rows: 4,
+            cols: 4,
+            entries: vec![(0, 1, 1.0), (5, 0, 2.0)],
+            canonical: false,
+        };
+        m.canonicalize();
+        assert!(!m.canonical);
+        assert!(m.is_canonical(), "sorted, no zero: canonical in order only");
+        assert!(matches!(
+            m.validate(false),
+            Err(FormatError::IndexOutOfBounds { row: 5, .. })
+        ));
+    }
+
+    #[test]
+    fn an_out_of_shape_push_clears_the_flag() {
+        let mut m = sample();
+        m.canonicalize();
+        let pushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.push(3, 0, 1.0)));
+        if cfg!(debug_assertions) {
+            // Debug builds refuse the entry outright.
+            assert!(pushed.is_err());
+            return;
+        }
+        assert!(!m.canonical);
+        assert!(matches!(
+            m.validate(false),
+            Err(FormatError::IndexOutOfBounds { row: 3, .. })
+        ));
     }
 }

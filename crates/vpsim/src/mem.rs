@@ -76,6 +76,11 @@ impl Memory {
         }
     }
 
+    /// The stored words, from address 0 to the highest one written.
+    pub fn into_words(self) -> Vec<u32> {
+        self.words
+    }
+
     /// Current size in words (highest initialized address + 1).
     pub fn len(&self) -> usize {
         self.words.len()
@@ -186,6 +191,15 @@ impl Memory {
         }
     }
 
+    /// [`Memory::read_block`], each word converted by `f` on the way
+    /// out.
+    pub fn read_block_map<T>(&self, addr: u32, n: usize, mut f: impl FnMut(u32) -> T) -> Vec<T> {
+        match self.unguarded(addr, n) {
+            Some(r) if r.end <= self.words.len() => self.words[r].iter().map(|&w| f(w)).collect(),
+            _ => (0..n).map(|k| f(self.read(addr + k as u32))).collect(),
+        }
+    }
+
     /// True when every word of `[addr, addr + n)` is inside the guard
     /// (or no guard is armed): accesses to it record no fault.
     pub fn in_bounds(&self, addr: u32, n: usize) -> bool {
@@ -197,15 +211,23 @@ impl Memory {
     /// copy; a block crossing the guard is written word by word, so the
     /// in-bounds prefix lands and each dropped word records its fault.
     pub fn write_block(&mut self, addr: u32, data: &[u32]) {
+        self.write_iter(addr, data.iter().copied());
+    }
+
+    /// [`Memory::write_block`] of the words `data` yields, for callers
+    /// that convert their words on the way in.
+    pub fn write_iter(&mut self, addr: u32, data: impl ExactSizeIterator<Item = u32>) {
         match self.unguarded(addr, data.len()) {
-            Some(r) if !data.is_empty() => {
+            Some(r) if !r.is_empty() => {
                 if r.end > self.words.len() {
                     self.words.resize(r.end, 0);
                 }
-                self.words[r].copy_from_slice(data);
+                for (w, v) in self.words[r].iter_mut().zip(data) {
+                    *w = v;
+                }
             }
             _ => {
-                for (k, &w) in data.iter().enumerate() {
+                for (k, w) in data.enumerate() {
                     self.write(addr + k as u32, w);
                 }
             }

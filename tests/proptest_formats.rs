@@ -247,3 +247,62 @@ fn get_matches_dense() {
         }
     }
 }
+
+/// Asserts the one-recursion image of `coo` is the image the arena
+/// builder and the encoder make, field by field.
+fn assert_image_matches_encode(coo: &Coo, s: usize, case: &str) {
+    let img = build::image_from_coo(coo, s).unwrap();
+    let want = HismImage::encode(&build::from_coo(coo, s).unwrap());
+    assert_eq!(img.words, want.words, "{case}: words");
+    assert_eq!(img.root, want.root, "{case}: root");
+    assert_eq!(
+        img.pointer_sites, want.pointer_sites,
+        "{case}: pointer sites"
+    );
+    assert_eq!(img.integrity, want.integrity, "{case}: integrity header");
+    assert!(img.integrity.is_some(), "{case}: unsealed");
+}
+
+#[test]
+fn one_recursion_image_equals_encoded_arena() {
+    use hism_stm::sparse::gen::{blocks, random, rmat, structured};
+    let families: Vec<(&str, Coo)> = vec![
+        ("diagonal", structured::diagonal(70)),
+        ("tridiagonal", structured::tridiagonal(90)),
+        ("banded", structured::banded(80, 4, 0.6, 1)),
+        ("grid2d_5pt", structured::grid2d_5pt(9, 11)),
+        ("grid2d_9pt", structured::grid2d_9pt(8, 7)),
+        ("grid3d_7pt", structured::grid3d_7pt(4, 5, 3)),
+        ("arrowhead", structured::arrowhead(60)),
+        ("uniform", random::uniform(120, 75, 500, 2)),
+        ("power_law", random::power_law(90, 90, 5.0, 1.1, 3)),
+        ("jittered_diagonal", random::jittered_diagonal(100, 3, 6, 4)),
+        ("block_dense", blocks::block_dense(96, 8, 5, 0.7, 5)),
+        ("block_band", blocks::block_band(96, 8, 1, 0.8, 6)),
+        ("kronecker_fractal", blocks::kronecker_fractal(3)),
+        ("rmat", rmat::rmat(7, 400, rmat::RmatProbs::default(), 7)),
+        ("rectangular", random::uniform(13, 300, 200, 8)),
+        ("empty", Coo::new(40, 25)),
+        (
+            "one level",
+            Coo::from_triplets(2, 2, vec![(1, 0, 2.5)]).unwrap(),
+        ),
+    ];
+    for (name, coo) in &families {
+        for s in [2usize, 3, 4, 8, 64, 255, 256] {
+            assert_image_matches_encode(coo, s, &format!("{name}, s = {s}"));
+        }
+    }
+    // Non-canonical input: duplicates, unsorted entries, explicit zeros.
+    for case in 0..CASES {
+        let mut r = case_rng(0xFE, case);
+        let mut coo = arb_coo(&mut r, 90, 160);
+        let (i, j) = (r.gen_range(0..coo.rows()), r.gen_range(0..coo.cols()));
+        coo.push(i, j, 0.0);
+        let s = common::pick(&mut r, &[2usize, 3, 4, 8, 64, 255, 256]);
+        assert_image_matches_encode(&coo, s, &format!("case {case}, s = {s}"));
+    }
+    // Both builders reject what the other rejects.
+    assert!(build::image_from_coo(&Coo::new(2, 2), 1).is_err());
+    assert!(build::image_from_coo(&Coo::new(2, 2), 257).is_err());
+}
