@@ -416,12 +416,7 @@ fn verify_primary(
     // The digest that gets quarantined when the verdict is corrupted:
     // canonical when the output still decodes, its format-level digest
     // otherwise (an undecodable image has no canonical form).
-    let quarantine = || {
-        primary
-            .output
-            .canonical_digest()
-            .unwrap_or(primary.output_digest)
-    };
+    let quarantine = |canonical: Option<u64>| canonical.unwrap_or(primary.output_digest);
     match mode {
         VerifyMode::Off => None,
         VerifyMode::Checksum => {
@@ -431,8 +426,13 @@ fn verify_primary(
                 mode,
                 legs: Vec::new(),
                 corrupted,
-                quarantined: if corrupted { quarantine() } else { 0 },
+                quarantined: if corrupted {
+                    quarantine(img.canonical_digest())
+                } else {
+                    0
+                },
                 recovery: None,
+                digest: None,
             })
         }
         VerifyMode::Dual | VerifyMode::Vote => {
@@ -487,6 +487,7 @@ fn verify_primary(
                     corrupted: false,
                     quarantined: 0,
                     recovery: None,
+                    digest: primary_digest,
                 });
             }
             // No independent leg reproduces the primary's digest. A
@@ -497,16 +498,27 @@ fn verify_primary(
             let majority = match results.as_slice() {
                 [(n1, Some((r1, d1))), (n2, Some((r2, d2)))] if d1 == d2 => [(*n1, r1), (*n2, r2)]
                     .into_iter()
-                    .find_map(|(n, r)| r.clone().map(|r| (n, r))),
+                    .find_map(|(n, r)| r.clone().map(|r| (n, r, *d1))),
                 _ => None,
             };
             let corrupted = primary_digest.is_none() || majority.is_some();
+            // Without a majority either the primary is served, or it did
+            // not decode and the fallback, which nothing here digested, is.
+            let (recovery, digest) = match majority {
+                Some((n, r, d)) => (Some((n, r)), Some(d)),
+                None => (None, primary_digest),
+            };
             Some(VerifyExec {
                 mode,
                 legs,
                 corrupted,
-                quarantined: if corrupted { quarantine() } else { 0 },
-                recovery: if corrupted { majority } else { None },
+                quarantined: if corrupted {
+                    quarantine(primary_digest)
+                } else {
+                    0
+                },
+                recovery,
+                digest,
             })
         }
     }
@@ -526,6 +538,10 @@ struct VerifyExec {
     /// The agreeing leg whose report is served in the primary's place,
     /// when the majority produced one.
     recovery: Option<(&'static str, KernelReport)>,
+    /// The canonical digest of the report verification vouches for —
+    /// the primary's when it is served, the recovery's when one is —
+    /// when verification computed it.
+    digest: Option<u64>,
 }
 
 /// One executed primary-kernel slot (plus its verification legs and its
@@ -575,10 +591,7 @@ impl SlotExec {
             cycles,
             stage,
             error,
-            digest: self
-                .verified()
-                .and_then(|r| r.output.canonical_digest())
-                .unwrap_or(0),
+            digest: self.served_digest().unwrap_or(0),
             verify: self.verify.as_ref().map(|v| checkpoint::VerifyRecord {
                 mode: v.mode.name().to_string(),
                 legs: v.legs.len() as u64,
@@ -604,6 +617,16 @@ impl SlotExec {
                 },
             }),
         }
+    }
+
+    /// The canonical digest of [`SlotExec::verified`]'s report: the one
+    /// verification computed when it vouches for that report, computed
+    /// here otherwise.
+    fn served_digest(&self) -> Option<u64> {
+        self.verify
+            .as_ref()
+            .and_then(|v| v.digest)
+            .or_else(|| self.verified()?.output.canonical_digest())
     }
 
     /// The trusted report for this slot, from whichever execution
@@ -676,7 +699,7 @@ fn live_status(slots: &[SlotExec]) -> RunStatus {
                 return RunStatus::Corrupted {
                     kernel: s.kernel.to_string(),
                     quarantined: v.quarantined,
-                    served: s.verified().and_then(|r| r.output.canonical_digest()),
+                    served: s.served_digest(),
                     backend: v.recovery.as_ref().map(|(leg, _)| (*leg).to_string()),
                 };
             }
@@ -1069,6 +1092,20 @@ pub struct SlotOutcome {
     /// primary's place (`None` when recovery came from the fallback or
     /// did not happen).
     pub recovered: Option<&'static str>,
+    /// The canonical digest of `report` when verification already
+    /// computed it (`None` otherwise; [`SlotOutcome::served_digest`]
+    /// then computes it).
+    pub digest: Option<u64>,
+}
+
+impl SlotOutcome {
+    /// The canonical digest of `report` — [`SlotOutcome::digest`] when
+    /// verification computed it, else computed from the report. `None`
+    /// when there is no report or its image does not decode.
+    pub fn served_digest(&self) -> Option<u64> {
+        self.digest
+            .or_else(|| self.report.as_ref()?.output.canonical_digest())
+    }
 }
 
 /// Runs one kernel through the full resilient slot path — the
@@ -1147,6 +1184,7 @@ pub fn execute_slot(
         verify_legs: verify.map_or(0, |v| v.legs.len() as u64),
         quarantined: verify.map_or(0, |v| v.quarantined),
         recovered: verify.and_then(|v| v.recovery.as_ref().map(|(leg, _)| *leg)),
+        digest: verify.and_then(|v| v.digest),
     }
 }
 
@@ -1402,4 +1440,118 @@ pub fn run_soak(cfg: &SoakConfig, set: &[SuiteEntry]) -> Result<SoakReport, Stri
 /// summary line. Used by the `stmsoak` bin and the soak tests.
 pub fn export_soak_trace(dir: &std::path::Path, report: &SoakReport) -> std::io::Result<String> {
     export_trace(dir, "soak", "resil", &report.trace)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stm_sparse::MatrixMetrics;
+
+    /// A matrix whose HiSM image has several levels, so every fault
+    /// class can be hosted.
+    fn entry() -> SuiteEntry {
+        let coo = stm_sparse::gen::random::uniform(128, 128, 2048, 0xFA017);
+        SuiteEntry {
+            name: "uniform-128".into(),
+            metrics: MatrixMetrics::compute(&coo),
+            coo,
+        }
+    }
+
+    /// Runs one `transpose_hism` slot with the harness oracle off (so
+    /// only the verify tier judges the primary) and checks that the
+    /// digest the slot carries out — [`SlotOutcome::digest`] when set,
+    /// [`SlotOutcome::served_digest`] and the soak record's — equals a
+    /// fresh canonical digest of the served report.
+    fn slot(entry: &SuiteEntry, mode: VerifyMode, fault: Option<FaultSpec>) -> SlotOutcome {
+        let run = RunConfig {
+            verify: false,
+            ..RunConfig::default()
+        };
+        let (retry, rec) = (RetryPolicy::default(), Recorder::disabled());
+        let kernel = "transpose_hism";
+        let fault = fault.as_ref();
+        let out = execute_slot(
+            &run,
+            &retry,
+            entry,
+            0,
+            kernel,
+            Decision::Run,
+            fault,
+            mode,
+            &rec,
+        );
+        let case = format!("{} with {fault:?}", mode.name());
+        let fresh = out
+            .report
+            .as_ref()
+            .and_then(|r| r.output.canonical_digest());
+        if let Some(d) = out.digest {
+            assert_eq!(Some(d), fresh, "{case}: carried digest");
+        }
+        assert_eq!(out.served_digest(), fresh, "{case}: served digest");
+        let exec = run_slot(
+            &run,
+            &retry,
+            entry,
+            0,
+            kernel,
+            Decision::Run,
+            fault,
+            mode,
+            &rec,
+        );
+        assert_eq!(exec.record().digest, fresh.unwrap_or(0), "{case}: record");
+        out
+    }
+
+    #[test]
+    fn every_verified_slot_carries_the_digest_of_what_it_serves() {
+        let entry = entry();
+        let want = Some(stm_sparse::format::canonical_digest(
+            &entry.coo.transpose_canonical(),
+        ));
+
+        // A clean vote and a clean dual check digest the primary once.
+        for mode in [VerifyMode::Vote, VerifyMode::Dual] {
+            let clean = slot(&entry, mode, None);
+            assert!(!clean.corrupted && !clean.degraded);
+            assert_eq!(clean.digest, want, "{}", mode.name());
+        }
+
+        // Checksum and off compute nothing the served digest could reuse.
+        for mode in [VerifyMode::Checksum, VerifyMode::Off] {
+            let plain = slot(&entry, mode, None);
+            assert_eq!((plain.digest, plain.served_digest()), (None, want));
+        }
+
+        // A structural fault degrades onto the fallback, which no leg
+        // digested.
+        let truncated = FaultSpec {
+            index: 0,
+            class: FaultClass::Truncate,
+            seed: 3,
+        };
+        let degraded = slot(&entry, VerifyMode::Vote, Some(truncated));
+        assert!(degraded.degraded);
+        assert_eq!((degraded.digest, degraded.served_digest()), (None, want));
+
+        // A manifesting mid-run flip is outvoted, and the agreeing
+        // majority's digest is carried out with its report.
+        let recovered = (0..32)
+            .map(|seed| {
+                let flip = FaultSpec {
+                    index: 0,
+                    class: FaultClass::MidRunBitFlip,
+                    seed,
+                };
+                slot(&entry, VerifyMode::Vote, Some(flip))
+            })
+            .find(|s| s.recovered.is_some())
+            .expect("a mid-run flip in 32 seeds is outvoted and recovered");
+        assert!(recovered.corrupted);
+        assert_eq!(recovered.digest, want);
+        assert_ne!(recovered.quarantined, 0);
+    }
 }

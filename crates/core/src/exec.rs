@@ -344,9 +344,7 @@ impl KernelOutput {
     pub fn canonical_digest(&self) -> Option<u64> {
         use stm_sparse::format::canonical_digest;
         match self {
-            KernelOutput::Hism(img) => Some(canonical_digest(&stm_hism::build::to_coo(
-                &img.decode().ok()?,
-            ))),
+            KernelOutput::Hism(img) => img.canonical_digest(),
             KernelOutput::Csr(csr) => Some(canonical_digest(&csr.to_coo())),
             KernelOutput::Dense(d) => {
                 let mut coo = Coo::new(d.rows(), d.cols());

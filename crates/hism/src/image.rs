@@ -21,7 +21,7 @@
 
 use crate::error::ImageError;
 use crate::matrix::{BlockData, HismBlock, HismMatrix, LeafEntry, NodeEntry};
-use stm_sparse::hash::fnv1a_u32;
+use stm_sparse::hash::{fnv1a_u32, Fnv1a};
 use stm_sparse::Value;
 
 /// Words per blockarray entry in the image (`[payload, pos]`).
@@ -329,6 +329,34 @@ impl HismImage {
         })
     }
 
+    /// The canonical digest of the matrix the image holds, equal to
+    /// `canonical_digest(&build::to_coo(&self.decode()?))`
+    /// ([`stm_sparse::format::canonical_digest`]); `None` exactly when
+    /// [`HismImage::decode`] fails.
+    ///
+    /// Every blockarray is stored row-major, so a walk in layout order
+    /// reaches each matrix row's entries in column order: grouping them
+    /// by row (stably) yields canonical order with no sort, and the
+    /// triplets go straight to the hasher, explicit zeros skipped. When
+    /// a row's columns do not strictly increase (an unsorted leaf, or a
+    /// position stored twice, whose values canonical form sums), an
+    /// entry lies outside the shape, or the shape has far more rows than
+    /// entries, the digest is taken through decode instead, so every
+    /// value stays bit-identical.
+    pub fn canonical_digest(&self) -> Option<u64> {
+        let mut flat = Flatten {
+            rows: self.root.rows,
+            cols: self.root.cols,
+            entries: Vec::with_capacity(self.words.len() / 2),
+            in_shape: true,
+        };
+        self.walk(&mut flat).ok()?;
+        flat.digest().or_else(|| {
+            let coo = crate::build::to_coo(&self.decode().ok()?);
+            Some(stm_sparse::format::canonical_digest(&coo))
+        })
+    }
+
     /// Walks the image with every check [`HismImage::decode`] makes and
     /// fails with the error decode fails with, handing each leaf entry
     /// and finished blockarray to `visit` (entries in layout order,
@@ -516,6 +544,79 @@ impl Visitor for Rebuild {
         let mut node = self.nodes.split_off(self.nodes.len() - len as usize);
         node.sort_by_key(|e| (e.row, e.col));
         self.push(level, BlockData::Node(node))
+    }
+}
+
+/// Collects the leaf entries for [`HismImage::canonical_digest`] as
+/// `(row, col, value bits)` in layout order.
+struct Flatten {
+    rows: u32,
+    cols: u32,
+    entries: Vec<(u32, u32, u32)>,
+    /// No entry visited so far lies outside the shape.
+    in_shape: bool,
+}
+
+/// [`Flatten::digest`] leaves a matrix with more than this many rows per
+/// entry to the digest through decode, whose row sort is sized by the
+/// entries rather than by the declared rows.
+const MAX_ROWS_PER_ENTRY: usize = 4;
+
+impl Visitor for Flatten {
+    type Block = ();
+
+    fn entry(&mut self, _: u32, _: (u8, u8), (row, col): (u64, u64), bits: u32) {
+        if row < u64::from(self.rows) && col < u64::from(self.cols) {
+            self.entries.push((row as u32, col as u32, bits));
+        } else {
+            self.in_shape = false;
+        }
+    }
+}
+
+impl Flatten {
+    /// Hashes what [`stm_sparse::format::canonical_digest`] hashes —
+    /// shape, then every non-zero `(row, col, bits)` in row-major order —
+    /// or `None` when an entry lies outside the shape, some row's columns
+    /// are not strictly increasing in layout order, or the shape has far
+    /// more rows than entries.
+    fn digest(self) -> Option<u64> {
+        let (rows, n) = (self.rows as usize, self.entries.len());
+        if !self.in_shape || rows > MAX_ROWS_PER_ENTRY * n.max(1) {
+            return None;
+        }
+        // A stable counting scatter by row.
+        let mut next = vec![0u32; rows];
+        for &(r, _, _) in &self.entries {
+            next[r as usize] += 1;
+        }
+        let mut sum = 0;
+        for at in &mut next {
+            (*at, sum) = (sum, sum + *at);
+        }
+        let mut grouped = vec![(0, 0, 0); n];
+        for &e in &self.entries {
+            let at = &mut next[e.0 as usize];
+            grouped[*at as usize] = e;
+            *at += 1;
+        }
+        let mut h = Fnv1a::new();
+        h.u64(u64::from(self.rows));
+        h.u64(u64::from(self.cols));
+        let mut last = None;
+        for &(row, col, bits) in &grouped {
+            if last >= Some((row, col)) {
+                return None;
+            }
+            last = Some((row, col));
+            // `Coo::canonicalize` drops explicit zeros of either sign.
+            if bits << 1 != 0 {
+                h.u64(u64::from(row));
+                h.u64(u64::from(col));
+                h.u32(bits);
+            }
+        }
+        Some(h.finish())
     }
 }
 
@@ -976,6 +1077,88 @@ mod tests {
         assert!(img.integrity.is_some());
         img.relocate(1000);
         assert!(img.integrity.is_none());
+    }
+
+    /// [`HismImage::canonical_digest`] without its fallback through
+    /// decode: `None` when the walk fails or the fallback would be taken.
+    fn one_walk_digest(img: &HismImage) -> Option<u64> {
+        let mut flat = Flatten {
+            rows: img.root.rows,
+            cols: img.root.cols,
+            entries: Vec::new(),
+            in_shape: true,
+        };
+        img.walk(&mut flat).ok()?;
+        flat.digest()
+    }
+
+    #[test]
+    fn built_images_digest_in_one_walk() {
+        let cases = [
+            (gen::random::uniform(120, 90, 500, 11), 8),
+            (
+                gen::rmat::rmat(7, 400, gen::rmat::RmatProbs::default(), 5),
+                4,
+            ),
+            (gen::random::uniform(30, 70, 90, 2).transpose(), 2),
+            (Coo::new(0, 0), 4),
+            (Coo::new(4, 9), 4),
+        ];
+        for (coo, s) in cases {
+            let want = stm_sparse::format::canonical_digest(&coo);
+            let img = build::image_from_coo(&coo, s).unwrap();
+            assert_eq!(one_walk_digest(&img), Some(want), "{coo:?}");
+            assert_eq!(img.canonical_digest(), Some(want), "{coo:?}");
+        }
+        // Far more rows than entries: the digest through decode.
+        let tall = Coo::from_triplets(1000, 9, vec![(900, 1, 2.0), (7, 8, 1.0)]).unwrap();
+        let img = build::image_from_coo(&tall, 8).unwrap();
+        assert_eq!(one_walk_digest(&img), None);
+        let want = stm_sparse::format::canonical_digest(&tall);
+        assert_eq!(img.canonical_digest(), Some(want));
+    }
+
+    #[test]
+    fn explicit_zeros_are_skipped_and_disordered_rows_fall_back() {
+        let leaf = |entries: &[(u8, u8, f32)]| {
+            let words = entries
+                .iter()
+                .flat_map(|&(r, c, v)| [v.to_bits(), pack_pos(r, c)])
+                .collect();
+            let root = RootDesc {
+                addr: 0,
+                len: entries.len() as u32,
+                levels: 1,
+                rows: 4,
+                cols: 4,
+                s: 4,
+            };
+            HismImage {
+                words,
+                root,
+                pointer_sites: Vec::new(),
+                integrity: None,
+            }
+        };
+        let in_order = leaf(&[(0, 1, 1.0), (0, 3, 2.0), (2, 0, 3.0)]);
+        let swapped = leaf(&[(0, 3, 2.0), (0, 1, 1.0), (2, 0, 3.0)]);
+        let twice = leaf(&[(0, 1, 1.0), (2, 0, 3.0), (0, 1, 0.5)]);
+        let want = in_order.canonical_digest();
+        assert!(want.is_some());
+        assert_eq!(one_walk_digest(&in_order), want);
+        let zeros = leaf(&[
+            (0, 0, 0.0),
+            (0, 1, 1.0),
+            (0, 3, 2.0),
+            (1, 1, -0.0),
+            (2, 0, 3.0),
+        ]);
+        assert_eq!(one_walk_digest(&zeros), want);
+        assert_eq!(one_walk_digest(&swapped), None);
+        assert_eq!(swapped.canonical_digest(), want);
+        assert_eq!(one_walk_digest(&twice), None);
+        let summed = leaf(&[(0, 1, 1.5), (2, 0, 3.0)]);
+        assert_eq!(twice.canonical_digest(), summed.canonical_digest());
     }
 
     #[test]

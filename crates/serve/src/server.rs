@@ -1140,12 +1140,9 @@ fn execute_job(sh: &Arc<Shared>, permit: usize, job: &Job) -> Response {
     }
     // Canonical digest: format-independent, so a degraded transpose
     // (fallback emits a different encoding than the primary) digests
-    // identically to the primary result.
-    let digest = outcome
-        .report
-        .as_ref()
-        .and_then(|r| r.output.canonical_digest())
-        .unwrap_or(0);
+    // identically to the primary result. Verification's, when it took
+    // one of the served report.
+    let digest = outcome.served_digest().unwrap_or(0);
     let rec = ResultRecord {
         request_id: job.request_id,
         client_id: job.client_id,

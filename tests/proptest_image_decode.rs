@@ -235,9 +235,9 @@ fn root_descriptor_fuzzing_never_panics() {
 }
 
 /// The route `resilient::verify_primary` takes with an untrusted output
-/// image: decode without verifying the seal, rebuild the COO, digest it.
-/// Every image that decodes must get through `build::to_coo` and
-/// `canonical_digest` without a panic.
+/// image: its canonical digest, read in one walk without the seal. It
+/// must never panic, and must equal the digest through decode (decode,
+/// rebuild the COO, digest it), which must not panic either.
 #[test]
 fn decoded_unverified_images_reach_a_canonical_digest_without_panicking() {
     let mut decoded = 0usize;
@@ -263,15 +263,18 @@ fn decoded_unverified_images_reach_a_canonical_digest_without_panicking() {
             }
             let what = format!("root {:?} (case {case})", t.root);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                t.decode().map(|h| {
+                let through_decode = t.decode().ok().map(|h| {
                     let coo = build::to_coo(&h);
                     hism_stm::sparse::format::canonical_digest(&coo)
-                })
+                });
+                (t.canonical_digest(), through_decode)
             }));
             match outcome {
-                Ok(Ok(_)) => decoded += 1,
-                Ok(Err(_)) => {}
-                Err(_) => panic!("decode → to_coo → canonical_digest panicked on {what}"),
+                Ok((got, want)) => {
+                    assert_eq!(got, want, "{what}");
+                    decoded += want.is_some() as usize;
+                }
+                Err(_) => panic!("a canonical digest panicked on {what}"),
             }
         }
     }

@@ -408,6 +408,79 @@ fn a_full_waiting_line_sheds_while_the_waiting_request_completes() {
     shutdown_and_join(server, &addr);
 }
 
+#[test]
+fn every_verify_mode_serves_and_logs_the_canonical_digest_of_its_result() {
+    // The reply and the results log carry one digest per request: the
+    // one verification computed when it vouched for the result, else
+    // one taken from the result. Either way it must be the transpose's.
+    use stm_bench::resilient::VerifyMode;
+    let coo = stm_sparse::gen::random::uniform(128, 128, 2048, 0xFA017);
+    let want = stm_sparse::format::canonical_digest(&coo.transpose_canonical());
+    for mode in [
+        VerifyMode::Off,
+        VerifyMode::Checksum,
+        VerifyMode::Dual,
+        VerifyMode::Vote,
+    ] {
+        let log = std::env::temp_dir().join(format!(
+            "stm-service-{}-digest-{}.log",
+            std::process::id(),
+            mode.name()
+        ));
+        let _ = std::fs::remove_file(&log);
+        let (server, addr) = start(ServeConfig {
+            verify_mode: mode,
+            results_log: Some(log.clone()),
+            ..ServeConfig::default()
+        });
+        let mut c = client(&addr, 5);
+        let resp = c.submit(u64::MAX - 60, 0, &coo).expect("submit");
+        assert_eq!(resp.status, Status::Ok);
+
+        let clean = c.transpose(1, 0, None).expect("clean transpose");
+        assert_eq!((clean.status, clean.degraded), (Status::Ok, false));
+        assert_eq!(clean.body, ResponseBody::Digest(want), "{}", mode.name());
+        // A structural fault degrades onto the fallback.
+        let truncate = FaultRequest {
+            class: FaultClass::Truncate,
+            seed: 3,
+        };
+        let degraded = c.transpose(2, 0, Some(truncate)).expect("degraded");
+        assert_eq!((degraded.status, degraded.degraded), (Status::Ok, true));
+        assert_eq!(degraded.body, ResponseBody::Digest(want), "{}", mode.name());
+        // Mid-run flips: the vote recovers the manifesting ones.
+        if mode == VerifyMode::Vote {
+            for i in 0..8u64 {
+                let flip = FaultRequest {
+                    class: FaultClass::MidRunBitFlip,
+                    seed: i,
+                };
+                let resp = c.transpose(10 + i, 0, Some(flip)).expect("flip");
+                assert_eq!(resp.status, Status::Ok, "flip {i}");
+                assert_eq!(resp.body, ResponseBody::Digest(want), "flip {i}");
+            }
+            let recovered = server
+                .metrics_text()
+                .lines()
+                .find_map(|l| {
+                    l.strip_prefix("stm_integrity_sdc_recovered_total ")?
+                        .parse::<u64>()
+                        .ok()
+                })
+                .unwrap_or(0);
+            assert!(recovered > 0, "no flip was outvoted and recovered");
+        }
+        drop(c);
+        shutdown_and_join(server, &addr);
+        let (_, records) = stm_serve::store::ResultsLog::open(&log).expect("results log");
+        assert!(records.len() >= 2, "{}", mode.name());
+        for r in &records {
+            assert_eq!(r.digest, want, "{}: logged {r:?}", mode.name());
+        }
+        let _ = std::fs::remove_file(&log);
+    }
+}
+
 fn shutdown_and_join(server: Server, addr: &str) {
     let mut c = client(addr, 0);
     let resp = c.shutdown(u64::MAX).expect("shutdown");
