@@ -101,7 +101,6 @@ fn main() {
         run: RunConfig::from_env(),
         ..SoakConfig::default()
     };
-    cfg.trace = cfg.run.trace.take();
     cfg.deadline = parsed("--deadline");
     if let Some(w) = parsed("--queue-depth") {
         cfg.queue_depth = w;
@@ -143,7 +142,6 @@ fn main() {
     }
     cfg.checkpoint = arg_value("--checkpoint").map(Into::into);
     cfg.stop_after = parsed("--stop-after");
-    cfg.format = cfg.run.format.take();
 
     let report = match resilient::run_soak(&cfg, &set) {
         Ok(r) => r,
@@ -153,7 +151,7 @@ fn main() {
         }
     };
 
-    let has_format = cfg.format.is_some();
+    let has_format = cfg.run.format.is_some();
     let rows: Vec<Vec<String>> = report
         .entries
         .iter()

@@ -12,7 +12,10 @@
 //!   constructs its own engine and coprocessor, so concurrent calls share
 //!   nothing);
 //! * [`run_matrix`] / [`run_set`] — the paper's experiment shape: HiSM
-//!   and CRS transposition per matrix, batched over a set.
+//!   and CRS transposition per matrix, batched over a set. Each leg is a
+//!   primary-only slot of the resilient pipeline (retried, never
+//!   verified by re-execution, never replaced by a fallback), so the
+//!   harness and the soak share one lifecycle, result and status rule.
 //!
 //! The worker count comes from [`RunConfig::jobs`] (the bench binaries
 //! wire it to `--jobs N`); `None` uses the machine's parallelism.
@@ -24,11 +27,9 @@
 //! [`RunConfig::strict`] to turn the first failure into a panic for
 //! CI-style fail-fast runs.
 
-use crate::resilient::RetryPolicy;
+use crate::resilient::{self, Decision, RetryPolicy, SlotExec, PRIMARY_KERNELS};
 use crate::trace::{export_trace, TraceRollup};
-use stm_core::kernels::registry::{
-    self, Backend, ExecCtx, KernelError, KernelFailure, KernelReport, Oracle, Stage,
-};
+use stm_core::kernels::registry::{Backend, ExecCtx, KernelFailure, KernelReport, Oracle};
 use stm_core::{StmConfig, TransposeReport};
 use stm_dsab::{FormatDecision, FormatKind, FormatSel, SuiteEntry};
 use stm_hism::FaultClass;
@@ -281,166 +282,58 @@ impl MatrixResult {
         let (h, c) = (self.hism.as_ref()?, self.crs.as_ref()?);
         Some(c.cycles as f64 / h.cycles.max(1) as f64)
     }
-}
 
-/// Runs `f` as one lifecycle stage: a typed error or a panic both become
-/// a [`KernelFailure`] attributed to `stage`. Panic payloads are
-/// classified by [`KernelError::from_panic`], so a deadline abort from
-/// the engine's cycle-budget watchdog surfaces as the typed
-/// [`KernelError::DeadlineExceeded`] rather than an opaque panic string.
-pub(crate) fn isolate<T>(
-    kernel: &str,
-    stage: Stage,
-    f: impl FnOnce() -> Result<T, KernelError>,
-) -> Result<T, KernelFailure> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(Ok(v)) => Ok(v),
-        Ok(Err(error)) => Err(KernelFailure {
-            kernel: kernel.to_string(),
-            stage,
-            error,
-        }),
-        Err(payload) => Err(KernelFailure {
-            kernel: kernel.to_string(),
-            stage,
-            error: KernelError::from_panic(payload),
-        }),
-    }
-}
-
-pub(crate) fn attempt(
-    cfg: &RunConfig,
-    kernel: &str,
-    entry: &SuiteEntry,
-    oracle: &Oracle,
-    fault: Option<&FaultSpec>,
-    rec: &Recorder,
-) -> Result<KernelReport, KernelFailure> {
-    let mut ctx = cfg.ctx();
-    ctx.obs = rec.clone();
-    let mut k = registry::create(kernel).ok_or_else(|| KernelFailure {
-        kernel: kernel.to_string(),
-        stage: Stage::Prepare,
-        error: KernelError::Unknown(kernel.to_string()),
-    })?;
-    isolate(kernel, Stage::Prepare, || k.prepare(&entry.coo, &ctx))?;
-    if let Some(f) = fault {
-        if f.class == FaultClass::MidRunBitFlip {
-            // Mid-run SDC is hosted by the *engine*, not the prepared
-            // input: arm the flip on the context so it fires silently
-            // during `run`, after every input check has passed. Kernels
-            // that don't run on simulated memory (and host legs, which
-            // never construct the engine) run clean — the spec corrupts
-            // "every kernel that supports it".
-            ctx.vp.mid_run_flip = k.arm_sdc(f.seed);
-        } else {
-            // A kernel that cannot host this fault class runs clean.
-            match k.inject_fault(f.class, f.seed) {
-                Ok(_) | Err(KernelError::FaultUnsupported { .. }) => {}
-                Err(error) => {
-                    return Err(KernelFailure {
-                        kernel: kernel.to_string(),
-                        stage: Stage::Prepare,
-                        error,
-                    })
+    /// Assembles a matrix's result from its slots — the HiSM slot, the
+    /// CRS slot and, when `format` is set, the format leg's slot: the
+    /// last slot that ran its kernel, so a format that resolves to a
+    /// primary's kernel may share that primary's slot. The status is
+    /// `resilient::live_status`'s; `traces` start empty.
+    pub(crate) fn from_slots(
+        entry: &SuiteEntry,
+        format: Option<FormatSel>,
+        slots: &[SlotExec],
+    ) -> MatrixResult {
+        let report = |slot: Option<&SlotExec>| Some(slot?.verified()?.report.clone());
+        MatrixResult {
+            name: entry.name.clone(),
+            metrics: entry.metrics,
+            hism: report(slots.first()),
+            crs: report(slots.get(1)),
+            format: format.map(|selection| {
+                let (kind, decision) = resolve_format(selection, &entry.metrics);
+                let kernel = kind.transpose_kernel();
+                FormatLeg {
+                    selection,
+                    kind,
+                    kernel,
+                    decision,
+                    report: report(slots.iter().rfind(|s| s.kernel == kernel)),
                 }
-            }
-        }
-    }
-    let report = isolate(kernel, Stage::Run, || k.run(&ctx))?;
-    if cfg.verify {
-        isolate(kernel, Stage::Verify, || {
-            k.verify_with(oracle, &report.output)
-        })?;
-    }
-    stm_core::obs::record_lifecycle(&ctx.obs, &report, k.prepared_bytes());
-    Ok(report)
-}
-
-/// One kernel's outcome after its retry loop: the final attempt's
-/// result, the number of attempts made, and the recorder the final
-/// attempt traced into.
-pub(crate) struct KernelRun {
-    pub result: Result<KernelReport, KernelFailure>,
-    pub attempts: u64,
-    pub rec: Recorder,
-}
-
-/// The one attempt-retry loop: runs [`attempt`] until it succeeds or
-/// `retry` gives up. A deliberately injected fault gets exactly one
-/// attempt (it would fail identically again), and so does any failure
-/// [`RetryPolicy::should_retry`] rejects. Before each retry it calls
-/// `on_retry` and sleeps the policy's backoff for `key`. Every attempt
-/// records into a fresh recorder from `new_rec`: an abandoned attempt's
-/// events and counters must never leak into the trace (or the roll-ups)
-/// of the attempt that produced the reported numbers. Verification
-/// checks against `oracle`, the host oracle of `entry`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn attempt_with_retry(
-    cfg: &RunConfig,
-    retry: &RetryPolicy,
-    key: u64,
-    kernel: &str,
-    entry: &SuiteEntry,
-    oracle: &Oracle,
-    fault: Option<&FaultSpec>,
-    new_rec: impl Fn() -> Recorder,
-    mut on_retry: impl FnMut(),
-) -> KernelRun {
-    let injected = fault.is_some();
-    let max_attempts = if injected {
-        1
-    } else {
-        u64::from(retry.max_attempts.max(1))
-    };
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        let rec = new_rec();
-        let result = attempt(cfg, kernel, entry, oracle, fault, &rec);
-        match &result {
-            Err(f) if attempts < max_attempts && retry.should_retry(&f.error, injected) => {
-                on_retry();
-                let delay = retry.delay_ms(key, (attempts + 1) as u32);
-                if delay > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(delay));
-                }
-            }
-            _ => {
-                return KernelRun {
-                    result,
-                    attempts,
-                    rec,
-                }
-            }
+            }),
+            status: resilient::live_status(slots),
+            traces: Vec::new(),
         }
     }
 }
 
-fn run_kernel_inner(
+/// One harness leg: a primary-only slot (always run, no verify legs, no
+/// fallback) under [`RetryPolicy::default`].
+fn run_leg(
     cfg: &RunConfig,
-    kernel: &str,
-    entry: &SuiteEntry,
+    kernel: &'static str,
     oracle: &Oracle,
     fault: Option<&FaultSpec>,
-) -> KernelRun {
-    let new_rec = || {
-        if cfg.trace.is_some() {
-            Recorder::enabled_default()
-        } else {
-            Recorder::disabled()
-        }
-    };
-    attempt_with_retry(
+) -> SlotExec {
+    resilient::run_slot(
         cfg,
         &RetryPolicy::default(),
+        oracle,
         0,
         kernel,
-        entry,
-        oracle,
+        Decision::Run,
         fault,
-        new_rec,
-        || {},
+        None,
+        &Recorder::disabled(),
     )
 }
 
@@ -450,37 +343,41 @@ fn run_kernel_inner(
 /// under [`RetryPolicy::default`].
 pub fn run_kernel(
     cfg: &RunConfig,
-    kernel: &str,
+    kernel: &'static str,
     entry: &SuiteEntry,
 ) -> Result<KernelReport, KernelFailure> {
-    run_kernel_inner(cfg, kernel, entry, &Oracle::new(&entry.coo), None).result
+    let slot = run_leg(cfg, kernel, &Oracle::new(&entry.coo), None);
+    slot.primary.expect("a harness leg always runs its primary")
 }
 
-/// Runs a matrix's HiSM, CRS and (optional) format legs side by side.
-/// Each leg builds its own input, engine and recorder; the only thing
-/// they share is the matrix's host oracle, built once by whichever leg
-/// verifies first. So the CRS and format legs run on scoped threads of
-/// their own beside the HiSM leg; a panic on a leg thread is re-raised
-/// here.
+/// Runs a matrix's HiSM, CRS and (optional) format legs side by side, in
+/// that order; a format leg whose kernel is already a primary's is not
+/// run again. Each leg builds its own input, engine and recorder; the
+/// only thing they share is the matrix's host oracle, built once by
+/// whichever leg verifies first. So every leg after the first runs on a
+/// scoped thread of its own; a panic on a leg thread is re-raised here.
 fn run_legs(
     cfg: &RunConfig,
     entry: &SuiteEntry,
     fault: Option<&FaultSpec>,
     format_kernel: Option<&'static str>,
-) -> (KernelRun, KernelRun, Option<KernelRun>) {
+) -> Vec<SlotExec> {
+    let mut kernels = PRIMARY_KERNELS.to_vec();
+    kernels.extend(format_kernel.filter(|k| !PRIMARY_KERNELS.contains(k)));
     let oracle = Oracle::new(&entry.coo);
     let oracle = &oracle;
     std::thread::scope(|scope| {
-        let leg = |kernel: &'static str| {
-            scope.spawn(move || run_kernel_inner(cfg, kernel, entry, oracle, fault))
-        };
-        let crs = leg("transpose_crs");
-        let format = format_kernel.map(leg);
-        let hism = run_kernel_inner(cfg, "transpose_hism", entry, oracle, fault);
-        let join = |h: std::thread::ScopedJoinHandle<'_, KernelRun>| {
-            h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
-        };
-        (hism, join(crs), format.map(join))
+        let others: Vec<_> = kernels[1..]
+            .iter()
+            .map(|&k| scope.spawn(move || run_leg(cfg, k, oracle, fault)))
+            .collect();
+        let mut slots = vec![run_leg(cfg, kernels[0], oracle, fault)];
+        slots.extend(
+            others
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+        );
+        slots
     })
 }
 
@@ -489,58 +386,26 @@ fn run_matrix_inner(
     entry: &SuiteEntry,
     fault: Option<&FaultSpec>,
 ) -> MatrixResult {
-    let resolved = cfg
+    let format_kernel = cfg
         .format
-        .map(|sel| (sel, resolve_format(sel, &entry.metrics)));
-    let format_kernel = resolved
-        .as_ref()
-        .map(|(_, (kind, _))| kind.transpose_kernel());
-    let (hism, crs, format_run) = run_legs(cfg, entry, fault, format_kernel);
-    let status = match (&hism.result, &crs.result) {
-        (Err(f), _) | (_, Err(f)) => RunStatus::Failed(f.clone()),
-        _ => match format_run.as_ref().map(|r| &r.result) {
-            Some(Err(f)) => RunStatus::Failed(f.clone()),
-            _ => RunStatus::Ok,
-        },
-    };
+        .map(|sel| resolve_format(sel, &entry.metrics).0.transpose_kernel());
+    let slots = run_legs(cfg, entry, fault, format_kernel);
+    let mut result = MatrixResult::from_slots(entry, cfg.format, &slots);
     if cfg.strict {
-        if let Some(f) = status.failure() {
+        if let Some(f) = result.status.failure() {
             panic!("strict mode: {}: {f}", entry.name);
         }
     }
-    let mut traces = Vec::new();
     if let Some(dir) = &cfg.trace {
-        let mut legs = vec![("transpose_hism", &hism), ("transpose_crs", &crs)];
-        if let (Some(kernel), Some(run)) = (format_kernel, &format_run) {
-            // `--format csr` re-runs transpose_crs; exporting it twice
-            // would overwrite the CRS leg's trace with an identical copy
-            // and double its roll-up row.
-            if kernel != "transpose_crs" {
-                legs.push((kernel, run));
-            }
-        }
-        for (kernel, run) in legs {
-            let data = run.rec.snapshot();
-            export_trace(dir, &entry.name, kernel, &data)
+        for slot in &slots {
+            let data = slot.rec.snapshot();
+            export_trace(dir, &entry.name, slot.kernel, &data)
                 .unwrap_or_else(|e| panic!("writing trace under {}: {e}", dir.display()));
-            traces.push(TraceRollup::of(&entry.name, kernel, &data, run.attempts));
+            let rollup = TraceRollup::of(&entry.name, slot.kernel, &data, slot.attempts);
+            result.traces.push(rollup);
         }
     }
-    MatrixResult {
-        name: entry.name.clone(),
-        metrics: entry.metrics,
-        hism: hism.result.ok().map(|r| r.report),
-        crs: crs.result.ok().map(|r| r.report),
-        format: resolved.map(|(selection, (kind, decision))| FormatLeg {
-            selection,
-            kind,
-            kernel: kind.transpose_kernel(),
-            decision,
-            report: format_run.and_then(|r| r.result.ok()).map(|r| r.report),
-        }),
-        status,
-        traces,
-    }
+    result
 }
 
 /// Runs both transposition kernels (plus the [`RunConfig::format`] leg,
@@ -635,6 +500,7 @@ impl SpeedupSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stm_core::kernels::registry::{KernelError, Stage};
     use stm_sparse::{gen, MatrixMetrics};
 
     fn entry(name: &str, coo: stm_sparse::Coo) -> SuiteEntry {
@@ -761,31 +627,28 @@ mod tests {
                     format.map(|sel| resolve_format(sel, &e.metrics).0.transpose_kernel());
                 let r = run_matrix(&cfg, &e);
                 assert!(r.status.is_ok(), "{}: {:?}", e.name, r.status);
-                let (hism, crs, format_run) = run_legs(&cfg, &e, None, format_kernel);
-                let mut legs = vec![
-                    ("transpose_hism", hism, r.hism.as_ref()),
-                    ("transpose_crs", crs, r.crs.as_ref()),
-                ];
-                if let (Some(k), Some(run)) = (format_kernel, format_run) {
-                    let leg = r.format.as_ref().expect("format leg present");
-                    legs.push((k, run, leg.report.as_ref()));
+                let slots = run_legs(&cfg, &e, None, format_kernel);
+                let mut reported = vec![r.hism.as_ref(), r.crs.as_ref()];
+                if format_kernel != Some("transpose_crs") {
+                    reported.extend(r.format.as_ref().map(|leg| leg.report.as_ref()));
                 }
+                assert_eq!(slots.len(), reported.len(), "{}", e.name);
                 let mut rollups = Vec::new();
-                for (i, (kernel, run, reported)) in legs.into_iter().enumerate() {
-                    let seq = run_kernel_inner(&cfg, kernel, &e, &Oracle::new(&e.coo), None);
-                    let (got, want) = (run.result.unwrap(), seq.result.unwrap());
-                    let what = format!("{} {kernel} ({format:?})", e.name);
+                for (slot, reported) in slots.into_iter().zip(reported) {
+                    let seq = run_leg(&cfg, slot.kernel, &Oracle::new(&e.coo), None);
+                    let (got, want) = (
+                        slot.primary.unwrap().unwrap(),
+                        seq.primary.unwrap().unwrap(),
+                    );
+                    let what = format!("{} {} ({format:?})", e.name, slot.kernel);
                     assert_eq!(got.output_digest, want.output_digest, "{what}");
                     // Cycles, engine and STM stats and stall breakdowns.
                     let want_report = format!("{:?}", want.report);
                     assert_eq!(format!("{:?}", got.report), want_report, "{what}");
                     assert_eq!(format!("{:?}", reported.unwrap()), want_report, "{what}");
                     let trace = seq.rec.snapshot();
-                    assert_eq!(run.rec.snapshot().to_jsonl(), trace.to_jsonl(), "{what}");
-                    // `--format csr` re-runs the CRS leg and is rolled up once.
-                    if i < 2 || kernel != "transpose_crs" {
-                        rollups.push(TraceRollup::of(&e.name, kernel, &trace, seq.attempts));
-                    }
+                    assert_eq!(slot.rec.snapshot().to_jsonl(), trace.to_jsonl(), "{what}");
+                    rollups.push(TraceRollup::of(&e.name, slot.kernel, &trace, seq.attempts));
                 }
                 assert_eq!(
                     format!("{:?}", r.traces),
@@ -795,6 +658,37 @@ mod tests {
                 );
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_csr_format_leg_reuses_the_crs_leg_and_exports_two_traces() {
+        let dir = std::env::temp_dir().join("stm_harness_csr_leg_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let cfg = RunConfig {
+            format: FormatSel::parse("csr"),
+            trace: Some(dir.clone()),
+            jobs: Some(1),
+            ..RunConfig::default()
+        };
+        let e = entry("m", gen::random::uniform(96, 96, 500, 2));
+        let r = run_set(&cfg, std::slice::from_ref(&e)).remove(0);
+        assert!(r.status.is_ok(), "{:?}", r.status);
+        let leg = r.format.as_ref().expect("format leg present");
+        assert_eq!(leg.kernel, "transpose_crs");
+        assert_eq!(
+            format!("{:?}", leg.report.as_ref().expect("leg verified")),
+            format!("{:?}", r.crs.as_ref().unwrap())
+        );
+        // One CRS run: two legs, two roll-ups, two trace files.
+        let kernels: Vec<&str> = r.traces.iter().map(|t| t.kernel).collect();
+        assert_eq!(kernels, vec!["transpose_hism", "transpose_crs"]);
+        assert_eq!(run_legs(&cfg, &e, None, Some(leg.kernel)).len(), 2);
+        let jsonl = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|f| f.as_ref().unwrap().path().extension() == Some("jsonl".as_ref()))
+            .count();
+        assert_eq!(jsonl, 2, "traces exported under {}", dir.display());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -821,12 +715,13 @@ mod tests {
                 let r = run_set(&cfg, std::slice::from_ref(&e)).remove(0);
                 let format_kernel =
                     format.map(|sel| resolve_format(sel, &e.metrics).0.transpose_kernel());
-                let first = ["transpose_hism", "transpose_crs"]
+                let first = PRIMARY_KERNELS
                     .into_iter()
                     .chain(format_kernel)
                     .find_map(|k| {
-                        run_kernel_inner(&cfg, k, &e, &Oracle::new(&e.coo), Some(&fault))
-                            .result
+                        run_leg(&cfg, k, &Oracle::new(&e.coo), Some(&fault))
+                            .primary
+                            .unwrap()
                             .err()
                     });
                 match (first, &r.status) {
@@ -846,7 +741,7 @@ mod tests {
     fn run_kernel_covers_every_registry_name() {
         let cfg = RunConfig::default();
         let e = entry("small", gen::random::uniform(48, 48, 200, 5));
-        for &name in registry::names() {
+        for &name in stm_core::kernels::registry::names() {
             let r = run_kernel(&cfg, name, &e).unwrap();
             assert!(r.report.cycles > 0, "{name} charged no cycles");
         }
@@ -862,16 +757,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(f.error, KernelError::Unknown("bogus".into()));
         assert_eq!(f.stage, Stage::Prepare);
-    }
-
-    #[test]
-    fn isolate_turns_panics_into_typed_failures() {
-        let f = isolate::<()>("t", Stage::Run, || panic!("boom {}", 7)).unwrap_err();
-        assert_eq!(f.stage, Stage::Run);
-        match f.error {
-            KernelError::Panicked(msg) => assert!(msg.contains("boom 7"), "{msg}"),
-            other => panic!("expected Panicked, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1092,12 +977,12 @@ mod tests {
         // Unknown kernel: every attempt fails, so the default policy's
         // two attempts both run.
         let oracle = Oracle::new(&e.coo);
-        let run = run_kernel_inner(&cfg, "bogus", &e, &oracle, None);
-        assert!(run.result.is_err());
+        let run = run_leg(&cfg, "bogus", &oracle, None);
+        assert!(matches!(run.primary, Some(Err(_))));
         assert_eq!(run.attempts, 2);
         // A clean kernel succeeds on the first attempt.
-        let ok = run_kernel_inner(&cfg, "transpose_hism", &e, &oracle, None);
-        assert!(ok.result.is_ok());
+        let ok = run_leg(&cfg, "transpose_hism", &oracle, None);
+        assert!(matches!(ok.primary, Some(Ok(_))));
         assert_eq!(ok.attempts, 1);
         // Deterministic injected faults are never retried.
         let fault = FaultSpec {
@@ -1105,15 +990,15 @@ mod tests {
             class: FaultClass::PointerRetarget,
             seed: 9,
         };
-        let faulted = run_kernel_inner(&cfg, "transpose_crs", &e, &oracle, Some(&fault));
-        assert!(faulted.result.is_err());
+        let faulted = run_leg(&cfg, "transpose_crs", &oracle, Some(&fault));
+        assert!(matches!(faulted.primary, Some(Err(_))));
         assert_eq!(faulted.attempts, 1);
         // A blown cycle budget would abort identically again.
         let mut tight = cfg.clone();
         tight.vp.cycle_budget = Some(1);
-        let deadline = run_kernel_inner(&tight, "transpose_hism", &e, &oracle, None);
+        let deadline = run_leg(&tight, "transpose_hism", &oracle, None);
         assert!(matches!(
-            deadline.result.map_err(|f| f.error),
+            deadline.primary.unwrap().map_err(|f| f.error),
             Err(KernelError::DeadlineExceeded(_))
         ));
         assert_eq!(deadline.attempts, 1);
@@ -1129,9 +1014,9 @@ mod tests {
             ..RunConfig::default()
         };
         let e = entry("m one", gen::random::uniform(64, 64, 300, 2));
-        let run = run_kernel_inner(&cfg, "transpose_hism", &e, &Oracle::new(&e.coo), None);
-        let report = run.result.expect("clean run");
+        let run = run_leg(&cfg, "transpose_hism", &Oracle::new(&e.coo), None);
         let data = run.rec.snapshot();
+        let report = run.primary.unwrap().expect("clean run");
         // Exactly one lifecycle per trace: a retried (or aggregated)
         // recording would carry one run-span per attempt and the cycle
         // counter would overshoot the report.

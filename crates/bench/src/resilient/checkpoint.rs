@@ -44,6 +44,7 @@
 use super::breaker::{Decision, Outcome};
 use std::io::Write;
 use std::path::Path;
+use stm_obs::export::esc;
 use stm_obs::journal;
 use stm_obs::json::Json;
 use stm_sparse::hash::Fnv1a;
@@ -162,22 +163,6 @@ pub struct EntryRecord {
     pub status: EntryStatus,
     /// Per-primary-kernel slots, in registry order.
     pub slots: Vec<SlotRecord>,
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn opt(s: &Option<String>) -> String {

@@ -44,15 +44,14 @@ pub use checkpoint::{
     SCHEMA_V1,
 };
 
-use crate::harness::{
-    attempt, attempt_with_retry, resolve_format, FaultSpec, FormatLeg, MatrixResult, RunConfig,
-    RunStatus,
-};
+use crate::harness::{resolve_format, FaultSpec, MatrixResult, RunConfig, RunStatus};
 use crate::trace::export_trace;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex};
-use stm_core::kernels::registry::{self, KernelError, KernelFailure, KernelReport, Oracle, Stage};
+use stm_core::kernels::registry::{
+    self, ExecCtx, KernelError, KernelFailure, KernelReport, Oracle, Stage,
+};
 use stm_dsab::SuiteEntry;
 use stm_hism::FaultClass;
 use stm_obs::{Category, Lane, Recorder, TraceData};
@@ -144,9 +143,16 @@ impl VerifyMode {
 #[derive(Debug, Clone)]
 pub struct SoakConfig {
     /// The underlying harness configuration (machine, timing, verify,
-    /// `jobs`). `run.fault`, `run.strict`, `run.trace`
-    /// and `run.format` are ignored — chaos, retry, tracing and the
-    /// format slot are governed by the soak fields below.
+    /// `jobs`). `run.fault` and `run.strict` are ignored — chaos and
+    /// retry are governed by the soak fields below. `run.trace` is the
+    /// directory the pipeline's `resil`-lane trace is exported into
+    /// (kernel attempts are not traced). `run.format` adds a third slot
+    /// per item: the selected format's transpose kernel (resolved per
+    /// matrix for `auto`). The slot shares the deadline, chaos
+    /// injection, retry policy and registry fallback of the primaries
+    /// but has no circuit breaker — it is always attempted. It changes
+    /// the checkpoint fingerprint and the report digest (the entry
+    /// stream gains a slot).
     pub run: RunConfig,
     /// Per-run cycle budget enforced by the engine's watchdog
     /// ([`stm_vpsim::VpConfig::cycle_budget`]); a run that exceeds it
@@ -165,19 +171,9 @@ pub struct SoakConfig {
     /// Checkpoint file: loaded (resume) when present, rewritten
     /// atomically after every commit.
     pub checkpoint: Option<PathBuf>,
-    /// Directory for the pipeline's `resil`-lane trace export.
-    pub trace: Option<PathBuf>,
     /// Stop (cleanly, checkpoint intact) once this many items have
     /// committed — the test/CI hook that simulates a mid-stream kill.
     pub stop_after: Option<usize>,
-    /// Storage-format selection (`--format` in `stmsoak`). When set,
-    /// every item runs a third slot: the selected format's transpose
-    /// kernel (resolved per matrix for `auto`). The slot shares the
-    /// deadline, chaos injection, retry policy and registry fallback of
-    /// the primaries but has no circuit breaker — it is always
-    /// attempted. Changes the checkpoint fingerprint and the report
-    /// digest (the entry stream gains a slot).
-    pub format: Option<stm_dsab::FormatSel>,
     /// Output-integrity verification tier for successful primaries
     /// (`--verify-mode` in `stmsoak`). Non-[`VerifyMode::Off`] values
     /// change the checkpoint fingerprint and the report digest (slots
@@ -198,9 +194,7 @@ impl Default for SoakConfig {
             retry: RetryPolicy::default(),
             chaos: None,
             checkpoint: None,
-            trace: None,
             stop_after: None,
-            format: None,
             verify_mode: VerifyMode::Off,
             sdc: None,
         }
@@ -241,7 +235,7 @@ impl SoakConfig {
         let h = fnv1a(h, cfg.as_bytes());
         // Appended (rather than folded into `cfg`) so format-less
         // checkpoints keep their pre-format fingerprints.
-        let h = match self.format {
+        let h = match self.run.format {
             Some(sel) => fnv1a(h, format!("|format={}", sel.name()).as_bytes()),
             None => h,
         };
@@ -268,14 +262,13 @@ impl SoakConfig {
 
     /// The harness configuration actually used per attempt: the soak
     /// deadline becomes the engine cycle budget, and the harness's own
-    /// fault/retry/trace features are disabled (the pipeline owns them).
+    /// fault/strict/trace features are disabled (the pipeline owns them).
     fn effective_run(&self) -> RunConfig {
         let mut run = self.run.clone();
         run.vp.cycle_budget = self.deadline;
         run.fault = None;
         run.strict = false;
         run.trace = None;
-        run.format = None;
         run
     }
 }
@@ -407,7 +400,6 @@ type LegResult = Option<(Option<KernelReport>, u64)>;
 /// (a single execution substrate has no independent leg).
 fn verify_primary(
     run: &RunConfig,
-    entry: &SuiteEntry,
     oracle: &Oracle,
     kernel: &'static str,
     mode: VerifyMode,
@@ -451,11 +443,11 @@ fn verify_primary(
                     Some(backend) => {
                         let mut alt = run.clone();
                         alt.backend = backend;
-                        attempt(&alt, kernel, entry, oracle, None, &Recorder::disabled())
+                        attempt(&alt, kernel, oracle, None, &Recorder::disabled())
                             .ok()
                             .and_then(|r| r.output.canonical_digest().map(|d| (Some(r), d)))
                     }
-                    None => reference::digest(kernel, &entry.coo, &run.ctx()).map(|d| (None, d)),
+                    None => reference::digest(kernel, oracle.coo(), &run.ctx()).map(|d| (None, d)),
                 };
                 (name, result)
             };
@@ -545,16 +537,21 @@ struct VerifyExec {
 }
 
 /// One executed primary-kernel slot (plus its verification legs and its
-/// fallback, when taken).
-struct SlotExec {
-    kernel: &'static str,
+/// fallback, when taken) — the one per-leg result of the soak, the
+/// service and the batch harness, whose legs are primary-only slots.
+pub(crate) struct SlotExec {
+    pub(crate) kernel: &'static str,
     decision: Decision,
     /// `None` when the breaker skipped the primary.
-    primary: Option<Result<KernelReport, KernelFailure>>,
-    attempts: u64,
+    pub(crate) primary: Option<Result<KernelReport, KernelFailure>>,
+    pub(crate) attempts: u64,
+    /// The recording of the final primary attempt (disabled unless the
+    /// attempts were traced).
+    pub(crate) rec: Recorder,
     /// Integrity verification of a successful primary — `None` when the
-    /// mode is [`VerifyMode::Off`], the primary did not succeed, or the
-    /// kernel has a single leg (nothing to compare against).
+    /// mode is [`VerifyMode::Off`], the primary did not succeed, the slot
+    /// is primary-only, or the kernel has a single leg (nothing to
+    /// compare against).
     verify: Option<VerifyExec>,
     fallback: Option<(&'static str, Result<KernelReport, KernelFailure>)>,
 }
@@ -633,7 +630,7 @@ impl SlotExec {
     /// produced one: the primary when its output survived verification,
     /// the majority leg adopted in its place when it did not, else the
     /// registry fallback.
-    fn verified(&self) -> Option<&KernelReport> {
+    pub(crate) fn verified(&self) -> Option<&KernelReport> {
         if let Some(v) = &self.verify {
             if v.corrupted {
                 return v
@@ -652,6 +649,36 @@ impl SlotExec {
                 Some((_, Ok(r))) => Some(r),
                 _ => None,
             },
+        }
+    }
+
+    /// The slot has a trusted report, but not the primary's own.
+    fn degraded(&self) -> bool {
+        let primary_served = matches!(self.primary, Some(Ok(_))) && !self.corrupted();
+        !primary_served && self.verified().is_some()
+    }
+
+    /// The slot's typed failure: without a trusted report, what stopped
+    /// it (the primary's failure, else the fallback's, else the verdict
+    /// or the open breaker); with one, the primary's failure when the
+    /// fallback rescued it.
+    fn failure(&self) -> Option<KernelFailure> {
+        let fail = |stage, what: &str| KernelFailure {
+            kernel: self.kernel.to_string(),
+            stage,
+            error: KernelError::Corrupt(what.to_string()),
+        };
+        match (&self.primary, &self.fallback) {
+            (Some(Err(f)), _) => Some(f.clone()),
+            _ if self.verified().is_some() => None,
+            (_, Some((_, Err(f)))) => Some(f.clone()),
+            _ if self.corrupted() => Some(fail(
+                Stage::Verify,
+                "output digest outvoted by independent re-execution",
+            )),
+            // Skipped primary with no registered fallback — not
+            // reachable for PRIMARY_KERNELS, but keep it typed.
+            _ => Some(fail(Stage::Run, "breaker open and no fallback registered")),
         }
     }
 }
@@ -689,52 +716,31 @@ fn entry_status(slots: &[SlotRecord]) -> EntryStatus {
 }
 
 /// [`RunStatus`] of a live (executed-in-process) entry, with full typed
-/// failures. Precedence: any corrupted slot ⇒ `Corrupted`, else any
-/// unrescued slot ⇒ `Failed`, else any rescued slot ⇒ `Degraded`, else
-/// `Ok`.
-fn live_status(slots: &[SlotExec]) -> RunStatus {
+/// failures — the one status rule of the soak and the batch harness.
+/// Precedence: any corrupted slot ⇒ `Corrupted`, else any unrescued
+/// slot ⇒ `Failed`, else any rescued slot ⇒ `Degraded`, else `Ok`.
+pub(crate) fn live_status(slots: &[SlotExec]) -> RunStatus {
     for s in slots {
-        if let Some(v) = &s.verify {
-            if v.corrupted {
-                return RunStatus::Corrupted {
-                    kernel: s.kernel.to_string(),
-                    quarantined: v.quarantined,
-                    served: s.served_digest(),
-                    backend: v.recovery.as_ref().map(|(leg, _)| (*leg).to_string()),
-                };
-            }
-        }
-    }
-    for s in slots {
-        if s.verified().is_none() {
-            let failure = match (&s.primary, &s.fallback) {
-                (Some(Err(f)), _) => f.clone(),
-                (_, Some((_, Err(f)))) => f.clone(),
-                // Skipped primary with no registered fallback — not
-                // reachable for PRIMARY_KERNELS, but keep it typed.
-                _ => KernelFailure {
-                    kernel: s.kernel.to_string(),
-                    stage: Stage::Run,
-                    error: KernelError::Corrupt(
-                        "breaker open and no fallback registered".to_string(),
-                    ),
-                },
+        if let Some(v) = s.verify.as_ref().filter(|v| v.corrupted) {
+            return RunStatus::Corrupted {
+                kernel: s.kernel.to_string(),
+                quarantined: v.quarantined,
+                served: s.served_digest(),
+                backend: v.recovery.as_ref().map(|(leg, _)| (*leg).to_string()),
             };
-            return RunStatus::Failed(failure);
         }
     }
-    for s in slots {
-        if let Some((fb, Ok(_))) = &s.fallback {
-            if !matches!(&s.primary, Some(Ok(_))) {
-                return RunStatus::Degraded {
-                    kernel: s.kernel.to_string(),
-                    fallback: fb,
-                    failure: match &s.primary {
-                        Some(Err(f)) => Some(f.clone()),
-                        _ => None,
-                    },
-                };
-            }
+    let unrescued = slots.iter().filter(|s| s.verified().is_none());
+    if let Some(f) = unrescued.filter_map(SlotExec::failure).next() {
+        return RunStatus::Failed(f);
+    }
+    for s in slots.iter().filter(|s| s.degraded()) {
+        if let Some((fallback, _)) = s.fallback {
+            return RunStatus::Degraded {
+                kernel: s.kernel.to_string(),
+                fallback,
+                failure: s.failure(),
+            };
         }
     }
     RunStatus::Ok
@@ -929,29 +935,61 @@ fn absorb_structural(rec: &Recorder, att: &Recorder, clock: &mut u64) {
     *clock = rec.max_ts().saturating_add(1);
 }
 
+/// One attempt of `kernel` under `run` ([`registry::attempt`], verifying
+/// against `oracle` when `run.verify` is set), recording into `rec`.
+fn attempt(
+    run: &RunConfig,
+    kernel: &str,
+    oracle: &Oracle,
+    fault: Option<&FaultSpec>,
+    rec: &Recorder,
+) -> Result<KernelReport, KernelFailure> {
+    let ctx = ExecCtx {
+        obs: rec.clone(),
+        ..run.ctx()
+    };
+    registry::attempt(
+        kernel,
+        &ctx,
+        oracle,
+        fault.map(|f| (f.class, f.seed)),
+        run.verify,
+    )
+}
+
 /// Runs one primary-kernel slot: the breaker-decided primary attempt
-/// loop (with backoff), then integrity verification of a successful
-/// primary ([`verify_primary`]), then the registry fallback when the
-/// slot still has no trusted result — the primary failed outright, or
-/// verification convicted it without producing a majority recovery.
-/// Fallbacks run trusted — no chaos injection — but under the same
-/// deadline.
+/// loop (with backoff), then — when `mode` is set — integrity
+/// verification of a successful primary ([`verify_primary`]), then the
+/// registry fallback when the slot still has no trusted result — the
+/// primary failed outright, or verification convicted it without
+/// producing a majority recovery. Fallbacks run trusted — no chaos
+/// injection — but under the same deadline. `mode: None` makes a
+/// primary-only slot (no verify legs, no fallback): a batch-harness leg.
+///
+/// Every attempt checks against `oracle`, the item's host oracle, which
+/// the item's slots share. A deliberately injected fault gets exactly
+/// one attempt (it would fail identically again), and so does any
+/// failure [`RetryPolicy::should_retry`] rejects. Every attempt records
+/// into a fresh recorder, so an abandoned attempt never leaks into the
+/// trace of the one that produced the reported numbers; attempts are
+/// traced when `rec` is enabled or `run.trace` is set.
 ///
 /// `rec` is the request-scoped recorder (disabled in the soak pipeline,
-/// which traces at commit granularity instead): when enabled, the slot
-/// records a `resil.slot.*` span plus retry/fallback instants on the
-/// `resil` lane, and the *successful* attempt's structural kernel trace
-/// is absorbed inside it on the request's own clock.
+/// which traces at commit granularity instead, and in the harness): when
+/// enabled, the slot records a `resil.slot.*` span plus retry/fallback
+/// instants on the `resil` lane, and the *successful* attempt's
+/// structural kernel trace is absorbed inside it on the request's own
+/// clock.
 #[allow(clippy::too_many_arguments)]
-fn run_slot(
+pub(crate) fn run_slot(
     run: &RunConfig,
     retry: &RetryPolicy,
-    entry: &SuiteEntry,
+    oracle: &Oracle,
     index: usize,
     kernel: &'static str,
     decision: Decision,
     fault: Option<&FaultSpec>,
-    mode: VerifyMode,
+    mode: Option<VerifyMode>,
     rec: &Recorder,
 ) -> SlotExec {
     let traced = rec.is_enabled();
@@ -963,41 +1001,49 @@ fn run_slot(
     let attempt_rec = || {
         if traced {
             Recorder::enabled_default().with_ctx(rec.span_ctx())
+        } else if run.trace.is_some() {
+            Recorder::enabled_default()
         } else {
             Recorder::disabled()
         }
     };
-    // Every leg of the slot (primary, verify legs, fallback) checks
-    // against one host oracle.
-    let oracle = Oracle::new(&entry.coo);
-    let (primary, attempts) = match decision {
-        Decision::Skip => (None, 0),
+    let (primary, attempts, primary_rec) = match decision {
+        Decision::Skip => (None, 0, Recorder::disabled()),
         Decision::Run | Decision::Probe => {
-            let on_retry = || {
-                if traced {
-                    rec.instant(Lane::Resil, Category::Resil, "resil.retry", clock);
-                }
+            let injected = fault.is_some();
+            let max_attempts = if injected {
+                1
+            } else {
+                u64::from(retry.max_attempts.max(1))
             };
             let key = fnv1a(index as u64, kernel.as_bytes());
-            let done = attempt_with_retry(
-                run,
-                retry,
-                key,
-                kernel,
-                entry,
-                &oracle,
-                fault,
-                attempt_rec,
-                on_retry,
-            );
-            if done.result.is_ok() {
-                absorb_structural(rec, &done.rec, &mut clock);
+            let mut attempts = 0;
+            loop {
+                attempts += 1;
+                let att = attempt_rec();
+                let result = attempt(run, kernel, oracle, fault, &att);
+                match &result {
+                    Err(f) if attempts < max_attempts && retry.should_retry(&f.error, injected) => {
+                        if traced {
+                            rec.instant(Lane::Resil, Category::Resil, "resil.retry", clock);
+                        }
+                        let delay = retry.delay_ms(key, (attempts + 1) as u32);
+                        if delay > 0 {
+                            std::thread::sleep(std::time::Duration::from_millis(delay));
+                        }
+                    }
+                    _ => {
+                        if result.is_ok() {
+                            absorb_structural(rec, &att, &mut clock);
+                        }
+                        break (Some(result), attempts, att);
+                    }
+                }
             }
-            (Some(done.result), done.attempts)
         }
     };
-    let verify = match &primary {
-        Some(Ok(r)) => verify_primary(run, entry, &oracle, kernel, mode, r),
+    let verify = match (&primary, mode) {
+        (Some(Ok(r)), Some(mode)) => verify_primary(run, oracle, kernel, mode, r),
         _ => None,
     };
     if traced && verify.as_ref().is_some_and(|v| v.corrupted) {
@@ -1010,12 +1056,13 @@ fn run_slot(
     }
     // The slot has a trusted result when the primary succeeded and
     // verification either passed, produced no verdict, or recovered a
-    // majority report. Anything else falls back.
+    // majority report. Anything else falls back — unless the slot is
+    // primary-only.
     let trusted = matches!(primary, Some(Ok(_)))
         && verify
             .as_ref()
             .is_none_or(|v| !v.corrupted || v.recovery.is_some());
-    let fallback = if trusted {
+    let fallback = if trusted || mode.is_none() {
         None
     } else {
         registry::fallback_for(kernel).map(|fb| {
@@ -1028,7 +1075,7 @@ fn run_slot(
             let mut sim = run.clone();
             sim.backend = registry::Backend::Sim;
             let att = attempt_rec();
-            let result = attempt(&sim, fb, entry, &oracle, None, &att);
+            let result = attempt(&sim, fb, oracle, None, &att);
             if result.is_ok() {
                 absorb_structural(rec, &att, &mut clock);
             }
@@ -1049,6 +1096,7 @@ fn run_slot(
         decision,
         primary,
         attempts,
+        rec: primary_rec,
         verify,
         fallback,
     }
@@ -1141,46 +1189,29 @@ pub fn execute_slot(
     mode: VerifyMode,
     rec: &Recorder,
 ) -> SlotOutcome {
-    let exec = run_slot(run, retry, entry, index, kernel, decision, fault, mode, rec);
-    let outcome = exec.outcome();
-    let corrupted = exec.corrupted();
-    let primary_ok = matches!(exec.primary, Some(Ok(_))) && !corrupted;
-    let report = exec.verified().cloned();
-    let degraded = !primary_ok && report.is_some();
-    let failure = if report.is_some() {
-        match (&exec.primary, degraded) {
-            (Some(Err(f)), true) => Some(f.clone()),
-            _ => None,
-        }
-    } else {
-        match (&exec.primary, &exec.fallback) {
-            (Some(Err(f)), _) => Some(f.clone()),
-            (_, Some((_, Err(f)))) => Some(f.clone()),
-            _ if corrupted => Some(KernelFailure {
-                kernel: kernel.to_string(),
-                stage: Stage::Verify,
-                error: KernelError::Corrupt(
-                    "output digest outvoted by independent re-execution".to_string(),
-                ),
-            }),
-            _ => Some(KernelFailure {
-                kernel: kernel.to_string(),
-                stage: Stage::Run,
-                error: KernelError::Corrupt("breaker open and no fallback registered".to_string()),
-            }),
-        }
-    };
+    let oracle = Oracle::new(&entry.coo);
+    let exec = run_slot(
+        run,
+        retry,
+        &oracle,
+        index,
+        kernel,
+        decision,
+        fault,
+        Some(mode),
+        rec,
+    );
     let verify = exec.verify.as_ref();
     SlotOutcome {
         kernel,
         decision,
-        outcome,
+        outcome: exec.outcome(),
         attempts: exec.attempts,
-        degraded,
+        degraded: exec.degraded(),
         fallback: exec.fallback.as_ref().map(|(k, _)| *k),
-        report,
-        failure,
-        corrupted,
+        report: exec.verified().cloned(),
+        failure: exec.failure(),
+        corrupted: exec.corrupted(),
         verify_legs: verify.map_or(0, |v| v.legs.len() as u64),
         quarantined: verify.map_or(0, |v| v.quarantined),
         recovered: verify.and_then(|v| v.recovery.as_ref().map(|(leg, _)| *leg)),
@@ -1307,37 +1338,30 @@ pub fn run_soak(cfg: &SoakConfig, set: &[SuiteEntry]) -> Result<SoakReport, Stri
                     // the same item (the draws are independent streams).
                     let fault = sdc_fault(cfg.sdc.as_ref(), i)
                         .or_else(|| chaos_fault(cfg.chaos.as_ref(), i));
-                    let mut slots: Vec<SlotExec> = PRIMARY_KERNELS
-                        .iter()
-                        .zip(&decisions)
-                        .map(|(kernel, &decision)| {
+                    // The format slot (no breaker) follows the primaries.
+                    let format = cfg.run.format.map(|sel| {
+                        let kernel = resolve_format(sel, &set[i].metrics).0.transpose_kernel();
+                        (kernel, Decision::Run)
+                    });
+                    let oracle = Oracle::new(&set[i].coo);
+                    let slots: Vec<SlotExec> = PRIMARY_KERNELS
+                        .into_iter()
+                        .zip(decisions)
+                        .chain(format)
+                        .map(|(kernel, decision)| {
                             run_slot(
                                 &run,
                                 &cfg.retry,
-                                &set[i],
+                                &oracle,
                                 i,
                                 kernel,
                                 decision,
                                 fault.as_ref(),
-                                cfg.verify_mode,
+                                Some(cfg.verify_mode),
                                 &Recorder::disabled(),
                             )
                         })
                         .collect();
-                    if let Some(sel) = cfg.format {
-                        let (kind, _) = resolve_format(sel, &set[i].metrics);
-                        slots.push(run_slot(
-                            &run,
-                            &cfg.retry,
-                            &set[i],
-                            i,
-                            kind.transpose_kernel(),
-                            Decision::Run,
-                            fault.as_ref(),
-                            cfg.verify_mode,
-                            &Recorder::disabled(),
-                        ));
-                    }
 
                     let mut g = lock.lock().unwrap();
                     g.in_flight -= 1;
@@ -1369,33 +1393,9 @@ pub fn run_soak(cfg: &SoakConfig, set: &[SuiteEntry]) -> Result<SoakReport, Stri
                         let chaos_hit =
                             !sdc_hit && chaos_fault(cfg.chaos.as_ref(), next_commit).is_some();
                         g.fold_commit(&rec, &entry, chaos_hit, sdc_hit, n, w);
-                        let hism = slots[0].verified().map(|r| r.report.clone());
-                        let crs = slots[1].verified().map(|r| r.report.clone());
-                        let format = cfg.format.map(|sel| {
-                            let (kind, decision) = resolve_format(sel, &set[next_commit].metrics);
-                            FormatLeg {
-                                selection: sel,
-                                kind,
-                                kernel: kind.transpose_kernel(),
-                                decision,
-                                report: slots
-                                    .get(PRIMARY_KERNELS.len())
-                                    .and_then(SlotExec::verified)
-                                    .map(|r| r.report.clone()),
-                            }
-                        });
-                        g.live.push((
-                            next_commit,
-                            MatrixResult {
-                                name: entry.name.clone(),
-                                metrics: set[next_commit].metrics,
-                                hism,
-                                crs,
-                                format,
-                                status: live_status(&slots),
-                                traces: Vec::new(),
-                            },
-                        ));
+                        let live =
+                            MatrixResult::from_slots(&set[next_commit], cfg.run.format, &slots);
+                        g.live.push((next_commit, live));
                         g.entries.push(entry);
                         if let Some(path) = &cfg.checkpoint {
                             if let Err(e) = checkpoint::save(path, fingerprint, &g.entries) {
@@ -1429,7 +1429,7 @@ pub fn run_soak(cfg: &SoakConfig, set: &[SuiteEntry]) -> Result<SoakReport, Stri
         entries: shared.entries,
         trace: rec.snapshot(),
     };
-    if let Some(dir) = &cfg.trace {
+    if let Some(dir) = &cfg.run.trace {
         export_soak_trace(dir, &report).map_err(|e| format!("trace export {dir:?}: {e}"))?;
     }
     Ok(report)
@@ -1494,12 +1494,12 @@ mod tests {
         let exec = run_slot(
             &run,
             &retry,
-            entry,
+            &Oracle::new(&entry.coo),
             0,
             kernel,
             Decision::Run,
             fault,
-            mode,
+            Some(mode),
             &rec,
         );
         assert_eq!(exec.record().digest, fresh.unwrap_or(0), "{case}: record");

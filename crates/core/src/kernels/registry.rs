@@ -378,28 +378,79 @@ pub fn create(name: &str) -> Option<Kernel> {
     })
 }
 
-/// Prepare + run + verify in one call — the common harness path.
-///
-/// Returns the report of the named kernel on `coo` under `ctx`, after
-/// checking the functional output against the host oracle. Failures are
-/// attributed to the lifecycle stage they occurred in.
+/// Prepare + run + verify in one call: one [`attempt`] of the named
+/// kernel on `coo` under `ctx`, checked against the host oracle.
 pub fn run_verified(name: &str, coo: &Coo, ctx: &ExecCtx) -> Result<KernelReport, KernelFailure> {
-    let fail = |stage: Stage, error: KernelError| KernelFailure {
+    attempt(name, ctx, &Oracle::new(coo), None, true)
+}
+
+/// One attempt of the named kernel's lifecycle on the oracle's matrix:
+/// prepare, then the optional `fault` (class and seed), then run, then —
+/// when `verify` is set — the check against `oracle`. Each stage runs
+/// under `catch_unwind`: a typed error or a panic both become a
+/// [`KernelFailure`] attributed to that stage, and a panic from the
+/// engine's cycle-budget watchdog surfaces as the typed
+/// [`KernelError::DeadlineExceeded`] ([`KernelError::from_panic`]).
+///
+/// A [`FaultClass::MidRunBitFlip`] is armed on the engine
+/// ([`Kernel::arm_sdc`]) so it fires silently during the run, after
+/// every input check has passed (host legs build no engine and run
+/// clean); every other class corrupts the prepared input. A kernel that
+/// cannot host the class runs clean. A verified run records its lifecycle into
+/// `ctx.obs`.
+pub fn attempt(
+    name: &str,
+    ctx: &ExecCtx,
+    oracle: &Oracle,
+    fault: Option<(FaultClass, u64)>,
+    verify: bool,
+) -> Result<KernelReport, KernelFailure> {
+    let fail = |stage, error| KernelFailure {
         kernel: name.to_string(),
         stage,
         error,
     };
-    let mut kernel =
+    let mut k =
         create(name).ok_or_else(|| fail(Stage::Prepare, KernelError::Unknown(name.to_string())))?;
-    kernel
-        .prepare(coo, ctx)
-        .map_err(|e| fail(Stage::Prepare, e))?;
-    let report = kernel.run(ctx).map_err(|e| fail(Stage::Run, e))?;
-    kernel
-        .verify(coo, &report.output)
-        .map_err(|e| fail(Stage::Verify, e))?;
-    record_lifecycle(&ctx.obs, &report, kernel.prepared_bytes());
+    isolate(name, Stage::Prepare, || k.prepare(oracle.coo(), ctx))?;
+    let mut armed = None;
+    match fault {
+        Some((FaultClass::MidRunBitFlip, seed)) => {
+            let mut flipped = ctx.clone();
+            flipped.vp.mid_run_flip = k.arm_sdc(seed);
+            armed = Some(flipped);
+        }
+        Some((class, seed)) => match k.inject_fault(class, seed) {
+            Ok(_) | Err(KernelError::FaultUnsupported { .. }) => {}
+            Err(error) => return Err(fail(Stage::Prepare, error)),
+        },
+        None => {}
+    }
+    let ctx = armed.as_ref().unwrap_or(ctx);
+    let report = isolate(name, Stage::Run, || k.run(ctx))?;
+    if verify {
+        isolate(name, Stage::Verify, || {
+            k.verify_with(oracle, &report.output)
+        })?;
+    }
+    record_lifecycle(&ctx.obs, &report, k.prepared_bytes());
     Ok(report)
+}
+
+/// Runs `f` as one lifecycle stage of `kernel`: a typed error or a panic
+/// both become a [`KernelFailure`] attributed to `stage`.
+fn isolate<T>(
+    kernel: &str,
+    stage: Stage,
+    f: impl FnOnce() -> Result<T, KernelError>,
+) -> Result<T, KernelFailure> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .unwrap_or_else(|payload| Err(KernelError::from_panic(payload)))
+        .map_err(|error| KernelFailure {
+            kernel: kernel.to_string(),
+            stage,
+            error,
+        })
 }
 
 /// A registered kernel with a uniform prepare → run → verify lifecycle:
@@ -1468,6 +1519,39 @@ mod tests {
         let err = run_verified("nope", &Coo::new(2, 2), &ExecCtx::paper()).unwrap_err();
         assert_eq!(err.error, KernelError::Unknown("nope".into()));
         assert_eq!(err.stage, Stage::Prepare);
+    }
+
+    #[test]
+    fn isolate_turns_panics_into_typed_failures() {
+        let f = isolate::<()>("t", Stage::Run, || panic!("boom {}", 7)).unwrap_err();
+        assert_eq!(f.stage, Stage::Run);
+        match f.error {
+            KernelError::Panicked(msg) => assert!(msg.contains("boom 7"), "{msg}"),
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_attempt_injects_its_fault_and_verifies_on_request() {
+        let coo = gen::random::uniform(128, 128, 2048, 0xFA017);
+        let (ctx, oracle) = (ExecCtx::paper(), Oracle::new(&coo));
+        let clean = attempt("transpose_hism", &ctx, &oracle, None, true).unwrap();
+        // A value corruption is type-silent: only the oracle sees it.
+        let value = Some((FaultClass::ValueCorruption, 7));
+        let f = attempt("transpose_hism", &ctx, &oracle, value, true).unwrap_err();
+        assert_eq!(f.stage, Stage::Verify);
+        let unverified = attempt("transpose_hism", &ctx, &oracle, value, false).unwrap();
+        assert_ne!(unverified.output_digest, clean.output_digest);
+        // A kernel that hosts no fault runs clean.
+        attempt("transpose_ref", &ctx, &oracle, value, true).unwrap();
+        // A mid-run flip is armed on this attempt's engine only: some
+        // seed manifests in the output, and `ctx` stays unarmed.
+        let flipped = (0..32).find_map(|seed| {
+            let flip = Some((FaultClass::MidRunBitFlip, seed));
+            attempt("transpose_hism", &ctx, &oracle, flip, true).err()
+        });
+        assert_eq!(flipped.expect("a manifesting seed").stage, Stage::Verify);
+        assert!(ctx.vp.mid_run_flip.is_none());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::event::{EventKind, Lane, TraceEvent};
 use crate::recorder::TraceData;
 
 /// Escape a string for inclusion in a JSON string literal.
-fn esc(s: &str) -> String {
+pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -236,7 +236,7 @@ fn exported_soak_trace_is_well_formed() {
     let set = suite();
     let dir = tmp_path("trace");
     let mut cfg = chaos_cfg(2);
-    cfg.trace = Some(dir.clone());
+    cfg.run.trace = Some(dir.clone());
     let report = resilient::run_soak(&cfg, &set).unwrap();
 
     // The in-memory trace satisfies the obs invariants...
@@ -404,7 +404,7 @@ fn a_format_slot_soaks_deterministically_and_survives_resume() {
     let set = suite();
     let with_format = |jobs| {
         let mut cfg = chaos_cfg(jobs);
-        cfg.format = Some(hism_stm::dsab::FormatSel::Auto);
+        cfg.run.format = Some(hism_stm::dsab::FormatSel::Auto);
         cfg
     };
 
