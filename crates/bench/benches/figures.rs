@@ -1,87 +1,46 @@
 //! `cargo bench` entry point that regenerates every figure of the paper's
-//! evaluation (Figs. 10–13 + the speedup summary) in one pass.
+//! evaluation (Figs. 10–13 + the overall speedup) in one pass, through
+//! the same code as the `fig10`–`fig13` binaries.
 //!
 //! This is a custom harness (`harness = false`): the "benchmark" is the
 //! simulation campaign itself, and its output is the paper's tables. It
 //! runs the full 132-matrix suite by default; set `STM_SUITE=quick` for a
 //! fast smoke pass.
 
-use stm_bench::fig10::bu_sweep;
-use stm_bench::output::{figure_rows, format_table, write_csv, FIGURE_HEADERS};
-use stm_bench::{run_set, sets_from_env, MatrixResult, RunConfig, SpeedupSummary};
+use stm_bench::figure::{FIGURES, PAPER_OVERALL};
+use stm_bench::{RunConfig, SpeedupSummary};
+use stm_bench::{BACKEND, FORMAT, JOBS, QUICK, STRICT, TRACE};
+use stm_obs::cli::{Cli, Flag};
+
+const CLI: Cli = Cli {
+    bin: "figures",
+    about: "Regenerates Figs. 10-13 and the overall speedup in one pass.",
+    operands: "",
+    flags: &[
+        QUICK,
+        JOBS,
+        FORMAT,
+        TRACE,
+        BACKEND,
+        STRICT,
+        Flag::switch("--bench", "passed by `cargo bench`; ignored"),
+    ],
+};
 
 fn main() {
-    // Under `cargo bench` extra args like `--bench` arrive; ignore them.
-    let (sets, tag) = sets_from_env();
-    let cfg = RunConfig::from_env();
+    let args = CLI.parse(std::env::args().skip(1));
+    let cfg = RunConfig::from_args(&args);
+    let (sets, tag) = stm_bench::sets(&args);
     println!("=== Regenerating the paper's evaluation (suite: {tag}) ===\n");
-
-    // Fig. 10.
-    let flat: Vec<&stm_dsab::SuiteEntry> = sets.all().collect();
-    let owned: Vec<stm_dsab::SuiteEntry> = flat
-        .iter()
-        .map(|e| stm_dsab::SuiteEntry {
-            name: e.name.clone(),
-            coo: e.coo.clone(),
-            metrics: e.metrics,
-        })
-        .collect();
-    let bs = [1u64, 2, 4, 8, 16];
-    let ls = [1usize, 2, 4, 8];
-    let points = bu_sweep(&owned, 64, &bs, &ls);
-    println!("Fig. 10 — buffer bandwidth utilization (rows: L, cols: B={bs:?})");
-    for (li, &l) in ls.iter().enumerate() {
-        let row: Vec<String> = (0..bs.len())
-            .map(|bi| format!("{:.3}", points[li * bs.len() + bi].bu))
-            .collect();
-        println!("  L={l}: {}", row.join("  "));
+    stm_bench::fig10::report(&sets, tag);
+    let mut all = Vec::new();
+    for fig in &FIGURES {
+        println!();
+        all.extend(fig.run(&sets, tag, &cfg, None));
     }
-    let csv: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| vec![p.l.to_string(), p.b.to_string(), format!("{:.6}", p.bu)])
-        .collect();
-    write_csv("results/fig10.csv", &["L", "B", "BU"], &csv).expect("results/fig10.csv");
-    drop(owned);
-
-    // Figs. 11-13.
-    let figures: [(&str, &str, &[stm_dsab::SuiteEntry], &str); 3] = [
-        (
-            "Fig. 11 — locality set",
-            "fig11",
-            &sets.by_locality,
-            "1.8 / 16.5 / 32.0",
-        ),
-        (
-            "Fig. 12 — ANZ set",
-            "fig12",
-            &sets.by_anz,
-            "11.9 / 20.0 / 28.9",
-        ),
-        (
-            "Fig. 13 — size set",
-            "fig13",
-            &sets.by_size,
-            "3.4 / 15.5 / 28.2",
-        ),
-    ];
-    let mut all: Vec<MatrixResult> = Vec::new();
-    for (title, file, set, paper) in figures {
-        let results = run_set(&cfg, set);
-        let rows = figure_rows(&results, cfg.backend.name());
-        println!("\n{title}");
-        println!("{}", format_table(&FIGURE_HEADERS, &rows));
-        let s = SpeedupSummary::of(&results);
-        println!(
-            "  speedup {:.1} .. {:.1} avg {:.1}  (paper min/avg/max: {paper})",
-            s.min, s.max, s.avg
-        );
-        write_csv(format!("results/{file}.csv"), &FIGURE_HEADERS, &rows).expect("write figure csv");
-        all.extend(results);
-    }
-    let s = SpeedupSummary::of(&all);
+    let (s, p) = (SpeedupSummary::of(&all), PAPER_OVERALL);
     println!(
-        "\nOverall: speedup {:.1} .. {:.1}, average {:.1}  (paper: 1.8 .. 32.0, avg 17.6)",
-        s.min, s.max, s.avg
+        "\nOverall: speedup {:.1} .. {:.1}, average {:.1}  (paper: {:.1} .. {:.1}, avg {:.1})",
+        s.min, s.max, s.avg, p.min, p.max, p.avg
     );
-    println!("\nCSV output under results/.");
 }

@@ -8,36 +8,43 @@
 //! speedup, so both sides of every trade-off stay visible.
 
 use stm_bench::output::{format_table, write_csv};
-use stm_bench::{run_set, sets_from_env, RunConfig, SpeedupSummary};
+use stm_bench::{run_set, RunConfig, SpeedupSummary};
+use stm_bench::{BACKEND, FORMAT, JOBS, QUICK, STRICT, TRACE};
 use stm_core::StmConfig;
+use stm_obs::cli::Cli;
 use stm_vpsim::VpConfig;
+
+const CLI: Cli = Cli {
+    bin: "ablate",
+    about: "Ablations of the design choices over the locality set.",
+    operands: "",
+    flags: &[QUICK, JOBS, FORMAT, TRACE, BACKEND, STRICT],
+};
 
 struct Variant {
     name: &'static str,
     cfg: RunConfig,
 }
 
-fn paper() -> RunConfig {
-    RunConfig::from_env()
-}
-
 fn main() {
-    let (sets, tag) = sets_from_env();
+    let args = CLI.parse(std::env::args().skip(1));
+    let paper = RunConfig::from_args(&args);
+    let (sets, tag) = stm_bench::sets(&args);
     let set = &sets.by_locality;
 
     let mut variants: Vec<Variant> = vec![Variant {
         name: "paper (s=64 B=4 L=4, chained)",
-        cfg: paper(),
+        cfg: paper.clone(),
     }];
 
-    let mut v = paper();
+    let mut v = paper.clone();
     v.vp.chaining = false;
     variants.push(Variant {
         name: "chaining off",
         cfg: v,
     });
 
-    let mut v = paper();
+    let mut v = paper.clone();
     v.vp.words_per_entry = 2;
     variants.push(Variant {
         name: "charge [value,pos] pair (2 words/entry)",
@@ -45,7 +52,7 @@ fn main() {
     });
 
     for startup in [5u64, 50] {
-        let mut v = paper();
+        let mut v = paper.clone();
         v.vp.mem_startup = startup;
         variants.push(Variant {
             name: if startup == 5 {
@@ -58,7 +65,7 @@ fn main() {
     }
 
     for (b, l) in [(1u64, 1usize), (4, 1), (1, 4), (8, 4), (8, 8)] {
-        let mut v = paper();
+        let mut v = paper.clone();
         v.stm = StmConfig { s: 64, b, l };
         let name: &'static str = match (b, l) {
             (1, 1) => "STM B=1 L=1 (baseline unit)",
@@ -70,14 +77,14 @@ fn main() {
         variants.push(Variant { name, cfg: v });
     }
 
-    let mut v = paper();
+    let mut v = paper.clone();
     v.vp.mem_ports = 2;
     variants.push(Variant {
         name: "dual-ported memory",
         cfg: v,
     });
 
-    let mut v = paper();
+    let mut v = paper.clone();
     v.vp.scalar_out_of_order = true;
     variants.push(Variant {
         name: "out-of-order scalar core",
@@ -85,7 +92,7 @@ fn main() {
     });
 
     for s in [32usize, 128] {
-        let mut v = paper();
+        let mut v = paper.clone();
         v.vp = VpConfig {
             section_size: s,
             ..v.vp

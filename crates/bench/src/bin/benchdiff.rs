@@ -2,7 +2,7 @@
 //! binary's `--bench-json FILE`) and fail on cycle drift.
 //!
 //! ```text
-//! benchdiff <base.json> <new.json> [--tolerance T]
+//! benchdiff [--tolerance T] <base.json> <new.json>
 //! benchdiff --write-scaled FACTOR <in.json> <out.json>
 //! ```
 //!
@@ -16,12 +16,26 @@
 use std::process::ExitCode;
 
 use stm_bench::baseline::{diff, Baseline};
+use stm_obs::cli::{Cli, Flag};
 
-fn usage() -> ExitCode {
-    eprintln!("usage: benchdiff <base.json> <new.json> [--tolerance T]");
-    eprintln!("       benchdiff --write-scaled FACTOR <in.json> <out.json>");
-    ExitCode::from(2)
-}
+const CLI: Cli = Cli {
+    bin: "benchdiff",
+    about: "Compares two stm-bench-baseline/v1 files and fails on cycle drift; \
+            with --write-scaled, writes <in.json> scaled to <out.json> instead.",
+    operands: "<base.json> <new.json>",
+    flags: &[
+        Flag::value(
+            "--tolerance",
+            "T",
+            "relative cycle drift allowed (default 0.02)",
+        ),
+        Flag::value(
+            "--write-scaled",
+            "FACTOR",
+            "scale every cycle count of <in.json> by FACTOR into <out.json>",
+        ),
+    ],
+};
 
 fn load(path: &str) -> Result<Baseline, ExitCode> {
     let text = std::fs::read_to_string(path).map_err(|e| {
@@ -35,16 +49,15 @@ fn load(path: &str) -> Result<Baseline, ExitCode> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = CLI.parse(std::env::args().skip(1));
+    let tolerance: f64 = args.value("--tolerance").unwrap_or(0.02);
+    let scale: Option<f64> = args.value("--write-scaled");
+    let [base_path, new_path] = args.operands() else {
+        args.fail("want two baseline files")
+    };
 
-    if args.first().map(String::as_str) == Some("--write-scaled") {
-        let [_, factor, input, output] = args.as_slice() else {
-            return usage();
-        };
-        let Ok(factor) = factor.parse::<f64>() else {
-            eprintln!("benchdiff: bad scale factor {factor:?}");
-            return ExitCode::from(2);
-        };
+    if let Some(factor) = scale {
+        let (input, output) = (base_path, new_path);
         let mut base = match load(input) {
             Ok(b) => b,
             Err(code) => return code,
@@ -58,29 +71,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let mut tolerance = 0.02f64;
-    let mut files: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--tolerance" {
-            let Some(t) = it.next().and_then(|t| t.parse().ok()) else {
-                return usage();
-            };
-            tolerance = t;
-        } else if let Some(t) = a.strip_prefix("--tolerance=") {
-            let Ok(t) = t.parse() else {
-                return usage();
-            };
-            tolerance = t;
-        } else if a.starts_with("--") {
-            return usage();
-        } else {
-            files.push(a);
-        }
-    }
-    let [base_path, new_path] = files.as_slice() else {
-        return usage();
-    };
     let (base, new) = match (load(base_path), load(new_path)) {
         (Ok(b), Ok(n)) => (b, n),
         (Err(code), _) | (_, Err(code)) => return code,

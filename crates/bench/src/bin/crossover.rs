@@ -12,8 +12,17 @@
 
 use stm_bench::output::{format_table, write_csv};
 use stm_bench::{run_batch, run_kernel, RunConfig};
+use stm_bench::{BACKEND, FORMAT, JOBS, STRICT, TRACE};
 use stm_dsab::SuiteEntry;
+use stm_obs::cli::Cli;
 use stm_sparse::{Coo, MatrixMetrics};
+
+const CLI: Cli = Cli {
+    bin: "crossover",
+    about: "The row length at which vectorized CRS overtakes scalar CRS.",
+    operands: "",
+    flags: &[JOBS, FORMAT, TRACE, BACKEND, STRICT],
+};
 
 /// A 256-row matrix with exactly `anz` non-zeros per row, columns spread
 /// deterministically over 4096.
@@ -32,7 +41,8 @@ fn fixed_anz_matrix(anz: usize) -> Coo {
 }
 
 fn main() {
-    let cfg = RunConfig::from_env();
+    let args = CLI.parse(std::env::args().skip(1));
+    let cfg = RunConfig::from_args(&args);
     let anz_values = [1usize, 2, 4, 8, 16, 32, 64, 128];
     let entries: Vec<SuiteEntry> = anz_values
         .iter()

@@ -5,45 +5,60 @@
 //! * exactly the corrupted matrix reports `Failed` with a typed error,
 //! * every other matrix is bit-identical to a clean serial run.
 //!
-//! Flags: `--jobs N` sizes the pool, `--class <name>` picks the fault
-//! class (default `pointer_retarget`), `--index N` the victim (default
-//! 2), `--strict` panics on the failure instead (CI asserts the nonzero
-//! exit).
+//! `--help` lists the flags: the victim (`--index`), the fault class
+//! (`--class`, default `pointer_retarget`) and the run flags; under
+//! `--strict` the failure panics instead (CI asserts the nonzero exit).
 //!
 //! Exits 0 when all checks hold, 1 otherwise.
 
-use stm_bench::{arg_value, parsed, run_set, FaultSpec, RunConfig};
+use stm_bench::{run_set, FaultSpec, RunConfig};
+use stm_bench::{BACKEND, FORMAT, JOBS, STRICT, TRACE};
 use stm_dsab::{experiment_sets, quick_catalogue};
 use stm_hism::FaultClass;
+use stm_obs::cli::{Cli, Flag};
+
+const CLI: Cli = Cli {
+    bin: "faultsmoke",
+    about: "Fault-injection smoke: corrupt one matrix, check containment.",
+    operands: "",
+    flags: &[
+        JOBS,
+        FORMAT,
+        TRACE,
+        BACKEND,
+        STRICT,
+        Flag::value(
+            "--class",
+            "NAME",
+            "fault class to inject (default pointer_retarget)",
+        ),
+        Flag::value(
+            "--index",
+            "N",
+            "set position of the victim matrix (default 2)",
+        ),
+    ],
+};
 
 fn main() {
-    stm_bench::handle_help(
-        "faultsmoke",
-        "Fault-injection smoke: corrupt one matrix, check containment.",
-        &[
-            (
-                "--class NAME",
-                "fault class to inject (default pointer_retarget)",
-            ),
-            ("--index N", "set position of the victim matrix (default 2)"),
-        ],
-    );
-    let class = match arg_value("--class") {
-        Some(name) => FaultClass::from_name(&name)
-            .unwrap_or_else(|| panic!("unknown fault class {name:?}; see `FaultClass::ALL`")),
-        None => FaultClass::PointerRetarget,
-    };
+    let args = CLI.parse(std::env::args().skip(1));
+    let run = RunConfig::from_args(&args);
+    let class = args
+        .value_with("--class", FaultClass::from_name)
+        .unwrap_or(FaultClass::PointerRetarget);
+    let index: Option<usize> = args.value("--index");
     let set = experiment_sets(&quick_catalogue(), 6).by_locality;
-    let index: usize = parsed("--index").unwrap_or(2.min(set.len() - 1));
-    assert!(
-        index < set.len(),
-        "--index {index} outside the {} matrices",
-        set.len()
-    );
+    let index = index.unwrap_or(2.min(set.len() - 1));
+    if index >= set.len() {
+        args.fail(&format!(
+            "--index {index} outside the {} matrices",
+            set.len()
+        ));
+    }
 
     let clean_cfg = RunConfig {
         jobs: Some(1),
-        ..RunConfig::from_env()
+        ..run.clone()
     };
     let clean = run_set(&clean_cfg, &set);
 
@@ -53,7 +68,7 @@ fn main() {
             class,
             seed: 0xf0_57a7,
         }),
-        ..RunConfig::from_env()
+        ..run
     };
     // Under --strict this panics (nonzero exit) — which is the behavior
     // CI asserts for the strict leg.

@@ -3,49 +3,17 @@
 //! averaged over the 30 benchmark matrices. This is the study from which
 //! the paper picks `L = 4`.
 
-use stm_bench::fig10::bu_sweep;
-use stm_bench::output::{format_table, write_csv};
-use stm_bench::sets_from_env;
+use stm_obs::cli::Cli;
+
+const CLI: Cli = Cli {
+    bin: "fig10",
+    about: "Fig. 10: buffer bandwidth utilization vs B for L in {1,2,4,8}.",
+    operands: "",
+    flags: &[stm_bench::QUICK],
+};
 
 fn main() {
-    stm_bench::handle_help(
-        "fig10",
-        "Fig. 10: buffer bandwidth utilization vs B for L in {1,2,4,8}.",
-        &[],
-    );
-    let (sets, tag) = sets_from_env();
-    let flat: Vec<stm_dsab::SuiteEntry> = sets
-        .by_locality
-        .into_iter()
-        .chain(sets.by_anz)
-        .chain(sets.by_size)
-        .collect();
-
-    let bs = [1u64, 2, 4, 8, 16];
-    let ls = [1usize, 2, 4, 8];
-    let points = bu_sweep(&flat, 64, &bs, &ls);
-
-    let headers: Vec<String> = std::iter::once("L \\ B".to_string())
-        .chain(bs.iter().map(|b| format!("B={b}")))
-        .collect();
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut rows = Vec::new();
-    for (li, &l) in ls.iter().enumerate() {
-        let mut row = vec![format!("L={l}")];
-        for bi in 0..bs.len() {
-            row.push(format!("{:.3}", points[li * bs.len() + bi].bu));
-        }
-        rows.push(row);
-    }
-    println!("Fig. 10 — Buffer bandwidth utilization (suite: {tag}, s = 64)");
-    println!("{}", format_table(&header_refs, &rows));
-    println!("Paper's reading: highest utilization at B=1; utilization grows");
-    println!("with L but saturates beyond L=4 → the unit is built with L=4.");
-
-    let csv_rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| vec![p.l.to_string(), p.b.to_string(), format!("{:.6}", p.bu)])
-        .collect();
-    write_csv("results/fig10.csv", &["L", "B", "BU"], &csv_rows).expect("write results/fig10.csv");
-    eprintln!("wrote results/fig10.csv");
+    let args = CLI.parse(std::env::args().skip(1));
+    let (sets, tag) = stm_bench::sets(&args);
+    stm_bench::fig10::report(&sets, tag);
 }

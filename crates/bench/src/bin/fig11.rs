@@ -4,44 +4,6 @@
 //! "grows monotonically with the growth of the matrix locality"; its
 //! range on this set is 1.8–32.0 (average 16.5).
 
-use stm_bench::baseline::Baseline;
-use stm_bench::output::{
-    figure_rows, format_table, print_format_decisions, print_trace_rollup, write_csv,
-    FIGURE_HEADERS,
-};
-use stm_bench::{bench_json_from_env, run_set, sets_from_env, RunConfig, SpeedupSummary};
-
 fn main() {
-    stm_bench::handle_help(
-        "fig11",
-        "Fig. 11: transposition performance over the locality-sorted set.",
-        &[],
-    );
-    let (sets, tag) = sets_from_env();
-    let cfg = RunConfig::from_env();
-    let results = run_set(&cfg, &sets.by_locality);
-    let rows = figure_rows(&results, cfg.backend.name());
-    println!("Fig. 11 — Performance w.r.t. matrix locality (suite: {tag})");
-    println!("{}", format_table(&FIGURE_HEADERS, &rows));
-    let s = SpeedupSummary::of(&results);
-    println!(
-        "speedup range {:.1} .. {:.1}, average {:.1}   (paper: 1.8 .. 32.0, avg 16.5)",
-        s.min, s.max, s.avg
-    );
-    print_format_decisions(&results);
-    print_trace_rollup(&results);
-    write_csv("results/fig11.csv", &FIGURE_HEADERS, &rows).expect("write results/fig11.csv");
-    eprintln!("wrote results/fig11.csv");
-    if let Some(path) = bench_json_from_env() {
-        let baseline = Baseline::from_results(
-            "fig11",
-            tag,
-            cfg.timing.name(),
-            cfg.backend.name(),
-            &results,
-        );
-        std::fs::write(&path, baseline.to_json())
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        eprintln!("wrote {}", path.display());
-    }
+    stm_bench::figure::FIG11.main(std::env::args().skip(1));
 }

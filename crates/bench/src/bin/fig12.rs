@@ -3,31 +3,6 @@
 //! reading: CRS performance improves as ANZ grows (its per-row startup
 //! amortizes); speedup range 11.9–28.9 (average 20.0).
 
-use stm_bench::output::{
-    figure_rows, format_table, print_format_decisions, print_trace_rollup, write_csv,
-    FIGURE_HEADERS,
-};
-use stm_bench::{run_set, sets_from_env, RunConfig, SpeedupSummary};
-
 fn main() {
-    stm_bench::handle_help(
-        "fig12",
-        "Fig. 12: transposition performance over the ANZ-sorted set.",
-        &[],
-    );
-    let (sets, tag) = sets_from_env();
-    let cfg = RunConfig::from_env();
-    let results = run_set(&cfg, &sets.by_anz);
-    let rows = figure_rows(&results, cfg.backend.name());
-    println!("Fig. 12 — Performance w.r.t. average non-zeros per row (suite: {tag})");
-    println!("{}", format_table(&FIGURE_HEADERS, &rows));
-    let s = SpeedupSummary::of(&results);
-    println!(
-        "speedup range {:.1} .. {:.1}, average {:.1}   (paper: 11.9 .. 28.9, avg 20.0)",
-        s.min, s.max, s.avg
-    );
-    print_format_decisions(&results);
-    print_trace_rollup(&results);
-    write_csv("results/fig12.csv", &FIGURE_HEADERS, &rows).expect("write results/fig12.csv");
-    eprintln!("wrote results/fig12.csv");
+    stm_bench::figure::FIG12.main(std::env::args().skip(1));
 }

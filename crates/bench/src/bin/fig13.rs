@@ -3,31 +3,6 @@
 //! reading: neither method's cycles/nnz shows a particular dependence on
 //! size; speedup range 3.4–28.2 (average 15.5).
 
-use stm_bench::output::{
-    figure_rows, format_table, print_format_decisions, print_trace_rollup, write_csv,
-    FIGURE_HEADERS,
-};
-use stm_bench::{run_set, sets_from_env, RunConfig, SpeedupSummary};
-
 fn main() {
-    stm_bench::handle_help(
-        "fig13",
-        "Fig. 13: transposition performance over the size-sorted set.",
-        &[],
-    );
-    let (sets, tag) = sets_from_env();
-    let cfg = RunConfig::from_env();
-    let results = run_set(&cfg, &sets.by_size);
-    let rows = figure_rows(&results, cfg.backend.name());
-    println!("Fig. 13 — Performance w.r.t. matrix size (suite: {tag})");
-    println!("{}", format_table(&FIGURE_HEADERS, &rows));
-    let s = SpeedupSummary::of(&results);
-    println!(
-        "speedup range {:.1} .. {:.1}, average {:.1}   (paper: 3.4 .. 28.2, avg 15.5)",
-        s.min, s.max, s.avg
-    );
-    print_format_decisions(&results);
-    print_trace_rollup(&results);
-    write_csv("results/fig13.csv", &FIGURE_HEADERS, &rows).expect("write results/fig13.csv");
-    eprintln!("wrote results/fig13.csv");
+    stm_bench::figure::FIG13.main(std::env::args().skip(1));
 }

@@ -11,8 +11,9 @@
 //! decisions, predictions, measured cycles per format, regret — to
 //! `results/format-decisions.csv`.
 //!
-//! Flags: `--jobs N` / `STM_JOBS` (worker pool). The suite is always the
-//! quick catalogue — the gate must stay CI-cheap.
+//! Flags: `--jobs N` / `STM_JOBS` (worker pool) and `--backend B` /
+//! `STM_BACKEND`. The suite is always the quick catalogue — the gate
+//! must stay CI-cheap.
 //!
 //! Exit codes: 0 = both contracts hold; 1 = a digest mismatch or a
 //! regret violation; 2 = a kernel failed outright.
@@ -20,25 +21,29 @@
 use stm_bench::output::{format_table, write_csv, FORMAT_DECISION_HEADERS};
 use stm_bench::{run_kernel, run_set, RunConfig};
 use stm_dsab::{build_by_name, quick_catalogue, FormatKind, FormatSel, SuiteEntry};
+use stm_obs::cli::Cli;
 
 /// Chosen-vs-best-fixed regret the autotuner may not exceed.
 const MAX_REGRET: f64 = 0.10;
 
+const CLI: Cli = Cli {
+    bin: "formatsmoke",
+    about: "Format gate: cross-format digest equality + autotuner regret bound.",
+    operands: "",
+    flags: &[stm_bench::JOBS, stm_bench::BACKEND],
+};
+
 fn main() {
-    stm_bench::handle_help(
-        "formatsmoke",
-        "Format gate: cross-format digest equality + autotuner regret bound.",
-        &[],
-    );
+    let args = CLI.parse(std::env::args().skip(1));
     let specs = quick_catalogue();
     let set: Vec<SuiteEntry> = specs
         .iter()
         .map(|s| build_by_name(&specs, &s.name).expect("catalogue name resolves"))
         .collect();
     let cfg = RunConfig {
-        jobs: stm_bench::jobs_from_env(),
+        jobs: args.value(stm_bench::JOBS.name),
         format: Some(FormatSel::Auto),
-        backend: stm_bench::backend_from_env(),
+        backend: stm_bench::backend(&args),
         ..RunConfig::default()
     };
 

@@ -7,11 +7,22 @@
 //! mechanism".
 
 use stm_bench::output::{format_table, write_csv};
-use stm_bench::{run_set, sets_from_env, RunConfig};
+use stm_bench::{run_set, RunConfig};
+use stm_bench::{BACKEND, FORMAT, JOBS, QUICK, STRICT, TRACE};
 use stm_core::StmConfig;
+use stm_obs::cli::Cli;
+
+const CLI: Cli = Cli {
+    bin: "paramgrid",
+    about: "End-to-end HiSM transposition cost over the B x L grid.",
+    operands: "",
+    flags: &[QUICK, JOBS, FORMAT, TRACE, BACKEND, STRICT],
+};
 
 fn main() {
-    let (sets, tag) = sets_from_env();
+    let args = CLI.parse(std::env::args().skip(1));
+    let paper = RunConfig::from_args(&args);
+    let (sets, tag) = stm_bench::sets(&args);
     let bs = [1u64, 2, 4, 8, 16];
     let ls = [1usize, 2, 4, 8];
 
@@ -22,7 +33,7 @@ fn main() {
         for &b in &bs {
             let cfg = RunConfig {
                 stm: StmConfig { s: 64, b, l },
-                ..RunConfig::from_env()
+                ..paper.clone()
             };
             let results = run_set(&cfg, &sets.by_locality);
             let avg = results

@@ -10,10 +10,19 @@
 //! software attacking the same quantity.
 
 use stm_bench::output::{format_table, write_csv};
-use stm_bench::{run_batch, run_matrix, sets_from_env, RunConfig};
+use stm_bench::{run_batch, run_matrix, RunConfig};
+use stm_bench::{BACKEND, FORMAT, JOBS, QUICK, STRICT, TRACE};
 use stm_dsab::SuiteEntry;
+use stm_obs::cli::Cli;
 use stm_sparse::reorder::rcm_reorder;
 use stm_sparse::{Coo, MatrixMetrics};
+
+const CLI: Cli = Cli {
+    bin: "reorder",
+    about: "Locality, HiSM cost and speedup before and after RCM reordering.",
+    operands: "",
+    flags: &[QUICK, JOBS, FORMAT, TRACE, BACKEND, STRICT],
+};
 
 fn measure(cfg: &RunConfig, name: &str, coo: &Coo) -> (f64, f64, f64) {
     let metrics = MatrixMetrics::compute(coo);
@@ -32,8 +41,9 @@ fn measure(cfg: &RunConfig, name: &str, coo: &Coo) -> (f64, f64, f64) {
 }
 
 fn main() {
-    let (sets, tag) = sets_from_env();
-    let cfg = RunConfig::from_env();
+    let args = CLI.parse(std::env::args().skip(1));
+    let cfg = RunConfig::from_args(&args);
+    let (sets, tag) = stm_bench::sets(&args);
     let square: Vec<&SuiteEntry> = sets
         .by_locality
         .iter()

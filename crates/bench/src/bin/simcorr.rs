@@ -21,6 +21,17 @@ use stm_bench::resilient::reference;
 use stm_bench::RunConfig;
 use stm_core::kernels::registry::{self, Backend};
 use stm_dsab::{experiment_sets, quick_catalogue, SuiteEntry};
+use stm_obs::cli::{Cli, Flag};
+
+const CLI: Cli = Cli {
+    bin: "simcorr",
+    about: "Three-leg sim-vs-host correlation over the quick catalogue.",
+    operands: "",
+    flags: &[
+        Flag::value("--reps", "N", "host-leg repetitions, best-of (default 3)")
+            .env("STM_SIMCORR_REPS"),
+    ],
+};
 
 /// One leg's measurement: the canonical output digest, the simulated
 /// cycles the report charged, and the best-of-`reps` wall-clock for the
@@ -66,12 +77,6 @@ fn run_leg(entry: &SuiteEntry, kernel: &str, backend: Backend, reps: usize) -> R
     Ok(best.expect("at least one rep"))
 }
 
-/// `--reps N` / `--reps=N` / `STM_SIMCORR_REPS=N` (default 3). A value
-/// that is not a count exits with status 2.
-fn reps_from_env() -> usize {
-    stm_bench::parsed_or_env("--reps", "STM_SIMCORR_REPS").unwrap_or(3)
-}
-
 const HEADERS: [&str; 9] = [
     "matrix",
     "nnz",
@@ -85,15 +90,8 @@ const HEADERS: [&str; 9] = [
 ];
 
 fn main() {
-    stm_bench::handle_help(
-        "simcorr",
-        "Three-leg sim-vs-host correlation over the quick catalogue.",
-        &[(
-            "--reps N",
-            "host-leg repetitions, best-of (or STM_SIMCORR_REPS=N, default 3)",
-        )],
-    );
-    let reps = reps_from_env();
+    let args = CLI.parse(std::env::args().skip(1));
+    let reps: usize = args.value("--reps").unwrap_or(3);
     let sets = experiment_sets(&quick_catalogue(), 6);
     // The three per-axis sets overlap; dedup by name, catalogue order.
     let mut seen = std::collections::HashSet::new();

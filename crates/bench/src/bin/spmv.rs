@@ -9,11 +9,21 @@
 //! pattern-dependent speedup in the low single digits.
 
 use stm_bench::output::{format_table, write_csv};
-use stm_bench::{run_batch, run_kernel, sets_from_env, RunConfig};
+use stm_bench::{run_batch, run_kernel, RunConfig};
+use stm_bench::{BACKEND, FORMAT, JOBS, QUICK, STRICT, TRACE};
+use stm_obs::cli::Cli;
+
+const CLI: Cli = Cli {
+    bin: "spmv",
+    about: "HiSM vs CRS sparse matrix-vector multiplication over the locality set.",
+    operands: "",
+    flags: &[QUICK, JOBS, FORMAT, TRACE, BACKEND, STRICT],
+};
 
 fn main() {
-    let (sets, tag) = sets_from_env();
-    let cfg = RunConfig::from_env();
+    let args = CLI.parse(std::env::args().skip(1));
+    let cfg = RunConfig::from_args(&args);
+    let (sets, tag) = stm_bench::sets(&args);
     let per_matrix = run_batch(
         cfg.worker_count(sets.by_locality.len()),
         &sets.by_locality,

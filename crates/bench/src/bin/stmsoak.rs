@@ -3,37 +3,13 @@
 //! resume) and prints the per-entry table, breaker activity, `resil.*`
 //! counters and the deterministic report digest.
 //!
-//! Flags (all also accept `--flag=value`):
-//!
-//! * `--quick` / `STM_SUITE=quick` — reduced suite (6 matrices);
-//! * `--jobs N` / `STM_JOBS` — worker pool size;
-//! * `--trace DIR` / `STM_TRACE` — export the pipeline's `resil` trace;
-//! * `--checkpoint FILE` — resume from `FILE` if present, checkpoint
-//!   every commit (atomic rewrite);
-//! * `--fault-rate PCT` — chaos injection probability per item;
-//! * `--seed N` — chaos seed (default `0xC0FFEE`);
-//! * `--verify-mode {off,checksum,dual,vote}` — output integrity
-//!   verification: `checksum` re-verifies the HiSM section checksums,
-//!   `dual` re-executes on one alternate backend (escalating to a
-//!   third on disagreement), `vote` runs 2-of-3 across
-//!   sim/scalar/reference and recovers the majority answer;
-//! * `--sdc-rate PCT` / `--sdc-seed N` — silent-data-corruption
-//!   injection: flips one seeded bit in simulated memory mid-run
-//!   (implies oracle `verify=false` so the flip stays *silent*);
-//! * `--deadline CYCLES` — per-run cycle budget (typed abort);
-//! * `--queue-depth N` — bounded window / breaker decision lag
-//!   (default 8);
-//! * `--breaker-threshold N` / `--breaker-cooldown N` — breaker tuning;
-//! * `--max-attempts N` / `--retry-delay-ms N` — retry tuning;
-//! * `--stop-after N` — commit N items then stop cleanly (simulated
-//!   kill; resume with the same `--checkpoint`);
-//! * `--metrics FILE` — write the pipeline's counters and cycle
-//!   histograms as a one-shot Prometheus text snapshot (the same
-//!   grammar `stmserve --metrics-addr` exposes live);
-//! * `--format {coo,csr,csc,jd,sell,auto}` / `STM_FORMAT` — soak a
-//!   third slot per item: the selected format's transpose kernel
-//!   (`auto` = cost-model autotuner per matrix). The slot shares
-//!   chaos/deadline/retry/fallback handling but has no breaker.
+//! `stmsoak --help` lists every flag: the suite and run flags, the
+//! chaos (`--fault-rate`, `--seed`), deadline, breaker and retry tuning,
+//! the integrity tier (`--verify-mode`, `--sdc-rate`), checkpoint/resume
+//! (`--checkpoint`, `--stop-after`) and a Prometheus snapshot
+//! (`--metrics`). `--format` soaks a third slot per item, the selected
+//! format's transpose kernel, with chaos/deadline/retry/fallback
+//! handling but no breaker.
 //!
 //! Exit codes: 0 = pipeline completed and every failure was contained
 //! as `degraded`/`failed`/`corrupted` rows; 1 = a containment
@@ -47,7 +23,65 @@ use stm_bench::output::format_table;
 use stm_bench::resilient::{
     self, ChaosSpec, EntryStatus, Outcome, SdcSpec, SlotRecord, SoakConfig, VerifyMode,
 };
-use stm_bench::{arg_value, parsed, RunConfig};
+use stm_bench::RunConfig;
+use stm_bench::{BACKEND, FORMAT, JOBS, QUICK, STRICT, TRACE};
+use stm_obs::cli::{Cli, Flag};
+
+const CLI: Cli = Cli {
+    bin: "stmsoak",
+    about: "Resilient chaos soak: bounded queue, deadlines, breaker fallback, checkpoint/resume.",
+    operands: "",
+    flags: &[
+        QUICK,
+        JOBS,
+        FORMAT,
+        TRACE,
+        BACKEND,
+        STRICT,
+        Flag::value("--deadline", "CYCLES", "per-run cycle budget (typed abort)"),
+        Flag::value(
+            "--queue-depth",
+            "N",
+            "bounded window / breaker decision lag (default 8)",
+        ),
+        Flag::value("--breaker-threshold", "N", "consecutive failures to trip"),
+        Flag::value(
+            "--breaker-cooldown",
+            "N",
+            "skipped decisions before a probe",
+        ),
+        Flag::value("--max-attempts", "N", "bounded retry attempts per slot"),
+        Flag::value("--retry-delay-ms", "N", "retry backoff base delay"),
+        Flag::value(
+            "--fault-rate",
+            "PCT",
+            "chaos injection probability per item",
+        ),
+        Flag::value("--seed", "N", "chaos seed (default 0xC0FFEE)"),
+        Flag::value(
+            "--verify-mode",
+            "M",
+            "off|checksum|dual|vote — output integrity verification",
+        ),
+        Flag::value(
+            "--sdc-rate",
+            "PCT",
+            "silent mid-run bit-flip probability per item",
+        ),
+        Flag::value("--sdc-seed", "N", "SDC injection seed (default 0x5DC)"),
+        Flag::value(
+            "--checkpoint",
+            "FILE",
+            "resume from FILE if present, checkpoint every commit",
+        ),
+        Flag::value("--stop-after", "N", "commit N items then stop cleanly"),
+        Flag::value(
+            "--metrics",
+            "FILE",
+            "write the pipeline counters/histograms as a Prometheus text snapshot",
+        ),
+    ],
+};
 
 fn slot_cell(s: &SlotRecord) -> String {
     match s.outcome {
@@ -60,88 +94,51 @@ fn slot_cell(s: &SlotRecord) -> String {
 }
 
 fn main() {
-    stm_bench::handle_help(
-        "stmsoak",
-        "Resilient chaos soak: bounded queue, deadlines, breaker fallback, checkpoint/resume.",
-        &[
-            ("--deadline CYCLES", "per-run cycle budget (typed abort)"),
-            (
-                "--queue-depth N",
-                "bounded window / breaker decision lag (default 8)",
-            ),
-            ("--breaker-threshold N", "consecutive failures to trip"),
-            ("--breaker-cooldown N", "skipped decisions before a probe"),
-            ("--max-attempts N", "bounded retry attempts per slot"),
-            ("--retry-delay-ms N", "retry backoff base delay"),
-            ("--fault-rate PCT", "chaos injection probability per item"),
-            ("--seed N", "chaos seed (default 0xC0FFEE)"),
-            (
-                "--verify-mode M",
-                "off|checksum|dual|vote — output integrity verification",
-            ),
-            (
-                "--sdc-rate PCT",
-                "silent mid-run bit-flip probability per item",
-            ),
-            ("--sdc-seed N", "SDC injection seed (default 0x5DC)"),
-            (
-                "--checkpoint FILE",
-                "resume from FILE if present, checkpoint every commit",
-            ),
-            ("--stop-after N", "commit N items then stop cleanly"),
-            (
-                "--metrics FILE",
-                "write the pipeline counters/histograms as a Prometheus text snapshot",
-            ),
-        ],
-    );
-    let (sets, suite) = stm_bench::sets_from_env();
-    let set = sets.by_locality;
+    let args = CLI.parse(std::env::args().skip(1));
     let mut cfg = SoakConfig {
-        run: RunConfig::from_env(),
+        run: RunConfig::from_args(&args),
         ..SoakConfig::default()
     };
-    cfg.deadline = parsed("--deadline");
-    if let Some(w) = parsed("--queue-depth") {
+    cfg.deadline = args.value("--deadline");
+    if let Some(w) = args.value("--queue-depth") {
         cfg.queue_depth = w;
     }
-    if let Some(t) = parsed("--breaker-threshold") {
+    if let Some(t) = args.value("--breaker-threshold") {
         cfg.breaker.threshold = t;
     }
-    if let Some(c) = parsed("--breaker-cooldown") {
+    if let Some(c) = args.value("--breaker-cooldown") {
         cfg.breaker.cooldown = c;
     }
-    if let Some(n) = parsed("--max-attempts") {
+    if let Some(n) = args.value("--max-attempts") {
         cfg.retry.max_attempts = n;
     }
-    if let Some(d) = parsed("--retry-delay-ms") {
+    if let Some(d) = args.value("--retry-delay-ms") {
         cfg.retry.base_delay_ms = d;
     }
-    if let Some(rate) = parsed::<u32>("--fault-rate") {
-        cfg.chaos = Some(ChaosSpec {
-            rate_pct: rate,
-            seed: parsed("--seed").unwrap_or(0xC0FFEE),
-        });
+    let seed = args.value("--seed").unwrap_or(0xC0FFEE);
+    cfg.chaos = args
+        .value("--fault-rate")
+        .map(|rate_pct| ChaosSpec { rate_pct, seed });
+    if let Some(mode) = args.value_with("--verify-mode", VerifyMode::from_name) {
+        cfg.verify_mode = mode;
     }
-    if let Some(m) = arg_value("--verify-mode") {
-        cfg.verify_mode = VerifyMode::from_name(&m).unwrap_or_else(|| {
-            eprintln!("stmsoak: bad value {m:?} for --verify-mode (off|checksum|dual|vote)");
-            std::process::exit(2);
-        });
-    }
-    if let Some(rate) = parsed::<u32>("--sdc-rate") {
-        cfg.sdc = Some(SdcSpec {
-            rate_pct: rate,
-            seed: parsed("--sdc-seed").unwrap_or(0x5DC),
-        });
+    let sdc_seed = args.value("--sdc-seed").unwrap_or(0x5DC);
+    cfg.sdc = args.value("--sdc-rate").map(|rate_pct| SdcSpec {
+        rate_pct,
+        seed: sdc_seed,
+    });
+    if cfg.sdc.is_some() {
         // An SDC is only *silent* if the oracle check is off; otherwise
         // the flip surfaces as a typed Mismatch and the verify legs
         // never get to vote. Campaigns measure the verify plane, not
         // the oracle.
         cfg.run.verify = false;
     }
-    cfg.checkpoint = arg_value("--checkpoint").map(Into::into);
-    cfg.stop_after = parsed("--stop-after");
+    cfg.checkpoint = args.get("--checkpoint").map(Into::into);
+    cfg.stop_after = args.value("--stop-after");
+    let metrics = args.get("--metrics");
+    let (sets, suite) = stm_bench::sets(&args);
+    let set = sets.by_locality;
 
     let report = match resilient::run_soak(&cfg, &set) {
         Ok(r) => r,
@@ -228,7 +225,7 @@ fn main() {
     // histograms in the same exposition grammar the server scrapes
     // serve, so offline soak runs and live service runs are comparable
     // with the same tooling.
-    if let Some(path) = arg_value("--metrics") {
+    if let Some(path) = metrics {
         use stm_obs::telemetry::{render_prometheus, WindowSummary};
         let mut snap = stm_obs::MetricsSnapshot::default();
         for (name, v) in &report.trace.counters {
@@ -244,7 +241,7 @@ fn main() {
                 },
             );
         }
-        match std::fs::write(&path, render_prometheus(&snap)) {
+        match std::fs::write(path, render_prometheus(&snap)) {
             Ok(()) => println!("metrics: {path}"),
             Err(e) => {
                 eprintln!("stmsoak: writing {path}: {e}");

@@ -3,40 +3,50 @@
 //! check ("the number of high level s²-blocks amount typically to about
 //! 2-5% of the total matrix storage for s = 64").
 
+use stm_bench::figure::{FIGURES, PAPER_OVERALL};
 use stm_bench::output::{format_table, print_trace_rollup, write_csv};
-use stm_bench::{run_set, sets_from_env, MatrixResult, RunConfig, SpeedupSummary};
+use stm_bench::{run_set, MatrixResult, RunConfig, SpeedupSummary};
+use stm_bench::{BACKEND, FORMAT, JOBS, QUICK, STRICT, TRACE};
 use stm_hism::{build, StorageStats};
+use stm_obs::cli::Cli;
+
+const CLI: Cli = Cli {
+    bin: "summary",
+    about: "Per-set and overall HiSM-vs-CRS speedup summary.",
+    operands: "",
+    flags: &[QUICK, JOBS, FORMAT, TRACE, BACKEND, STRICT],
+};
 
 fn main() {
-    stm_bench::handle_help(
-        "summary",
-        "Per-set and overall HiSM-vs-CRS speedup summary.",
-        &[],
-    );
-    let (sets, tag) = sets_from_env();
-    let cfg = RunConfig::from_env();
+    let args = CLI.parse(std::env::args().skip(1));
+    let cfg = RunConfig::from_args(&args);
+    let (sets, tag) = stm_bench::sets(&args);
 
-    let loc = run_set(&cfg, &sets.by_locality);
-    let anz = run_set(&cfg, &sets.by_anz);
-    let size = run_set(&cfg, &sets.by_size);
-    let all: Vec<MatrixResult> = loc.iter().chain(&anz).chain(&size).cloned().collect();
+    let per_set: Vec<Vec<MatrixResult>> = FIGURES
+        .iter()
+        .map(|f| run_set(&cfg, (f.select)(&sets)))
+        .collect();
+    let all = per_set.concat();
 
-    let row = |name: &str, results: &[MatrixResult], paper: &str| -> Vec<String> {
+    let row = |name: String, results: &[MatrixResult], paper: SpeedupSummary| -> Vec<String> {
         let s = SpeedupSummary::of(results);
         vec![
-            name.to_string(),
+            name,
             format!("{:.1}", s.min),
             format!("{:.1}", s.avg),
             format!("{:.1}", s.max),
-            paper.to_string(),
+            format!("{:.1} / {:.1} / {:.1}", paper.min, paper.avg, paper.max),
         ]
     };
-    let rows = vec![
-        row("locality set (Fig. 11)", &loc, "1.8 / 16.5 / 32.0"),
-        row("ANZ set      (Fig. 12)", &anz, "11.9 / 20.0 / 28.9"),
-        row("size set     (Fig. 13)", &size, "3.4 / 15.5 / 28.2"),
-        row("all 30 matrices", &all, "1.8 / 17.6 / 32.0"),
-    ];
+    let mut rows: Vec<Vec<String>> = FIGURES
+        .iter()
+        .zip(&per_set)
+        .map(|(f, results)| {
+            let name = format!("{:<12} ({})", format!("{} set", f.set), f.fig);
+            row(name, results, f.paper)
+        })
+        .collect();
+    rows.push(row("all 30 matrices".into(), &all, PAPER_OVERALL));
     println!("HiSM vs CRS transposition speedup (suite: {tag}, s=64 B=4 L=4 p=4)");
     println!(
         "{}",

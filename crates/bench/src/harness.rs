@@ -94,16 +94,16 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// Default configuration with the worker count and strictness taken
-    /// from the command line / environment (see [`crate::jobs_from_env`]
-    /// and [`crate::strict_from_env`]).
-    pub fn from_env() -> Self {
+    /// Default configuration with the run rows of a binary's flag table
+    /// applied: [`crate::JOBS`], [`crate::STRICT`], [`crate::TRACE`],
+    /// [`crate::FORMAT`] and [`crate::BACKEND`].
+    pub fn from_args(args: &stm_obs::cli::Args) -> Self {
         RunConfig {
-            jobs: crate::jobs_from_env(),
-            strict: crate::strict_from_env(),
-            trace: crate::trace_dir_from_env(),
-            format: crate::format_from_env(),
-            backend: crate::backend_from_env(),
+            jobs: args.value(crate::JOBS.name),
+            strict: args.on(crate::STRICT.name),
+            trace: args.get(crate::TRACE.name).map(Into::into),
+            format: args.value_with(crate::FORMAT.name, FormatSel::parse),
+            backend: crate::backend(args),
             ..RunConfig::default()
         }
     }
@@ -191,16 +191,6 @@ impl RunStatus {
     /// `true` for [`RunStatus::Ok`].
     pub fn is_ok(&self) -> bool {
         matches!(self, RunStatus::Ok)
-    }
-
-    /// `true` for [`RunStatus::Degraded`].
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, RunStatus::Degraded { .. })
-    }
-
-    /// `true` for [`RunStatus::Corrupted`] — a detected SDC.
-    pub fn is_corrupted(&self) -> bool {
-        matches!(self, RunStatus::Corrupted { .. })
     }
 
     /// The failure, if any. For a degraded matrix this is the primary's
@@ -792,14 +782,14 @@ mod tests {
             failure: Some(failure),
         };
         assert!(!s.is_ok());
-        assert!(s.is_degraded());
+        assert!(matches!(s, RunStatus::Degraded { .. }));
         assert_eq!(s.failure().unwrap().kernel, "transpose_hism");
         let skipped = RunStatus::Degraded {
             kernel: "transpose_crs".into(),
             fallback: "transpose_crs_scalar",
             failure: None,
         };
-        assert!(skipped.is_degraded());
+        assert!(matches!(skipped, RunStatus::Degraded { .. }));
         assert!(skipped.failure().is_none());
     }
 

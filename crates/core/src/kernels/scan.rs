@@ -7,7 +7,7 @@
 //! section-local inclusive prefix sum, then the previous sections' total
 //! (the carry, read back to a scalar register) is broadcast-added.
 
-use stm_vpsim::{Engine, VReg};
+use stm_vpsim::Engine;
 
 /// In-place inclusive prefix sum over `n` words at `addr`, vectorized.
 /// Returns the grand total (also the final element's value).
@@ -36,20 +36,6 @@ pub fn scan_add_inplace(e: &mut Engine, addr: u32, n: usize) -> u32 {
         off += vl;
     }
     carry
-}
-
-/// A [`VReg`]-level scan used by unit tests and the ablation bench:
-/// returns the inclusive prefix sum of a register (same instruction
-/// sequence, no memory traffic).
-pub fn scan_vreg(e: &mut Engine, v: &VReg) -> VReg {
-    let mut cur = v.clone();
-    let mut k = 1usize;
-    while k < cur.len() {
-        let shifted = e.v_slide_up(&cur, k, 0);
-        cur = e.v_add(&cur, &shifted);
-        k *= 2;
-    }
-    cur
 }
 
 #[cfg(test)]
@@ -104,14 +90,5 @@ mod tests {
         scan_add_inplace(&mut e, 0, 64);
         // ld + 6*(slide+add) + add_imm + st = 15 vector instructions.
         assert_eq!(e.stats().instructions, 15);
-    }
-
-    #[test]
-    fn scan_vreg_matches_inplace() {
-        let data: Vec<u32> = vec![3, 1, 4, 1, 5, 9, 2, 6];
-        let mut e = engine();
-        let v = VReg::ready_at(data.clone(), 0);
-        let out = scan_vreg(&mut e, &v);
-        assert_eq!(out.data, vec![3, 4, 8, 9, 14, 23, 25, 31]);
     }
 }

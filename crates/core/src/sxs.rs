@@ -153,24 +153,6 @@ impl SxsMemory {
         bit(&self.cols[c], r)
     }
 
-    /// Reads column `col` top-to-bottom through the non-zero locator:
-    /// returns `(row, payload)` pairs in increasing row order.
-    pub fn read_column(&self, col: u8) -> Vec<(u8, u32)> {
-        let (_, c) = self.check(0, col);
-        ones(self.cols[c])
-            .map(|r| (r as u8, self.payload[c * self.s + r]))
-            .collect()
-    }
-
-    /// Reads row `row` left-to-right through the non-zero locator.
-    pub fn read_row(&self, row: u8) -> Vec<(u8, u32)> {
-        let (r, _) = self.check(row, 0);
-        ones(self.touched)
-            .filter(|&c| bit(&self.cols[c], r))
-            .map(|c| (c as u8, self.payload[c * self.s + r]))
-            .collect()
-    }
-
     /// The drain sequence from column-major position `from` (`col * s +
     /// row`) on: every set element at or after it, as `(col, row,
     /// payload)` in (col, row) order. Lets a read phase resume where its
@@ -211,8 +193,10 @@ mod tests {
         m.insert(5, 2, 200);
         m.insert(1, 7, 300);
         assert_eq!(m.count(), 3);
-        assert_eq!(m.read_column(2), vec![(1, 100), (5, 200)]);
-        assert_eq!(m.read_row(1), vec![(2, 100), (7, 300)]);
+        assert_eq!(
+            m.column_major_from(0).collect::<Vec<_>>(),
+            vec![(2, 1, 100), (2, 5, 200), (7, 1, 300)]
+        );
         assert!(m.occupied(1, 2));
         assert!(!m.occupied(0, 0));
     }
@@ -223,7 +207,7 @@ mod tests {
         m.insert(0, 0, 1);
         m.clear();
         assert_eq!(m.count(), 0);
-        assert!(m.read_column(0).is_empty());
+        assert_eq!(m.column_major_from(0).count(), 0);
     }
 
     #[test]
@@ -259,8 +243,8 @@ mod tests {
 
     #[test]
     fn columns_read_like_the_behavioural_locator() {
-        // Every column read is exactly `first_ones` over that column's
-        // indicator string taken to its full width.
+        // Every column of the drain is exactly `first_ones` over that
+        // column's indicator string taken to its full width.
         let s = 130;
         let mut m = SxsMemory::new(s);
         let mut plane = vec![vec![false; s]; s];
@@ -271,9 +255,9 @@ mod tests {
         }
         for (c, col) in plane.iter().enumerate() {
             let rows: Vec<usize> = m
-                .read_column(c as u8)
-                .iter()
-                .map(|&(r, _)| r as usize)
+                .column_major_from(c * s)
+                .take_while(|&(cc, _, _)| cc as usize == c)
+                .map(|(_, r, _)| r as usize)
                 .collect();
             assert_eq!(rows, first_ones(col, s), "column {c}");
         }
@@ -291,6 +275,6 @@ mod tests {
         m.insert(1, 1, 1);
         m.insert(1, 1, 2);
         assert_eq!(m.count(), 1);
-        assert_eq!(m.read_row(1), vec![(1, 2)]);
+        assert_eq!(m.column_major_from(0).collect::<Vec<_>>(), vec![(1, 1, 2)]);
     }
 }

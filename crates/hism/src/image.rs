@@ -37,13 +37,6 @@ pub fn unpack_pos(pos: u32) -> (u8, u8) {
     (((pos >> 8) & 0xff) as u8, (pos & 0xff) as u8)
 }
 
-/// Swaps the row/col fields of a position word — the STM's core data
-/// transformation.
-pub fn swap_pos(pos: u32) -> u32 {
-    let (r, c) = unpack_pos(pos);
-    pack_pos(c, r)
-}
-
 /// The root descriptor the paper keeps outside the image: "the matrix can
 /// be referred to in terms of the memory position of the start of the top
 /// level s²-blockarray and its length".
@@ -65,10 +58,6 @@ pub struct RootDesc {
 
 /// Version of the integrity sidecar header this crate writes.
 pub const INTEGRITY_VERSION: u32 = 1;
-
-/// Magic word opening a serialized integrity header (`"HIS" + version
-/// marker`), so a stray word vector is never misread as a header.
-pub const INTEGRITY_MAGIC: u32 = 0x4849_5349; // "HISI"
 
 /// Order-independent FNV-1a checksums over the four word classes of a
 /// HiSM image: leaf values, child pointers, position words, and lengths
@@ -134,45 +123,6 @@ pub struct IntegrityHeader {
     pub version: u32,
     /// The section checksums.
     pub sums: SectionSums,
-}
-
-impl IntegrityHeader {
-    /// Serialized length in words: magic, version, four 2-word sums.
-    pub const WORDS: usize = 10;
-
-    /// Serializes the header to its word form (magic, version, then each
-    /// sum as `[lo, hi]`).
-    pub fn to_words(&self) -> Vec<u32> {
-        let mut w = vec![INTEGRITY_MAGIC, self.version];
-        for s in [
-            self.sums.values,
-            self.sums.pointers,
-            self.sums.positions,
-            self.sums.lengths,
-        ] {
-            w.push(s as u32);
-            w.push((s >> 32) as u32);
-        }
-        w
-    }
-
-    /// Parses a serialized header. Returns `None` when the magic or
-    /// length is wrong — callers treat that as "no header present".
-    pub fn from_words(words: &[u32]) -> Option<IntegrityHeader> {
-        if words.len() != Self::WORDS || words[0] != INTEGRITY_MAGIC {
-            return None;
-        }
-        let u = |i: usize| words[i] as u64 | (words[i + 1] as u64) << 32;
-        Some(IntegrityHeader {
-            version: words[1],
-            sums: SectionSums {
-                values: u(2),
-                pointers: u(4),
-                positions: u(6),
-                lengths: u(8),
-            },
-        })
-    }
 }
 
 /// A serialized HiSM matrix: the word image plus its root descriptor and
@@ -410,11 +360,6 @@ impl HismImage {
             Some(err) => Err(err),
             None => Ok(root),
         }
-    }
-
-    /// Total image size in words.
-    pub fn len_words(&self) -> usize {
-        self.words.len()
     }
 
     /// Adds `base` to every stored child address and to the root address,
@@ -858,7 +803,6 @@ mod tests {
         for (r, c) in [(0u8, 0u8), (255, 255), (7, 63), (63, 7)] {
             assert_eq!(unpack_pos(pack_pos(r, c)), (r, c));
         }
-        assert_eq!(swap_pos(pack_pos(3, 9)), pack_pos(9, 3));
     }
 
     #[test]
@@ -877,7 +821,7 @@ mod tests {
         let coo = Coo::from_triplets(5, 5, vec![(0, 0, 1.0), (1, 2, 2.0), (4, 4, 3.0)]).unwrap();
         let h = build::from_coo(&coo, 8).unwrap();
         let img = HismImage::encode(&h);
-        assert_eq!(img.len_words(), 6);
+        assert_eq!(img.words.len(), 6);
         assert_eq!(
             img.root,
             RootDesc {
@@ -899,7 +843,7 @@ mod tests {
         let h = build::from_coo(&coo, 4).unwrap();
         let img = HismImage::encode(&h);
         // leaves: 2 + 2 words; root: 2 entries * 2 + 2 lengths = 6 words.
-        assert_eq!(img.len_words(), 10);
+        assert_eq!(img.words.len(), 10);
         assert_eq!(img.pointer_sites.len(), 2);
         // Lengths vector of the root holds 1, 1.
         let root_base = img.root.addr as usize;
@@ -1011,12 +955,6 @@ mod tests {
         let header = img.integrity.expect("encode must seal");
         assert_eq!(header.version, INTEGRITY_VERSION);
         assert_eq!(img.verify_integrity(), Ok(true));
-        // The sidecar word form round-trips.
-        assert_eq!(
-            IntegrityHeader::from_words(&header.to_words()),
-            Some(header)
-        );
-        assert_eq!(IntegrityHeader::from_words(&[0, 0, 0]), None);
     }
 
     #[test]

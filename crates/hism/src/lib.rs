@@ -29,7 +29,6 @@ pub mod faults;
 pub mod image;
 pub mod iter;
 pub mod matrix;
-pub mod ops;
 pub mod spmv;
 pub mod stats;
 pub mod transpose;

@@ -115,11 +115,6 @@ impl HismMatrix {
         self.levels
     }
 
-    /// The padded dimension `s^q`.
-    pub fn padded_dim(&self) -> usize {
-        self.s.pow(self.levels as u32)
-    }
-
     /// Number of stored non-zero values.
     pub fn nnz(&self) -> usize {
         self.nnz
@@ -138,31 +133,6 @@ impl HismMatrix {
     /// The root block.
     pub fn root_block(&self) -> &HismBlock {
         &self.blocks[self.root]
-    }
-
-    /// Number of blocks stored at a given level.
-    pub fn block_count_at(&self, level: usize) -> usize {
-        self.blocks.iter().filter(|b| b.level == level).count()
-    }
-
-    /// Total entries over all blockarrays of a given level.
-    pub fn entries_at(&self, level: usize) -> usize {
-        self.blocks
-            .iter()
-            .filter(|b| b.level == level)
-            .map(HismBlock::len)
-            .sum()
-    }
-
-    /// Average leaf blockarray fill `nnz / (number of level-0 blocks)`.
-    /// This is the quantity the paper's *locality* metric is a proxy for.
-    pub fn avg_leaf_fill(&self) -> f64 {
-        let leaves = self.block_count_at(0);
-        if leaves == 0 {
-            0.0
-        } else {
-            self.nnz as f64 / leaves as f64
-        }
     }
 
     /// Value at `(row, col)` of the logical matrix, or `None` when
@@ -282,7 +252,6 @@ mod tests {
         let h = small();
         assert_eq!(h.shape(), (10, 10));
         assert_eq!(h.levels(), 2);
-        assert_eq!(h.padded_dim(), 16);
         assert_eq!(h.nnz(), 4);
         h.validate().unwrap();
     }
@@ -301,16 +270,9 @@ mod tests {
     #[test]
     fn block_counts() {
         let h = small();
-        assert_eq!(h.block_count_at(1), 1); // the root
-                                            // entries (0,0),(3,7) are in distinct 4x4 leaves; (5,1),(9,9) too.
-        assert_eq!(h.block_count_at(0), 4);
-        assert_eq!(h.entries_at(0), 4);
-        assert_eq!(h.entries_at(1), 4);
-    }
-
-    #[test]
-    fn avg_leaf_fill() {
-        let h = small();
-        assert!((h.avg_leaf_fill() - 1.0).abs() < 1e-12);
+        let at = |level| h.blocks().iter().filter(|b| b.level == level).count();
+        assert_eq!(at(1), 1); // the root
+                              // entries (0,0),(3,7) are in distinct 4x4 leaves; (5,1),(9,9) too.
+        assert_eq!(at(0), 4);
     }
 }

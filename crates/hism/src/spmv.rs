@@ -54,12 +54,6 @@ fn walk(
     }
 }
 
-/// Computes `y = Aᵀ * x` by multiplying with the software-transposed
-/// matrix — convenience for the iterative-solver examples.
-pub fn spmv_transposed(h: &HismMatrix, x: &[Value]) -> Result<Vec<Value>, FormatError> {
-    spmv(&crate::transpose::transpose(h), x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,18 +70,6 @@ mod tests {
         let yc = csr.spmv(&x).unwrap();
         for (a, b) in yh.iter().zip(&yc) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn spmv_transposed_matches_explicit_transpose() {
-        let coo = gen::structured::grid2d_5pt(9, 7);
-        let h = build::from_coo(&coo, 8).unwrap();
-        let x: Vec<f32> = (0..63).map(|i| i as f32 % 5.0 - 2.0).collect();
-        let a = spmv_transposed(&h, &x).unwrap();
-        let b = Csr::from_coo(&coo.transpose_canonical()).spmv(&x).unwrap();
-        for (p, q) in a.iter().zip(&b) {
-            assert!((p - q).abs() < 1e-4);
         }
     }
 

@@ -16,89 +16,35 @@
 //! buckets must sum to the engine total) or an input cannot be read,
 //! 2 on usage errors.
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use stm_obs::cli::{Cli, Flag};
 use stm_obs::profile::{KernelProfile, ProfileSet};
 
-fn collect(path: &Path, files: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    if path.is_dir() {
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(path)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
-            .collect();
-        entries.sort();
-        files.extend(entries);
-    } else {
-        files.push(path.to_path_buf());
-    }
-    Ok(())
-}
-
-struct Args {
-    inputs: Vec<String>,
-    top: usize,
-    csv: Option<PathBuf>,
-    folded: Option<PathBuf>,
-}
-
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        inputs: Vec::new(),
-        top: 10,
-        csv: None,
-        folded: None,
-    };
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        let mut flag = |name: &str| -> Result<Option<String>, String> {
-            if a == name {
-                return it
-                    .next()
-                    .cloned()
-                    .map(Some)
-                    .ok_or_else(|| format!("{name} needs a value"));
-            }
-            Ok(a.strip_prefix(&format!("{name}=")).map(str::to_string))
-        };
-        if let Some(v) = flag("--top")? {
-            args.top = v.parse().map_err(|_| format!("bad --top value {v:?}"))?;
-        } else if let Some(v) = flag("--csv")? {
-            args.csv = Some(PathBuf::from(v));
-        } else if let Some(v) = flag("--folded")? {
-            args.folded = Some(PathBuf::from(v));
-        } else if a.starts_with("--") {
-            return Err(format!("unknown flag {a:?}"));
-        } else {
-            args.inputs.push(a.clone());
-        }
-    }
-    if args.inputs.is_empty() {
-        return Err("no inputs".to_string());
-    }
-    Ok(args)
-}
+const CLI: Cli = Cli {
+    bin: "stmprof",
+    about: "Profile exported JSONL traces: phase attribution, per-FU stalls, folded stacks.",
+    operands: "<file.jsonl | dir> ...",
+    flags: &[
+        Flag::value("--top", "N", "phases listed per kernel (default 10)"),
+        Flag::value("--csv", "FILE", "also write the machine-readable report"),
+        Flag::value("--folded", "FILE", "also write the merged folded stacks"),
+    ],
+};
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
+    let args = CLI.parse(std::env::args().skip(1));
+    let top: usize = args.value("--top").unwrap_or(10);
+    if args.operands().is_empty() {
+        args.fail("no inputs");
+    }
+    let files = match args.operand_files(&["jsonl"]) {
+        Ok(files) => files,
         Err(e) => {
             eprintln!("stmprof: {e}");
-            eprintln!(
-                "usage: stmprof <file.jsonl | dir> ... [--top N] [--csv FILE] [--folded FILE]"
-            );
-            return ExitCode::from(2);
-        }
-    };
-    let mut files = Vec::new();
-    for input in &args.inputs {
-        if let Err(e) = collect(Path::new(input), &mut files) {
-            eprintln!("stmprof: {input}: {e}");
             return ExitCode::FAILURE;
         }
-    }
+    };
     if files.is_empty() {
         eprintln!("stmprof: no .jsonl files found");
         return ExitCode::FAILURE;
@@ -128,7 +74,7 @@ fn main() -> ExitCode {
         }
     }
 
-    print!("{}", set.render_table(args.top));
+    print!("{}", set.render_table(top));
     let mut ok = true;
     if let Err(e) = set.check_conservation() {
         eprintln!("stmprof: CONSERVATION VIOLATION: {e}");
@@ -139,15 +85,15 @@ fn main() -> ExitCode {
             set.kernels.len()
         );
     }
-    if let Some(path) = &args.csv {
+    if let Some(path) = args.get("--csv") {
         if let Err(e) = std::fs::write(path, set.to_csv()) {
-            eprintln!("stmprof: writing {}: {e}", path.display());
+            eprintln!("stmprof: writing {path}: {e}");
             ok = false;
         }
     }
-    if let Some(path) = &args.folded {
+    if let Some(path) = args.get("--folded") {
         if let Err(e) = std::fs::write(path, set.folded()) {
-            eprintln!("stmprof: writing {}: {e}", path.display());
+            eprintln!("stmprof: writing {path}: {e}");
             ok = false;
         }
     }

@@ -16,46 +16,36 @@
 //! reported, repaired or not); 1 = at least one corrupt line found;
 //! 2 = usage or I/O error.
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use stm_obs::cli::{Cli, Flag};
 use stm_obs::journal::scrub_file;
+
+const CLI: Cli = Cli {
+    bin: "stmscrub",
+    about: "Verify the checksum seal of every record in journal files at rest.",
+    operands: "<file | dir> ...",
+    flags: &[Flag::switch(
+        "--truncate",
+        "trim a torn tail to the file's intact prefix in place",
+    )],
+};
 
 const EXTENSIONS: [&str; 3] = ["jsonl", "ckpt", "log"];
 
-fn collect(path: &Path, files: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    if path.is_dir() {
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(path)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| {
-                p.extension()
-                    .is_some_and(|x| EXTENSIONS.iter().any(|e| x == *e))
-            })
-            .collect();
-        entries.sort();
-        files.extend(entries);
-    } else {
-        files.push(path.to_path_buf());
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let truncate = args.iter().any(|a| a == "--truncate");
-    args.retain(|a| a != "--truncate");
-    if args.is_empty() {
-        eprintln!("usage: stmscrub [--truncate] <file | dir> ...");
-        return ExitCode::from(2);
+    let args = CLI.parse(std::env::args().skip(1));
+    let truncate = args.on("--truncate");
+    if args.operands().is_empty() {
+        args.fail("no inputs");
     }
-    let mut files = Vec::new();
-    for arg in &args {
-        if let Err(e) = collect(Path::new(arg), &mut files) {
-            eprintln!("stmscrub: {arg}: {e}");
+    let files = match args.operand_files(&EXTENSIONS) {
+        Ok(files) => files,
+        Err(e) => {
+            eprintln!("stmscrub: {e}");
             return ExitCode::from(2);
         }
-    }
+    };
     if files.is_empty() {
         eprintln!("stmscrub: no journal files found");
         return ExitCode::from(2);

@@ -17,41 +17,35 @@
 //! join invariants — or when no request-correlated events exist at all
 //! (asking for `--join` on an uncorrelated trace is an error).
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use stm_obs::cli::{Cli, Flag};
 use stm_obs::jsonl::{join_requests, validate_jsonl};
 
-fn collect(path: &Path, files: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    if path.is_dir() {
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(path)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
-            .collect();
-        entries.sort();
-        files.extend(entries);
-    } else {
-        files.push(path.to_path_buf());
-    }
-    Ok(())
-}
+const CLI: Cli = Cli {
+    bin: "tracecheck",
+    about: "Validate exported JSONL traces: structural invariants and kernel accounting.",
+    operands: "<file.jsonl | dir> ...",
+    flags: &[Flag::switch(
+        "--join",
+        "also reassemble every request's span tree across lanes",
+    )],
+};
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let join = args.iter().any(|a| a == "--join");
-    args.retain(|a| a != "--join");
-    if args.is_empty() {
-        eprintln!("usage: tracecheck [--join] <file.jsonl | dir> ...");
+    let args = CLI.parse(std::env::args().skip(1));
+    let join = args.on("--join");
+    if args.operands().is_empty() {
+        eprintln!("tracecheck: no inputs\n{}", CLI.usage_line());
         return ExitCode::FAILURE;
     }
-    let mut files = Vec::new();
-    for arg in &args {
-        if let Err(e) = collect(Path::new(arg), &mut files) {
-            eprintln!("tracecheck: {arg}: {e}");
+    let files = match args.operand_files(&["jsonl"]) {
+        Ok(files) => files,
+        Err(e) => {
+            eprintln!("tracecheck: {e}");
             return ExitCode::FAILURE;
         }
-    }
+    };
     if files.is_empty() {
         eprintln!("tracecheck: no .jsonl files found");
         return ExitCode::FAILURE;

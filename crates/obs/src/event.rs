@@ -196,11 +196,6 @@ impl SpanCtx {
     pub fn request(id: u64) -> Self {
         SpanCtx { request_id: id }
     }
-
-    /// Whether this context is correlated to a request.
-    pub fn is_request(&self) -> bool {
-        self.request_id != 0
-    }
 }
 
 /// One cycle-stamped event.

@@ -3,6 +3,8 @@
 //! A first-party tracing and metrics layer, with no dependency outside
 //! the workspace (record seals use `stm-sparse`'s FNV-1a hasher):
 //!
+//! * [`cli`] — the one command-line parser: a binary's flag table
+//!   drives parsing, environment fallbacks, `--help` and usage errors;
 //! * [`event`] — the event model: [`Lane`]s (logical timelines),
 //!   [`Category`]s, and cycle-stamped [`TraceEvent`]s;
 //! * [`recorder`] — the cloneable [`Recorder`] handle over a shared
@@ -48,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod check;
+pub mod cli;
 pub mod event;
 pub mod export;
 pub mod journal;

@@ -19,18 +19,32 @@
 //!    (results log + flight dumps) scrubs clean under
 //!    [`stm_obs::journal::scrub_text`].
 //!
-//! Flags: `--requests N` (flips to inject, default 24), `--seed N`
-//! (base flip seed, default 0x5DC), `--keep` (leave the scratch
-//! directory behind for inspection).
-//!
 //! Exit codes: 0 = contract holds; 1 = violation; 2 = setup error.
 
-use stm_bench::parsed;
 use stm_hism::FaultClass;
+use stm_obs::cli::{Cli, Flag};
 use stm_serve::client::Client;
 use stm_serve::load::workload_matrix;
 use stm_serve::protocol::{FaultRequest, ResponseBody, Status};
 use stm_serve::server::{ServeConfig, Server};
+
+const CLI: Cli = Cli {
+    bin: "sdcsmoke",
+    about: "End-to-end silent-data-corruption smoke of the serve integrity plane.",
+    operands: "",
+    flags: &[
+        Flag::value(
+            "--requests",
+            "N",
+            "mid-run bit flips to inject (default 24)",
+        ),
+        Flag::value("--seed", "N", "base flip seed (default 0x5DC)"),
+        Flag::switch(
+            "--keep",
+            "leave the scratch directory behind for inspection",
+        ),
+    ],
+};
 
 fn prom_counter(text: &str, name: &str) -> u64 {
     text.lines()
@@ -39,9 +53,10 @@ fn prom_counter(text: &str, name: &str) -> u64 {
 }
 
 fn main() {
-    let requests: u64 = parsed("--requests").unwrap_or(24);
-    let seed: u64 = parsed("--seed").unwrap_or(0x5DC);
-    let keep = std::env::args().any(|a| a == "--keep");
+    let args = CLI.parse(std::env::args().skip(1));
+    let requests: u64 = args.value("--requests").unwrap_or(24);
+    let seed: u64 = args.value("--seed").unwrap_or(0x5DC);
+    let keep = args.on("--keep");
 
     let scratch = std::env::temp_dir().join(format!("stm-sdcsmoke-{}", std::process::id()));
     if let Err(e) = std::fs::create_dir_all(&scratch) {

@@ -16,70 +16,64 @@
 //! 1 = a digest mismatch, failure, or queue-bound violation; 2 = usage
 //! or connection error.
 
-use stm_bench::{arg_value, parsed};
+use stm_obs::cli::{Cli, Flag};
 use stm_serve::load::{run_load, LoadConfig};
 use stm_serve::protocol::Status;
 
-const FLAGS: &[(&str, &str)] = &[
-    ("--addr A", "server address (required, host:port)"),
-    ("--clients N", "concurrent client threads (default 8)"),
-    ("--requests N", "requests per client (default 8)"),
-    (
-        "--chaos PCT",
-        "percent of requests drawing chaos (default 20)",
-    ),
-    ("--seed N", "workload + chaos seed (default 0x10ad)"),
-    ("--matrices N", "distinct workload matrices (default 4)"),
-    ("--timeout-ms MS", "client socket timeout (default 30000)"),
-    ("--csv FILE", "write the latency histogram as CSV"),
-    (
-        "--metrics-addr A",
-        "scrape the server metrics endpoint and print its p99 next to the client-measured one",
-    ),
-    ("--shutdown", "drain and stop the server after the run"),
-];
-
-fn usage() -> String {
-    let width = FLAGS.iter().map(|(f, _)| f.len()).max().unwrap_or(0);
-    let mut out = String::from(
-        "usage: stmload [flags]\nChaos-injecting load harness for stmserve, with digest verification.\n\nflags:\n",
-    );
-    for (flag, desc) in FLAGS {
-        out.push_str(&format!("  {flag:width$}  {desc}\n"));
-    }
-    out
-}
+const CLI: Cli = Cli {
+    bin: "stmload",
+    about: "Chaos-injecting load harness for stmserve, with digest verification.",
+    operands: "",
+    flags: &[
+        Flag::value("--addr", "A", "server address (required, host:port)"),
+        Flag::value("--clients", "N", "concurrent client threads (default 8)"),
+        Flag::value("--requests", "N", "requests per client (default 8)"),
+        Flag::value(
+            "--chaos",
+            "PCT",
+            "percent of requests drawing chaos (default 20)",
+        ),
+        Flag::value("--seed", "N", "workload + chaos seed (default 0x10ad)"),
+        Flag::value("--matrices", "N", "distinct workload matrices (default 4)"),
+        Flag::value(
+            "--timeout-ms",
+            "MS",
+            "client socket timeout (default 30000)",
+        ),
+        Flag::value("--csv", "FILE", "write the latency histogram as CSV"),
+        Flag::value(
+            "--metrics-addr",
+            "A",
+            "scrape the server metrics endpoint and print its p99 next to the client-measured one",
+        ),
+        Flag::switch("--shutdown", "drain and stop the server after the run"),
+    ],
+};
 
 fn main() {
-    if std::env::args().any(|a| a == "--help" || a == "-h") {
-        print!("{}", usage());
-        return;
-    }
-    let Some(addr) = arg_value("--addr") else {
-        eprint!("stmload: --addr is required\n\n{}", usage());
-        std::process::exit(2);
-    };
-    let mut cfg = LoadConfig {
-        addr,
-        ..LoadConfig::default()
-    };
-    if let Some(n) = parsed("--clients") {
+    let args = CLI.parse(std::env::args().skip(1));
+    let mut cfg = LoadConfig::default();
+    if let Some(n) = args.value("--clients") {
         cfg.clients = n;
     }
-    if let Some(n) = parsed("--requests") {
+    if let Some(n) = args.value("--requests") {
         cfg.requests_per_client = n;
     }
-    if let Some(n) = parsed("--chaos") {
+    if let Some(n) = args.value("--chaos") {
         cfg.chaos_pct = n;
     }
-    if let Some(n) = parsed("--seed") {
+    if let Some(n) = args.value("--seed") {
         cfg.seed = n;
     }
-    if let Some(n) = parsed("--matrices") {
+    if let Some(n) = args.value("--matrices") {
         cfg.matrices = n;
     }
-    if let Some(n) = parsed("--timeout-ms") {
+    if let Some(n) = args.value("--timeout-ms") {
         cfg.timeout_ms = n;
+    }
+    match args.get("--addr") {
+        Some(addr) => cfg.addr = addr.to_string(),
+        None => args.fail("--addr is required"),
     }
 
     let report = match run_load(&cfg) {
@@ -102,8 +96,8 @@ fn main() {
     // endpoint: client p99 includes waiting for a permit + transport,
     // server p99 starts once the request holds its permit — the gap is
     // where the latency lives.
-    let scraped = arg_value("--metrics-addr").map(|maddr| {
-        stm_serve::scrape::fetch(&maddr, cfg.timeout_ms)
+    let scraped = args.get("--metrics-addr").map(|maddr| {
+        stm_serve::scrape::fetch(maddr, cfg.timeout_ms)
             .map(|text| stm_serve::scrape::parse(&text))
             .unwrap_or_else(|e| {
                 eprintln!("stmload: metrics scrape: {e}");
@@ -186,7 +180,7 @@ fn main() {
         }
     }
 
-    if let Some(csv) = arg_value("--csv") {
+    if let Some(csv) = args.get("--csv") {
         let mut text = String::from("bucket_upper_us,count\n");
         for (upper, count) in report.latency_us.nonzero_buckets() {
             text.push_str(&format!("{upper},{count}\n"));
@@ -198,14 +192,14 @@ fn main() {
             p(99),
             report.latency_us.max()
         ));
-        if let Err(e) = std::fs::write(&csv, text) {
+        if let Err(e) = std::fs::write(csv, text) {
             eprintln!("stmload: writing {csv}: {e}");
             std::process::exit(2);
         }
         println!("csv: {csv}");
     }
 
-    if std::env::args().any(|a| a == "--shutdown") {
+    if args.on("--shutdown") {
         match stm_serve::client::Client::connect(&cfg.addr, 0, cfg.timeout_ms)
             .map_err(|e| e.to_string())
             .and_then(|mut c| c.shutdown(u64::MAX - 1))

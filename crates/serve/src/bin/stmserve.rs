@@ -6,128 +6,135 @@
 //!
 //! Exit codes: 0 = clean drain; 2 = configuration/bind/log error.
 
-use stm_bench::resilient::{BreakerConfig, RetryPolicy, VerifyMode};
-use stm_bench::{arg_value, parsed};
+use stm_bench::resilient::VerifyMode;
+use stm_obs::cli::{Cli, Flag};
 use stm_serve::server::{ServeConfig, Server};
 
-const FLAGS: &[(&str, &str)] = &[
-    ("--addr A", "bind address (default 127.0.0.1:0 = free port)"),
-    (
-        "--queue-depth N",
-        "requests that may wait for a permit before shedding (default 8)",
-    ),
-    ("--quota N", "max in-flight requests per client (default 4)"),
-    (
-        "--workers N",
-        "requests that may execute at once, each on its connection thread (default 4)",
-    ),
-    (
-        "--deadline CYCLES",
-        "per-request cycle budget (typed abort)",
-    ),
-    ("--breaker-threshold N", "consecutive failures to trip"),
-    ("--breaker-cooldown N", "skipped decisions before a probe"),
-    ("--max-attempts N", "bounded retry attempts per request"),
-    ("--max-frame BYTES", "frame payload cap (default 1 MiB)"),
-    (
-        "--io-timeout-ms MS",
-        "socket read/write timeout (default 10000)",
-    ),
-    (
-        "--results-log FILE",
-        "durable results log (resume FETCHes after restart)",
-    ),
-    ("--trace DIR", "export the server event trace at shutdown"),
-    (
-        "--verify-mode M",
-        "output verification tier, M in {off,checksum,dual,vote} (default off)",
-    ),
-    (
-        "--backend B",
-        "execution backend, B in {sim,scalar} (or STM_BACKEND=B)",
-    ),
-    (
-        "--metrics-addr A",
-        "bind the Prometheus text exposition listener (port 0 = free port)",
-    ),
-    (
-        "--flight-dir DIR",
-        "write crash flight-recorder dumps here (panic, breaker-open, deadline storm, SIGTERM)",
-    ),
-    (
-        "--flight-window MS",
-        "flight-recorder dump window in milliseconds (default 10000)",
-    ),
-    (
-        "--flight-every N",
-        "test hook: also dump the flight ring every N completed requests",
-    ),
-];
-
-fn usage() -> String {
-    let width = FLAGS.iter().map(|(f, _)| f.len()).max().unwrap_or(0);
-    let mut out = String::from(
-        "usage: stmserve [flags]\nFault-tolerant transpose/SpMV service over the resilient pipeline.\n\nflags:\n",
-    );
-    for (flag, desc) in FLAGS {
-        out.push_str(&format!("  {flag:width$}  {desc}\n"));
-    }
-    out
-}
+const CLI: Cli = Cli {
+    bin: "stmserve",
+    about: "Fault-tolerant transpose/SpMV service over the resilient pipeline.",
+    operands: "",
+    flags: &[
+        Flag::value(
+            "--addr",
+            "A",
+            "bind address (default 127.0.0.1:0 = free port)",
+        ),
+        Flag::value(
+            "--queue-depth",
+            "N",
+            "requests that may wait for a permit before shedding (default 8)",
+        ),
+        Flag::value(
+            "--quota",
+            "N",
+            "max in-flight requests per client (default 4)",
+        ),
+        Flag::value(
+            "--workers",
+            "N",
+            "requests that may execute at once, each on its connection thread (default 4)",
+        ),
+        Flag::value(
+            "--deadline",
+            "CYCLES",
+            "per-request cycle budget (typed abort)",
+        ),
+        Flag::value("--breaker-threshold", "N", "consecutive failures to trip"),
+        Flag::value(
+            "--breaker-cooldown",
+            "N",
+            "skipped decisions before a probe",
+        ),
+        Flag::value("--max-attempts", "N", "bounded retry attempts per request"),
+        Flag::value("--max-frame", "BYTES", "frame payload cap (default 1 MiB)"),
+        Flag::value(
+            "--io-timeout-ms",
+            "MS",
+            "socket read/write timeout (default 10000)",
+        ),
+        Flag::value(
+            "--results-log",
+            "FILE",
+            "durable results log (resume FETCHes after restart)",
+        ),
+        Flag::value(
+            "--trace",
+            "DIR",
+            "export the server event trace at shutdown",
+        ),
+        Flag::value(
+            "--verify-mode",
+            "M",
+            "output verification tier, M in {off,checksum,dual,vote} (default off)",
+        ),
+        stm_bench::BACKEND,
+        Flag::value(
+            "--metrics-addr",
+            "A",
+            "bind the Prometheus text exposition listener (port 0 = free port)",
+        ),
+        Flag::value(
+            "--flight-dir",
+            "DIR",
+            "write crash flight-recorder dumps here (panic, breaker-open, deadline storm, SIGTERM)",
+        ),
+        Flag::value(
+            "--flight-window",
+            "MS",
+            "flight-recorder dump window in milliseconds (default 10000)",
+        ),
+        Flag::value(
+            "--flight-every",
+            "N",
+            "test hook: also dump the flight ring every N completed requests",
+        ),
+    ],
+};
 
 fn main() {
-    if std::env::args().any(|a| a == "--help" || a == "-h") {
-        print!("{}", usage());
-        return;
-    }
+    let args = CLI.parse(std::env::args().skip(1));
     let mut cfg = ServeConfig {
-        addr: arg_value("--addr").unwrap_or_else(|| "127.0.0.1:0".to_string()),
+        addr: args.get("--addr").unwrap_or("127.0.0.1:0").to_string(),
+        deadline: args.value("--deadline"),
+        results_log: args.get("--results-log").map(Into::into),
+        trace: args.get("--trace").map(Into::into),
+        backend: stm_bench::backend(&args),
+        metrics_addr: args.get("--metrics-addr").map(Into::into),
+        flight_dir: args.get("--flight-dir").map(Into::into),
+        flight_every: args.value("--flight-every"),
         ..ServeConfig::default()
     };
-    if let Some(n) = parsed("--queue-depth") {
+    if let Some(n) = args.value("--queue-depth") {
         cfg.queue_depth = n;
     }
-    if let Some(n) = parsed("--quota") {
+    if let Some(n) = args.value("--quota") {
         cfg.quota = n;
     }
-    if let Some(n) = parsed("--workers") {
+    if let Some(n) = args.value("--workers") {
         cfg.workers = n;
     }
-    cfg.deadline = parsed("--deadline");
-    let mut breaker = BreakerConfig::default();
-    if let Some(t) = parsed("--breaker-threshold") {
-        breaker.threshold = t;
+    if let Some(t) = args.value("--breaker-threshold") {
+        cfg.breaker.threshold = t;
     }
-    if let Some(c) = parsed("--breaker-cooldown") {
-        breaker.cooldown = c;
+    if let Some(c) = args.value("--breaker-cooldown") {
+        cfg.breaker.cooldown = c;
     }
-    cfg.breaker = breaker;
-    let mut retry = RetryPolicy::default();
-    if let Some(n) = parsed("--max-attempts") {
-        retry.max_attempts = n;
+    if let Some(n) = args.value("--max-attempts") {
+        cfg.retry.max_attempts = n;
     }
-    cfg.retry = retry;
-    if let Some(n) = parsed("--max-frame") {
+    if let Some(n) = args.value("--max-frame") {
         cfg.max_frame = n;
     }
-    if let Some(n) = parsed("--io-timeout-ms") {
+    if let Some(n) = args.value("--io-timeout-ms") {
         cfg.io_timeout_ms = n;
     }
-    if let Some(m) = arg_value("--verify-mode") {
-        cfg.verify_mode = VerifyMode::from_name(&m).unwrap_or_else(|| {
-            eprintln!("stmserve: unknown --verify-mode {m:?} (off|checksum|dual|vote)");
-            std::process::exit(2);
-        });
+    if let Some(m) = args.value_with("--verify-mode", VerifyMode::from_name) {
+        cfg.verify_mode = m;
     }
-    cfg.results_log = arg_value("--results-log").map(Into::into);
-    cfg.trace = arg_value("--trace").map(Into::into);
-    cfg.backend = stm_bench::backend_from_env();
-    cfg.metrics_addr = arg_value("--metrics-addr");
-    cfg.flight_dir = arg_value("--flight-dir").map(Into::into);
-    if let Some(ms) = parsed("--flight-window") {
+    if let Some(ms) = args.value("--flight-window") {
         cfg.flight_window_ms = ms;
     }
-    cfg.flight_every = parsed("--flight-every");
 
     let server = match Server::start(cfg) {
         Ok(s) => s,

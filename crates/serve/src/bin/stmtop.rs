@@ -11,39 +11,39 @@
 //! usage error or the first scrape failed.
 
 use std::io::{IsTerminal, Write};
-use stm_bench::{arg_value, parsed};
+use stm_obs::cli::{Cli, Flag};
 use stm_serve::scrape::{self, Sample};
 
-const FLAGS: &[(&str, &str)] = &[
-    ("--addr A", "metrics endpoint address (required, host:port)"),
-    (
-        "--interval MS",
-        "poll interval in milliseconds (default 1000)",
-    ),
-    (
-        "--count N",
-        "stop after N scrapes (default 0 = run forever)",
-    ),
-    (
-        "--once",
-        "single scrape, no screen clearing (same as --count 1)",
-    ),
-    (
-        "--raw",
-        "print the exposition text verbatim instead of the table",
-    ),
-];
-
-fn usage() -> String {
-    let width = FLAGS.iter().map(|(f, _)| f.len()).max().unwrap_or(0);
-    let mut out = String::from(
-        "usage: stmtop --addr HOST:PORT [flags]\nLive terminal view of an stmserve metrics endpoint.\n\nflags:\n",
-    );
-    for (flag, desc) in FLAGS {
-        out.push_str(&format!("  {flag:width$}  {desc}\n"));
-    }
-    out
-}
+const CLI: Cli = Cli {
+    bin: "stmtop",
+    about: "Live terminal view of an stmserve metrics endpoint.",
+    operands: "",
+    flags: &[
+        Flag::value(
+            "--addr",
+            "A",
+            "metrics endpoint address (required, host:port)",
+        ),
+        Flag::value(
+            "--interval",
+            "MS",
+            "poll interval in milliseconds (default 1000)",
+        ),
+        Flag::value(
+            "--count",
+            "N",
+            "stop after N scrapes (default 0 = run forever)",
+        ),
+        Flag::switch(
+            "--once",
+            "single scrape, no screen clearing (same as --count 1)",
+        ),
+        Flag::switch(
+            "--raw",
+            "print the exposition text verbatim instead of the table",
+        ),
+    ],
+};
 
 fn val(samples: &[Sample], name: &str) -> u64 {
     scrape::value(samples, name, "").unwrap_or(0)
@@ -101,28 +101,20 @@ fn render(samples: &[Sample], addr: &str, scrape_n: u64, req_per_s: f64) -> Stri
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--help" || a == "-h") {
-        print!("{}", usage());
-        return;
-    }
-    let Some(addr) = arg_value("--addr") else {
-        eprint!("stmtop: --addr is required\n\n{}", usage());
-        std::process::exit(2);
-    };
-    let interval_ms: u64 = parsed("--interval").unwrap_or(1000);
-    let once = std::env::args().any(|a| a == "--once");
-    let raw = std::env::args().any(|a| a == "--raw");
-    let count: u64 = if once {
-        1
-    } else {
-        parsed("--count").unwrap_or(0)
+    let args = CLI.parse(std::env::args().skip(1));
+    let interval_ms: u64 = args.value("--interval").unwrap_or(1000);
+    let count: u64 = args.value("--count").unwrap_or(0);
+    let (once, raw) = (args.on("--once"), args.on("--raw"));
+    let count = if once { 1 } else { count };
+    let Some(addr) = args.get("--addr") else {
+        args.fail("--addr is required")
     };
     let clear = !once && !raw && std::io::stdout().is_terminal();
 
     let mut prev_completed: Option<u64> = None;
     let mut scrape_n: u64 = 0;
     loop {
-        let text = match scrape::fetch(&addr, interval_ms.max(1000)) {
+        let text = match scrape::fetch(addr, interval_ms.max(1000)) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("stmtop: {e}");
@@ -146,7 +138,7 @@ fn main() {
                 // ANSI: clear screen, home cursor.
                 print!("\x1b[2J\x1b[H");
             }
-            print!("{}", render(&samples, &addr, scrape_n, req_per_s));
+            print!("{}", render(&samples, addr, scrape_n, req_per_s));
         }
         std::io::stdout().flush().ok();
         if count > 0 && scrape_n >= count {

@@ -113,11 +113,6 @@ impl Coo {
         &self.entries
     }
 
-    /// Consumes the matrix, returning the triplets.
-    pub fn into_entries(self) -> Vec<Triplet> {
-        self.entries
-    }
-
     /// Iterate over `(row, col, value)`.
     pub fn iter(&self) -> impl Iterator<Item = &Triplet> {
         self.entries.iter()

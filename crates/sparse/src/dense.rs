@@ -20,17 +20,6 @@ impl Dense {
         }
     }
 
-    /// Creates a matrix from row-major data.
-    pub fn from_row_major(rows: usize, cols: usize, data: Vec<Value>) -> Result<Self, FormatError> {
-        if data.len() != rows * cols {
-            return Err(FormatError::ShapeMismatch {
-                expected: (rows, cols),
-                found: (data.len(), 1),
-            });
-        }
-        Ok(Dense { rows, cols, data })
-    }
-
     /// Builds a dense matrix from a COO matrix (duplicates summed).
     pub fn from_coo(coo: &Coo) -> Self {
         let mut d = Dense::zeros(coo.rows(), coo.cols());
@@ -147,7 +136,11 @@ mod tests {
 
     #[test]
     fn transpose_small() {
-        let m = Dense::from_row_major(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+        let m = Dense {
+            rows: 2,
+            cols: 3,
+            data: vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+        };
         let t = m.transpose();
         assert_eq!(t.rows(), 3);
         assert_eq!(t.get(0, 1), 4.0);
@@ -165,11 +158,6 @@ mod tests {
         let mut orig = coo;
         orig.canonicalize();
         assert_eq!(back, orig);
-    }
-
-    #[test]
-    fn shape_mismatch_rejected() {
-        assert!(Dense::from_row_major(2, 2, vec![0.0; 3]).is_err());
     }
 
     #[test]

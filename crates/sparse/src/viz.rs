@@ -1,6 +1,6 @@
-//! Terminal visualization: ASCII "spy" plots of sparsity patterns and
-//! simple bar charts — the quick-look tools for a format/reordering
-//! library whose whole subject is *where the non-zeros sit*.
+//! Terminal visualization: ASCII "spy" plots of sparsity patterns — the
+//! quick-look tool for a format/reordering library whose whole subject
+//! is *where the non-zeros sit*.
 
 use crate::Coo;
 
@@ -44,28 +44,6 @@ pub fn spy(coo: &Coo, width: usize, height: usize) -> String {
     out
 }
 
-/// Renders a labelled horizontal bar chart (used by the experiment
-/// binaries for quick cycle comparisons). Bars scale to `width` columns.
-pub fn bar_chart(items: &[(&str, f64)], width: usize) -> String {
-    assert!(width > 0);
-    let max = items
-        .iter()
-        .map(|&(_, v)| v)
-        .fold(0.0f64, f64::max)
-        .max(f64::MIN_POSITIVE);
-    let label_w = items.iter().map(|&(l, _)| l.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for &(label, value) in items {
-        let bar = ((value / max) * width as f64).round() as usize;
-        out.push_str(&format!(
-            "{label:>label_w$}  {}{} {value:.2}\n",
-            "█".repeat(bar),
-            if bar == 0 { "▏" } else { "" },
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,16 +80,5 @@ mod tests {
             s.contains('█'),
             "a fully dense tile must hit the ramp top:\n{s}"
         );
-    }
-
-    #[test]
-    fn bar_chart_scales_to_width() {
-        let s = bar_chart(&[("a", 10.0), ("b", 5.0), ("c", 0.0)], 20);
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0].matches('█').count(), 20);
-        assert_eq!(lines[1].matches('█').count(), 10);
-        assert_eq!(lines[2].matches('█').count(), 0);
-        assert!(lines[2].contains('▏'));
     }
 }

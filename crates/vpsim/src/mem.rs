@@ -283,13 +283,6 @@ impl Allocator {
         addr
     }
 
-    /// Reserves with the start rounded up to `align` words.
-    pub fn alloc_aligned(&mut self, words: usize, align: u32) -> u32 {
-        assert!(align.is_power_of_two(), "alignment must be a power of two");
-        self.next = (self.next + align - 1) & !(align - 1);
-        self.alloc(words)
-    }
-
     /// Next free address (watermark).
     pub fn watermark(&self) -> u32 {
         self.next
@@ -330,11 +323,11 @@ mod tests {
     }
 
     #[test]
-    fn allocator_bumps_and_aligns() {
+    fn allocator_bumps() {
         let mut a = Allocator::new(10);
         assert_eq!(a.alloc(3), 10);
-        assert_eq!(a.alloc_aligned(4, 8), 16);
-        assert_eq!(a.watermark(), 20);
+        assert_eq!(a.alloc(4), 13);
+        assert_eq!(a.watermark(), 17);
     }
 
     #[test]

@@ -170,15 +170,15 @@ impl Acceptor {
     }
 }
 
-/// The duration, measured from `issue`, until the last element of a stream
-/// completes — `0` for an empty stream.
-pub fn stream_span(issue: u64, completion: &[u64]) -> u64 {
-    completion.last().map_or(0, |&last| last + 1 - issue)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The duration, measured from `issue`, until the last element of a
+    /// stream completes — `0` for an empty stream.
+    fn stream_span(issue: u64, completion: &[u64]) -> u64 {
+        completion.last().map_or(0, |&last| last + 1 - issue)
+    }
 
     fn run(issue: u64, startup: u64, rate: u64, latency: u64, n: usize, ready: Ready) -> Vec<u64> {
         let mut out = Vec::new();

@@ -46,21 +46,6 @@ fn check(r: &mut StdRng, m: &SxsMemory, oracle: &Oracle, what: &str) {
         drain,
         "{what}: drain order"
     );
-    for c in 0..s {
-        let want: Vec<(u8, u32)> = oracle
-            .range((c as u8, 0)..=(c as u8, u8::MAX))
-            .map(|(&(_, row), &p)| (row, p))
-            .collect();
-        assert_eq!(m.read_column(c as u8), want, "{what}: column {c}");
-    }
-    for row in 0..s {
-        let want: Vec<(u8, u32)> = oracle
-            .iter()
-            .filter(|(&(_, rr), _)| rr as usize == row)
-            .map(|(&(c, _), &p)| (c, p))
-            .collect();
-        assert_eq!(m.read_row(row as u8), want, "{what}: row {row}");
-    }
     for _ in 0..16 {
         let (row, col) = (r.gen_range(0..s) as u8, r.gen_range(0..s) as u8);
         assert_eq!(
